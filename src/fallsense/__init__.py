@@ -60,7 +60,6 @@ from .kan import (
     fit_records,
     kaczmarz_update,
     kan_eval,
-    predict_tti,
     pwl_eval,
     pwl_grad_nodes,
 )

@@ -113,8 +113,7 @@ def _feature_worker(task):
         annotated, profile,
         filter_config=config.orientation.filter_config(),
         body_up=config.orientation.body_up_vector(),
-        deriv_order=config.orientation.deriv_order,
-        accel_source=config.orientation.accel_source)
+        deriv_order=config.orientation.deriv_order)
     segment = None
     if annotated.fall_span() is not None:
         segment = pipeline.collect_fall_segments(

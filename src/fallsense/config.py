@@ -52,7 +52,6 @@ class OrientationConfig:
     # stands.  The corpus wears the unit at the waist with -y up.
     body_up: tuple[float, float, float] = (0.0, -1.0, 0.0)
     deriv_order: int = 2
-    accel_source: str = "adxl345"
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(

@@ -10,7 +10,7 @@ subset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,9 @@ KAN_DEFAULT_FEATURES = (
 )
 
 STD_FLOOR = 1e-8
+# Longest trailing smoothing window of the impact model (500 ms).  A fall
+# segment keeps the raw rows that such a window reaches before the onset.
+MAX_SMOOTHING_SAMPLES = 100
 
 
 class FeatureError(ValueError):
@@ -363,6 +366,9 @@ class FallSegment:
     rows: np.ndarray | None     # (L, d) raw selected-feature rows
     tti_ms: np.ndarray          # (L,) targets
     stillness_flagged: bool = False
+    # Raw rows just before the onset (at most MAX_SMOOTHING_SAMPLES - 1),
+    # so a trailing window smooths across the onset as the stream does.
+    context: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self) -> int:
         return self.end_index - self.start_index + 1
@@ -424,10 +430,13 @@ def extract_fall_segment(
         flagged = True
 
     rows = None
+    context = np.empty((0, 0))
     if frames is not None:
         if len(frames) != len(annotated):
             raise SegmentError("frames and trial have different lengths")
-        rows = frames.data[start:end + 1, feature_indices(feature_names)]
+        lo = max(0, start - MAX_SMOOTHING_SAMPLES + 1)
+        selected = frames.data[lo:end + 1, feature_indices(feature_names)]
+        context, rows = selected[:start - lo], selected[start - lo:]
     return FallSegment(
         trial_id=annotated.trial_id,
         start_index=start,
@@ -436,6 +445,7 @@ def extract_fall_segment(
         rows=rows,
         tti_ms=tti_targets(end - start + 1),
         stillness_flagged=flagged,
+        context=context,
     )
 
 
@@ -448,6 +458,7 @@ def save_segment(path: Path | str, segment: FallSegment) -> None:
         "rows": None if segment.rows is None else segment.rows.tolist(),
         "tti_ms": segment.tti_ms.tolist(),
         "stillness_flagged": segment.stillness_flagged,
+        "context": segment.context.tolist(),
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -463,6 +474,7 @@ def load_segment(path: Path | str) -> FallSegment:
         rows=None if rows is None else np.asarray(rows, dtype=float),
         tti_ms=np.asarray(payload["tti_ms"], dtype=float),
         stillness_flagged=bool(payload["stillness_flagged"]),
+        context=np.asarray(payload.get("context", []), dtype=float),
     )
 
 

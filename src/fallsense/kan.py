@@ -20,6 +20,7 @@ import numpy as np
 from . import checkpoint
 from .features import (
     KAN_DEFAULT_FEATURES,
+    MAX_SMOOTHING_SAMPLES,
     FallSegment,
     StandardizationStats,
     apply_standardizer,
@@ -47,7 +48,7 @@ class KanConfig:
     warmup: str = "epoch"         # "epoch": one fitting pass before the
     #                               outer grids are frozen; "static": grids
     #                               from the initial inner sums directly
-    standardize_targets: bool = False
+    standardize_targets: bool = True
 
     def __post_init__(self):
         if self.n_inner_nodes < 2 or self.q_outer_nodes < 2:
@@ -57,6 +58,10 @@ class KanConfig:
         if self.window_ms <= 0 or abs(
                 self.window_ms / 5.0 - round(self.window_ms / 5.0)) > 1e-9:
             raise KanError("window must be a positive multiple of 5 ms")
+        if self.window_samples > MAX_SMOOTHING_SAMPLES:
+            raise KanError(
+                f"window must be at most "
+                f"{MAX_SMOOTHING_SAMPLES * SAMPLE_PERIOD_S * 1000:g} ms")
         if self.warmup not in ("epoch", "static"):
             raise KanError(f"unknown warmup mode {self.warmup!r}")
 
@@ -295,28 +300,28 @@ def smooth_rows(rows: np.ndarray, window: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if window <= 1:
         return rows.copy()
-    c = np.cumsum(rows, axis=0)
-    out = np.empty_like(rows)
-    n = rows.shape[0]
-    for i in range(n):
-        lo = max(0, i - window + 1)
-        total = c[i] - (c[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    c = np.cumsum(np.vstack([np.zeros((1, rows.shape[1])), rows]), axis=0)
+    hi = np.arange(1, rows.shape[0] + 1)
+    lo = np.maximum(0, hi - window)
+    return (c[hi] - c[lo]) / (hi - lo)[:, None]
+
+
+def _smoothed_segment_rows(seg: FallSegment, window: int) -> np.ndarray:
+    """The segment's rows smoothed by a trailing window that reaches back
+    across the onset into its context rows, as the stream's window does."""
+    if seg.rows is None:
+        raise KanError(f"{seg.trial_id}: segment carries no feature rows")
+    context = seg.context.reshape(-1, seg.rows.shape[1])
+    return smooth_rows(np.vstack([context, seg.rows]), window)[len(context):]
 
 
 def segment_records(segments: list[FallSegment],
                     window: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack (smoothed feature row, target) records across segments."""
-    xs, ys = [], []
-    for seg in segments:
-        if seg.rows is None:
-            raise KanError(f"{seg.trial_id}: segment carries no feature rows")
-        xs.append(smooth_rows(seg.rows, window))
-        ys.append(seg.tti_ms)
-    if not xs:
+    if not segments:
         raise KanError("no segments given")
-    return np.vstack(xs), np.concatenate(ys)
+    xs = [_smoothed_segment_rows(seg, window) for seg in segments]
+    return np.vstack(xs), np.concatenate([seg.tti_ms for seg in segments])
 
 
 def _target_ramp_scale(y: np.ndarray) -> float:
@@ -502,28 +507,9 @@ def predict_smoothed_row(model: KanModel, smoothed_row: np.ndarray) -> float:
     return max(0.0, kan_eval(model, x))
 
 
-def predict_tti(model: KanModel, window_rows: np.ndarray) -> float:
-    """Time of impact (ms, >= 0) from the trailing feature window.
-
-    ``window_rows`` holds the most recent raw selected-feature rows; it
-    must cover at least the configured smoothing window.
-    """
-    rows = np.asarray(window_rows, dtype=float)
-    w = model.config.window_samples
-    if rows.ndim != 2 or rows.shape[1] != model.d:
-        raise KanError(f"expected (k, {model.d}) rows, got {rows.shape}")
-    if rows.shape[0] < w:
-        raise KanError(
-            f"window holds {rows.shape[0]} rows, need >= {w} "
-            f"({model.config.window_ms} ms)")
-    return predict_smoothed_row(model, rows[-w:].mean(axis=0))
-
-
 def predict_segment(model: KanModel, segment: FallSegment) -> np.ndarray:
     """Per-instant clamped predictions over a whole segment."""
-    if segment.rows is None:
-        raise KanError(f"{segment.trial_id}: segment carries no feature rows")
-    smoothed = smooth_rows(segment.rows, model.config.window_samples)
+    smoothed = _smoothed_segment_rows(segment, model.config.window_samples)
     xs = apply_standardizer(model.stats, smoothed)
     return np.maximum(0.0, kan_eval_batch(model, xs))
 

@@ -257,30 +257,34 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
 # Tilt derivative
 # ---------------------------------------------------------------------------
 
+def backward_difference(now, prev, prev2, dt: float, order: int):
+    """Causal finite difference of the tilt at one sample k.
+
+    Takes theta_k, theta_(k-1) and theta_(k-2) as floats (one sample, as
+    the stream calls it) or as aligned arrays (a whole series); ``prev2``
+    is unused for ``order=1``.  Elementwise, so both give identical bits.
+    """
+    if order == 1:
+        return (now - prev) / dt
+    return (now - 2.0 * prev + prev2) / (dt * dt)
+
+
 def angular_derivative(theta: np.ndarray, dt: float,
                        order: int = 2) -> np.ndarray:
-    """Finite-difference derivative of the tilt series.
+    """Causal (backward) finite-difference derivative of the tilt series.
 
-    Central differences on interior points, one-sided at the ends.
+    Entry k reads samples k-order..k only, so the series matches what a
+    device computes sample by sample; entries 0..order-1 are 0.
     ``order=1`` gives the angular rate (rad/s), ``order=2`` the angular
     acceleration (rad/s^2, the default).
     """
     theta = np.asarray(theta, dtype=float)
     if order not in (1, 2):
         raise OrientationError(f"derivative order must be 1 or 2, got {order}")
-    n = theta.shape[0]
-    if order == 1 and n < 2:
-        raise OrientationError("order-1 derivative needs >= 2 samples")
-    if order == 2 and n < 3:
-        raise OrientationError("order-2 derivative needs >= 3 samples")
-
-    out = np.empty_like(theta)
-    if order == 1:
-        out[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * dt)
-        out[0] = (theta[1] - theta[0]) / dt
-        out[-1] = (theta[-1] - theta[-2]) / dt
-    else:
-        out[1:-1] = (theta[2:] - 2.0 * theta[1:-1] + theta[:-2]) / (dt * dt)
-        out[0] = (theta[2] - 2.0 * theta[1] + theta[0]) / (dt * dt)
-        out[-1] = (theta[-1] - 2.0 * theta[-2] + theta[-3]) / (dt * dt)
+    if theta.shape[0] < order + 1:
+        raise OrientationError(
+            f"order-{order} derivative needs >= {order + 1} samples")
+    out = np.zeros_like(theta)
+    out[order:] = backward_difference(theta[order:], theta[order - 1:-1],
+                                      theta[:-2], dt, order)
     return out

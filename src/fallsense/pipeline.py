@@ -41,17 +41,14 @@ def orient_and_frame(
     filter_config: FilterConfig | None = None,
     body_up: np.ndarray | None = None,
     deriv_order: int = 2,
-    accel_source: str = "adxl345",
 ) -> FeatureFrames:
-    """Run the orientation filter and assemble the 19-signal frames."""
+    """Run the orientation filter and assemble the 19-signal frames.
+
+    The filter reads the primary accelerometer, as the stream does.
+    """
     trial = annotated.trial
-    if accel_source == "adxl345":
-        accel = trial.accel_adxl345
-    elif accel_source == "mma8451q":
-        accel = trial.accel_mma8451q
-    else:
-        raise ValueError(f"unknown accelerometer source {accel_source!r}")
-    quats = estimate_orientation(accel, trial.gyro_itg3200, filter_config)
+    quats = estimate_orientation(trial.accel_adxl345, trial.gyro_itg3200,
+                                 filter_config)
     return build_feature_frames(annotated, subject, quats,
                                 body_up=body_up, deriv_order=deriv_order)
 

@@ -27,6 +27,7 @@ from . import kan as kan_mod
 from .features import FDNN_FEATURES, FEATURE_NAMES, feature_indices
 from .orientation import (
     FilterConfig,
+    backward_difference,
     init_state,
     predict_step,
     tilt_angles,
@@ -89,28 +90,6 @@ class FdnnStream:
         return float(fdnn_mod.softmax_rows(logits)[0, 1])
 
 
-class _CausalTiltDerivative:
-    """One-sided backward differences, usable sample by sample."""
-
-    def __init__(self, dt: float, order: int):
-        if order not in (1, 2):
-            raise StreamError(f"derivative order must be 1 or 2, got {order}")
-        self.dt = dt
-        self.order = order
-        self._hist: list[float] = []
-
-    def push(self, theta: float) -> float:
-        self._hist.append(theta)
-        h, dt = self._hist, self.dt
-        if self.order == 1:
-            if len(h) < 2:
-                return 0.0
-            return (h[-1] - h[-2]) / dt
-        if len(h) < 3:
-            return 0.0
-        return (h[-1] - 2.0 * h[-2] + h[-3]) / (dt * dt)
-
-
 def stream_trial(
     fdnn_checkpoint: Path | str,
     kan_checkpoint: Path | str,
@@ -133,6 +112,8 @@ def stream_trial(
     """
     if mode not in ("realtime", "fast"):
         raise StreamError(f"unknown mode {mode!r}")
+    if deriv_order not in (1, 2):
+        raise StreamError(f"derivative order must be 1 or 2, got {deriv_order}")
     params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(fdnn_checkpoint)
     kan_model = kan_mod.load_checkpoint(kan_checkpoint)
 
@@ -151,7 +132,6 @@ def stream_trial(
         raise StreamError("empty trial")
 
     detector = FdnnStream(params, fcfg)
-    deriv = _CausalTiltDerivative(SAMPLE_PERIOD_S, deriv_order)
     static = subject.static_vector()
     window = max(1, min(n, int(round(
         filter_config.init_window_s / SAMPLE_PERIOD_S))))
@@ -161,13 +141,14 @@ def stream_trial(
     accel = trial.accel_adxl345
     gyro = trial.gyro_itg3200
     state = None
+    prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     events: list[StreamEvent] = []
     latencies = np.empty(n)
     frame = np.empty(len(FEATURE_NAMES))
     frame[0:4] = static
 
     def process(k: int) -> StreamEvent:
-        nonlocal state
+        nonlocal state, prev, prev2
         t0 = time.perf_counter_ns()
         if k == 0:
             state = update_step(state, accel[0])
@@ -180,7 +161,10 @@ def stream_trial(
         frame[10:13] = gyro[k]
         frame[13:17] = state.q
         frame[17] = theta
-        frame[18] = deriv.push(theta)
+        frame[18] = (backward_difference(theta, prev, prev2, SAMPLE_PERIOD_S,
+                                         deriv_order)
+                     if k >= deriv_order else 0.0)
+        prev, prev2 = theta, prev
 
         x = (frame[:18] - fstats.mean) / fstats.std
         p_fall = detector.step(x)
@@ -201,9 +185,9 @@ def stream_trial(
     start = time.perf_counter()
     for k in range(n):
         if mode == "realtime":
-            target = start + (k + 1) * SAMPLE_PERIOD_S
-            while time.perf_counter() < target:
-                time.sleep(0)
+            wait = start + (k + 1) * SAMPLE_PERIOD_S - time.perf_counter()
+            if wait > 0:
+                time.sleep(wait)
         if k == window - 1:
             # Warm-up window full: initialize the filter exactly like the
             # batch estimator and emit the deferred events.

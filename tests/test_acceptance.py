@@ -10,6 +10,7 @@ Each criterion prints one PASS line (run with -s to see them inline);
 a failing criterion shows up as the test failure itself.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -280,11 +281,32 @@ def test_a9_metrics_oracle():
     _ok("A9", "(1000 random prediction/label vectors)")
 
 
+@pytest.mark.tier_a
+def test_a10_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer patches still exists where
+    the tracer looks it up, so a refactor cannot silently break a traced
+    benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [entry[:2] for entry in spans.LAYERS] + [spans.FORWARD[:2]]
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr in targets
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, f"unresolved trace targets: {missing}"
+    _ok("A10", f"({len(targets)} trace targets resolve)")
+
+
 # ===========================================================================
 # Tier B
 # ===========================================================================
 
-def _build_overfit_pipeline(tmp_path):
+@pytest.fixture(scope="module")
+def overfit_pipeline(tmp_path_factory):
+    """Detector overfit for 64 epochs on 10 synthetic trials, plus an
+    impact model on their falls; built once for the Tier-B criteria."""
+    tmp_path = tmp_path_factory.mktemp("overfit")
     trials = []
     for i in range(5):
         ann, _ = generate_synthetic_trial(
@@ -317,12 +339,12 @@ def _build_overfit_pipeline(tmp_path):
 
 
 @pytest.mark.tier_b
-def test_b10_overfit_and_stream_equivalence(tmp_path):
+def test_b10_overfit_and_stream_equivalence(overfit_pipeline):
     """>= 99% training sample accuracy on 10 separable synthetic sequences
     within 64 epochs; streamed inference reproduces batch forward outputs
     bit-exactly in fast mode."""
     (pairs, examples, params, cfg, stats,
-     fdnn_path, kan_path) = _build_overfit_pipeline(tmp_path)
+     fdnn_path, kan_path) = overfit_pipeline
     acc = fdnn_mod.sample_accuracy(params, cfg, examples)
     assert acc >= 0.99
 
@@ -342,11 +364,10 @@ def test_b10_overfit_and_stream_equivalence(tmp_path):
 
 
 @pytest.mark.tier_b
-def test_b11_streaming_latency(tmp_path):
+def test_b11_streaming_latency(overfit_pipeline):
     """Per-sample pipeline latency: mean < 1 ms and p99 < 5 ms (the 200 Hz
     real-time budget)."""
-    (pairs, _, _, _, _, fdnn_path, kan_path) = \
-        _build_overfit_pipeline(tmp_path)
+    (pairs, _, _, _, _, fdnn_path, kan_path) = overfit_pipeline
     annotated, _ = generate_synthetic_trial(
         SyntheticSpec(duration_s=15.0), seed=77)
     _, report = stream_trial(fdnn_path, kan_path, annotated.trial, SUBJECT,
@@ -356,6 +377,39 @@ def test_b11_streaming_latency(tmp_path):
     assert report.p99_us < 5000.0, f"p99 {report.p99_us:.0f} us"
     _ok("B11", f"(mean {report.mean_us:.0f} us, p99 {report.p99_us:.0f} us, "
                f"max {report.max_us:.0f} us over {report.count} samples)")
+
+
+@pytest.mark.tier_b
+def test_b12_streamed_impact_time_is_what_eval_scores(overfit_pipeline):
+    """With the impact model on every sample, the streamed time of impact
+    over each fall segment equals kan.predict_segment on the batch segment
+    (within 1e-6 ms), and P(falling) stays bit-identical to batch."""
+    (pairs, _, params, cfg, stats, fdnn_path, kan_path) = overfit_pipeline
+    model = kan_mod.load_checkpoint(kan_path)
+    worst = 0.0
+    falls = 0
+    for annotated, frames in pairs:
+        if annotated.fall_span() is None:
+            continue
+        events, _ = stream_trial(fdnn_path, kan_path, annotated.trial,
+                                 SUBJECT, mode="fast", kan_gating=False)
+        example = frames_to_example(frames, stats)
+        trace = fdnn_mod.predict_trace(params, cfg, example.static,
+                                       example.sequence)
+        assert np.array_equal([e.p_falling for e in events],
+                              trace.p_falling)
+        seg = extract_fall_segment(annotated, frames,
+                                   feature_names=model.feature_names)
+        streamed = np.array([e.tti_ms for e in events])
+        diff = np.abs(streamed[seg.start_index:seg.end_index + 1]
+                      - kan_mod.predict_segment(model, seg))
+        assert diff.max() <= 1e-6, \
+            f"{annotated.trial_id}: streamed vs batch tti max {diff.max()} ms"
+        worst = max(worst, float(diff.max()))
+        falls += 1
+    assert falls == 5
+    _ok("B12", f"({falls} falls; worst streamed-vs-batch tti "
+               f"{worst:.1e} ms)")
 
 
 # ===========================================================================

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -62,6 +63,16 @@ class TestFeatureFrames:
     def test_theta_column_in_range(self, frames):
         theta = frames.column("theta")
         assert np.all(theta >= 0) and np.all(theta <= math.pi)
+
+    def test_theta_deriv_is_causal(self, frames):
+        # backward second difference of the tilt: 0 until two past
+        # samples exist, and never reads a later sample
+        theta = frames.column("theta")
+        deriv = frames.column("theta_deriv")
+        dt = 0.005
+        assert np.array_equal(deriv[:2], [0.0, 0.0])
+        assert np.array_equal(
+            deriv[2:], (theta[2:] - 2.0 * theta[1:-1] + theta[:-2]) / (dt * dt))
 
     def test_npz_round_trip(self, frames, tmp_path):
         p = tmp_path / "frames.npz"
@@ -314,6 +325,30 @@ class TestExtractFallSegment:
         assert np.allclose(loaded.rows, seg.rows)
         assert np.array_equal(loaded.tti_ms, seg.tti_ms)
         assert loaded.feature_names == seg.feature_names
+        # the rows a trailing window reaches before the onset
+        cols = feat.feature_indices(KAN_DEFAULT_FEATURES)
+        lo = seg.start_index - (feat.MAX_SMOOTHING_SAMPLES - 1)
+        assert np.array_equal(seg.context,
+                              frames.data[lo:seg.start_index, cols])
+        assert np.array_equal(loaded.context, seg.context)
+
+    def test_context_clipped_at_trial_start(self, fall_trial, frames):
+        annotated, _ = fall_trial
+        labels = np.zeros_like(annotated.labels)
+        labels[30:annotated.fall_span()[1] + 1] = 1
+        early = dataclasses.replace(annotated, labels=labels)
+        seg = extract_fall_segment(early, frames)
+        assert seg.start_index == 30
+        assert seg.context.shape == (30, len(KAN_DEFAULT_FEATURES))
+
+    def test_segment_without_context_loads(self, tmp_path):
+        # segment files written before the context field load with none
+        p = tmp_path / "old.json"
+        p.write_text('{"trial_id": "F01_SA01_R01", "start_index": 5, '
+                     '"end_index": 6, "feature_names": ["a"], '
+                     '"rows": [[1.0], [2.0]], "tti_ms": [5.0, 0.0], '
+                     '"stillness_flagged": false}')
+        assert load_segment(p).context.size == 0
 
 
 class TestSplitSequences:

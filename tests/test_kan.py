@@ -22,13 +22,16 @@ from fallsense.kan import (
     kan_eval,
     kan_eval_batch,
     load_checkpoint,
-    predict_tti,
+    predict_segment,
+    predict_smoothed_row,
     pwl_eval,
     pwl_grad_nodes,
     save_checkpoint,
     smooth_rows,
 )
+from fallsense.pipeline import collect_fall_segments, orient_and_frame
 from fallsense.sisfall import TrialId
+from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
 
 D = 5
 NAMES = ("a", "b", "c", "d", "e")
@@ -282,7 +285,7 @@ class TestFit:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (600, D))
         y = 350.0 + 100.0 * X.sum(axis=1)
-        cfg_raw = KanConfig(epochs=4, seed=1)
+        cfg_raw = KanConfig(epochs=4, seed=1, standardize_targets=False)
         cfg_std = KanConfig(epochs=4, seed=1, standardize_targets=True)
         m_raw, log_raw = fit_records(cfg_raw, X[:400], y[:400],
                                      X[400:], y[400:])
@@ -293,6 +296,27 @@ class TestFit:
         assert abs(float(preds.mean()) - 350.0) < 100.0
         assert min(l.val_rmse for l in log_std) < 2.0 * \
             min(l.val_rmse for l in log_raw) + 50.0
+
+    def test_default_config_learns_synthetic_falls(self, subject):
+        # the default config must do better than predicting the mean
+        # countdown; unscaled ms targets stall near the mean predictor
+        pairs = []
+        for i in range(12):
+            ann, _ = generate_synthetic_trial(
+                SyntheticSpec(duration_s=3.0, fall_onset_s=1.0,
+                              impact_s=1.5 + 0.06 * i),
+                seed=500 + i, trial_id=TrialId(f"F{i + 1:02d}", "SA01", 1))
+            pairs.append((ann, orient_and_frame(ann, subject)))
+        segs = collect_fall_segments(pairs)
+        train = [s for i, s in enumerate(segs) if i % 3]
+        val = segs[::3]
+        model, log = fit(KanConfig(), train, val)
+        train_y = np.concatenate([s.tti_ms for s in train])
+        val_y = np.concatenate([s.tti_ms for s in val])
+        mean_rmse = kan.rmse(np.full_like(val_y, train_y.mean()), val_y)
+        got = kan.rmse(np.concatenate([predict_segment(model, s)
+                                       for s in val]), val_y)
+        assert got < 0.6 * mean_rmse, f"{got:.1f} vs mean {mean_rmse:.1f} ms"
 
 
 def make_segment(subject, activity, rep, length=120, seed=0):
@@ -324,6 +348,16 @@ class TestSmoothing:
         rows = np.random.default_rng(0).normal(size=(20, 3))
         assert np.array_equal(smooth_rows(rows, 1), rows)
 
+    def test_matches_direct_trailing_means(self):
+        rows = np.random.default_rng(1).normal(size=(40, 3))
+        want = [rows[max(0, i - 6):i + 1].mean(axis=0) for i in range(40)]
+        assert np.allclose(smooth_rows(rows, 7), want, rtol=0, atol=1e-12)
+
+    def test_window_longer_than_bound_rejected(self):
+        assert KanConfig(window_ms=500.0).window_samples == 100
+        with pytest.raises(KanError, match="at most 500 ms"):
+            KanConfig(window_ms=505.0)
+
 
 class TestPredict:
     def _model(self):
@@ -331,21 +365,37 @@ class TestPredict:
         model, _ = fit(KanConfig(epochs=2, seed=0), segs[:2], segs[2:])
         return model
 
+    def test_segment_window_crosses_onset(self):
+        # predict_segment smooths each instant over the trailing window
+        # that a stream sees, reaching into the rows before the onset
+        model = self._model()
+        w = model.config.window_samples
+        trial_rows = np.random.default_rng(4).normal(size=(60, D))
+        start = 25
+        seg = FallSegment(
+            trial_id=TrialId("F01", "SA01", 1), start_index=start,
+            end_index=59, feature_names=NAMES, rows=trial_rows[start:],
+            tti_ms=tti_targets(60 - start), context=trial_rows[:start])
+        want = [predict_smoothed_row(
+                    model, trial_rows[k - w + 1:k + 1].mean(axis=0))
+                for k in range(start, 60)]
+        assert np.allclose(predict_segment(model, seg), want,
+                           rtol=0, atol=1e-9)
+        # without context the window restarts at the onset
+        bare = FallSegment(seg.trial_id, start, 59, NAMES, seg.rows,
+                           seg.tti_ms)
+        assert predict_segment(model, bare)[0] == pytest.approx(
+            predict_smoothed_row(model, seg.rows[0]))
+
     def test_negative_clamped_to_zero(self):
         model = self._model()
         model.outer_values[...] = -5.0
-        window = np.zeros((model.config.window_samples, D))
-        assert predict_tti(model, window) == 0.0
-
-    def test_window_too_short(self):
-        model = self._model()
-        with pytest.raises(KanError, match="window"):
-            predict_tti(model, np.zeros((model.config.window_samples - 1, D)))
+        assert predict_smoothed_row(model, np.zeros(D)) == 0.0
 
     def test_prediction_not_rounded(self):
         model = self._model()
         rng = np.random.default_rng(3)
-        vals = [predict_tti(model, rng.normal(size=(10, D)))
+        vals = [predict_smoothed_row(model, rng.normal(size=D))
                 for _ in range(20)]
         assert any(v % 5.0 != 0.0 for v in vals)
 

@@ -177,16 +177,22 @@ class TestAngularDerivative:
         assert np.allclose(angular_derivative(series, 0.005, 2), 0.0)
 
     def test_linear_ramp(self):
+        # causal: entry k reads samples k-order..k; the first `order`
+        # entries have no full history and are exactly 0
         t = np.arange(100) * 0.005
         series = 4.2 * t
-        assert np.allclose(angular_derivative(series, 0.005, 1), 4.2)
-        assert np.allclose(angular_derivative(series, 0.005, 2), 0.0,
-                           atol=1e-9)
+        d1 = angular_derivative(series, 0.005, 1)
+        assert d1[0] == 0.0
+        assert np.allclose(d1[1:], 4.2)
+        d2 = angular_derivative(series, 0.005, 2)
+        assert np.array_equal(d2[:2], [0.0, 0.0])
+        assert np.allclose(d2[2:], 0.0, atol=1e-9)
 
     def test_quadratic_second_derivative(self):
         t = np.arange(200) * 0.005
         d2 = angular_derivative(t ** 2, 0.005, 2)
-        assert np.abs(d2[1:-1] - 2.0).max() < 1e-6
+        assert np.array_equal(d2[:2], [0.0, 0.0])
+        assert np.abs(d2[2:] - 2.0).max() < 1e-6
 
     def test_too_short(self):
         with pytest.raises(OrientationError):

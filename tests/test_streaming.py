@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,31 @@ class TestStreamTrial:
                                _subject(), mode="realtime")
         assert [(e.p_falling, e.decision, e.tti_ms) for e in fast] == \
             [(e.p_falling, e.decision, e.tti_ms) for e in real]
+
+    def test_realtime_sleeps_between_samples(self, trained, subject,
+                                             monkeypatch):
+        # pacing sleeps until each sample's deadline, at most once per
+        # sample, instead of polling the clock
+        fdnn_path, kan_path, *_ = trained
+        annotated, _ = generate_synthetic_trial(
+            SyntheticSpec(kind="walk", duration_s=1.0), seed=6)
+        sleeps = []
+        real_sleep = time.sleep
+
+        def counted_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", counted_sleep)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        stream_trial(fdnn_path, kan_path, annotated.trial, subject,
+                     mode="realtime")
+        wall = time.perf_counter() - wall0
+        cpu = time.process_time() - cpu0
+        assert wall >= 0.99
+        assert cpu < 0.5 * wall, f"cpu {cpu:.2f} s of {wall:.2f} s wall"
+        assert 0 < len(sleeps) <= len(annotated.trial)
+        assert min(sleeps) > 0.0
 
     def test_prefix_equivalence(self, trained, subject):
         # causality: streaming a prefix (past the init window) yields the
