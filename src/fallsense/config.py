@@ -53,6 +53,9 @@ class OrientationConfig:
     body_up: tuple[float, float, float] = (0.0, -1.0, 0.0)
     deriv_order: int = 2
 
+    def __post_init__(self):
+        self.filter_config()    # a filter that cannot run fails at load
+
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
             gyro_noise=self.gyro_noise, accel_noise=self.accel_noise,

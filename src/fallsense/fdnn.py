@@ -135,12 +135,10 @@ def init_params(config: FdnnConfig, seed: int | None = None) -> FdnnParams:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -148,10 +146,13 @@ def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
               hidden: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """One LSTM cell step on a (B, in) slab.  Gate order: i, f, g, o."""
     gates = x @ wx + h @ wh + b
-    i = _sigmoid(gates[:, 0:hidden])
-    f = _sigmoid(gates[:, hidden:2 * hidden])
-    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = _sigmoid(gates[:, 3 * hidden:4 * hidden])
+    # One sigmoid over the whole slab, then tanh over the g block.
+    act = _sigmoid(gates)
+    act[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    i = act[:, 0:hidden]
+    f = act[:, hidden:2 * hidden]
+    g = act[:, 2 * hidden:3 * hidden]
+    o = act[:, 3 * hidden:4 * hidden]
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
@@ -160,8 +161,14 @@ def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
     return h_new, c_new, cache
 
 
-def bn_infer(x: np.ndarray, params: FdnnParams, eps: float) -> np.ndarray:
-    scale = params.bn_gamma / np.sqrt(params.bn_var + eps)
+def bn_scale(params: FdnnParams, eps: float) -> np.ndarray:
+    """Per-unit multiplier of inference batch norm (frozen moments)."""
+    return params.bn_gamma / np.sqrt(params.bn_var + eps)
+
+
+def bn_infer(x: np.ndarray, params: FdnnParams,
+             scale: np.ndarray) -> np.ndarray:
+    """Inference batch norm; ``scale`` is ``bn_scale(params, eps)``."""
     return (x - params.bn_mean) * scale + params.bn_beta
 
 
@@ -255,7 +262,7 @@ def forward(
         params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
         params.bn_var[:] = m * params.bn_var + (1 - m) * var
     else:
-        y_bn = bn_infer(a1, params, config.bn_eps)
+        y_bn = bn_infer(a1, params, bn_scale(params, config.bn_eps))
 
     # Dropout layers 3, 5, 7 (train only, inverted scaling).
     keep = 1.0 - config.dropout_rate

@@ -60,12 +60,14 @@ class LatencyReport:
 
 
 class FdnnStream:
-    """Stateful per-step detector inference (frozen batch-norm moments)."""
+    """Stateful per-step detector inference (frozen batch-norm moments,
+    whose scale is computed once)."""
 
     def __init__(self, params: fdnn_mod.FdnnParams,
                  config: fdnn_mod.FdnnConfig):
         self.params = params
         self.config = config
+        self._bn_scale = fdnn_mod.bn_scale(params, config.bn_eps)
         self.reset()
 
     def reset(self) -> None:
@@ -79,7 +81,7 @@ class FdnnStream:
         """P(falling) for one standardized 18-entry input row."""
         p, cfg = self.params, self.config
         a1 = x[None, :] @ p.fc1_w + p.fc1_b
-        y = fdnn_mod.bn_infer(a1, p, cfg.bn_eps)
+        y = fdnn_mod.bn_infer(a1, p, self._bn_scale)
         self._h1, self._c1, _ = fdnn_mod.lstm_step(
             y, self._h1, self._c1, p.lstm1_wx, p.lstm1_wh, p.lstm1_b,
             cfg.inner_dim)

@@ -14,6 +14,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,22 @@ def test_a10_benchmark_trace_targets_resolve():
                if not callable(getattr(owner, attr, None))]
     assert not missing, f"unresolved trace targets: {missing}"
     _ok("A10", f"({len(targets)} trace targets resolve)")
+
+
+@pytest.mark.tier_a
+def test_a11_orientation_demo_runs():
+    """demos/02_orientation_tilt.py, which drives the quaternion helpers
+    and the filter steps directly, runs to completion."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(root / "demos" / "02_orientation_tilt.py")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "update skipped -> state unchanged: True" in done.stdout
+    _ok("A11", "(demo 02 exits 0)")
 
 
 # ===========================================================================

@@ -93,6 +93,16 @@ class TestUsage:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_unrunnable_filter_config_is_validation_error(self, tmp_path):
+        # accel_noise 0 would make the filter's innovation covariance
+        # singular at the first accepted accelerometer sample
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"orientation": {"accel_noise": 0.0}}')
+        rc = dispatch(["synth", "--config", str(bad),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_outputs(self, synth_dir):

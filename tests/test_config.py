@@ -60,6 +60,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("section", [
+        {"accel_noise": 0.0},
+        {"gyro_noise": -0.01},
+        {"gate_low_g": 1.5},
+        {"init_window_s": 0.0},
+    ])
+    def test_unrunnable_filter_rejected(self, tmp_path, section):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"orientation": section}))
+        with pytest.raises(ConfigError, match="invalid orientation section"):
+            load_config(p)
+
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
         p = tmp_path / "resolved.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,42 @@ class TestForward:
         static, seq, _, mask = toy_batch()
         forward(p, TOY, static, seq, mode="train", mask=mask)
         assert not np.array_equal(before, p.bn_mean)
+
+
+def _two_branch_sigmoid(x):
+    """The masked two-branch form: 1/(1+e^-x) for x >= 0, e^x/(1+e^x)
+    otherwise."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0,
+         710.0, -710.0, 1e4, -1e4, np.finfo(float).max,
+         -np.finfo(float).max],
+        np.linspace(-50.0, 50.0, 20001),
+        np.random.default_rng(0).normal(0.0, 8.0, 5000),
+    ])
+
+    def test_bit_identical_to_two_branch_form(self):
+        x = self.GRID.reshape(5, -1)             # a (B, 4H)-like slab
+        got = fdnn._sigmoid(x)
+        want = _two_branch_sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_floating_point_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise"):
+                out = fdnn._sigmoid(self.GRID)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[self.GRID == 1e4][0] == 1.0
+        assert out[self.GRID == -1e4][0] == 0.0
 
 
 class TestClassify:

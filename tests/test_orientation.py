@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallsense.orientation import (
+    DEG,
+    WORLD_UP,
     FilterConfig,
     FilterState,
     OrientationError,
@@ -19,6 +23,142 @@ from fallsense.orientation import (
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Matrix-form reference of the filter: F P F^T + Q for the prediction, the
+# Joseph form with a linear solve for the gain in the update.
+# ---------------------------------------------------------------------------
+
+def _ref_compose(q, dq):
+    """Normalized, sign-canonical q * dq through the left-product matrix."""
+    w, x, y, z = q
+    left = np.array([[w, -x, -y, -z],
+                     [x, w, -z, y],
+                     [y, z, w, -x],
+                     [z, -y, x, w]])
+    out = left @ dq
+    out = out / np.linalg.norm(out)
+    return -out if out[0] < 0 else out
+
+
+def _ref_predict(state, omega_dps, dt):
+    dq = quat_from_rotvec(np.asarray(omega_dps, dtype=float) * (DEG * dt))
+    F = quat_to_matrix(dq).T
+    P = F @ state.P @ F.T + state.config.gyro_noise * dt * np.eye(3)
+    return _ref_compose(state.q, dq), 0.5 * (P + P.T)
+
+
+def _ref_update(state, accel_g):
+    a = np.asarray(accel_g, dtype=float)
+    v = quat_to_matrix(state.q).T @ WORLD_UP
+    H = np.array([[0.0, -v[2], v[1]],
+                  [v[2], 0.0, -v[0]],
+                  [-v[1], v[0], 0.0]])
+    R = state.config.accel_noise * np.eye(3)
+    S = H @ state.P @ H.T + R
+    K = np.linalg.solve(S.T, (state.P @ H.T).T).T
+    dtheta = K @ (a / np.linalg.norm(a) - v)
+    IKH = np.eye(3) - K @ H
+    P = IKH @ state.P @ IKH.T + K @ R @ K.T
+    return _ref_compose(state.q, quat_from_rotvec(dtheta)), 0.5 * (P + P.T)
+
+
+_unit = st.floats(-1.0, 1.0)
+_vec3 = st.tuples(_unit, _unit, _unit)
+
+
+@st.composite
+def filter_states(draw):
+    """Unit attitude anywhere; covariance A A^T + floor with eigenvalues
+    between about 1e-6 and 3 rad^2 (the filter starts at 1 rad^2 at
+    most)."""
+    rotvec = np.array(draw(_vec3)) * math.pi
+    q = quat_from_rotvec(rotvec)
+    q = q / np.linalg.norm(q)
+    A = np.array([draw(_vec3) for _ in range(3)])
+    scale = 10.0 ** draw(st.floats(-6.0, 0.0))
+    floor = 10.0 ** draw(st.floats(-6.0, -2.0))
+    P = scale * (A @ A.T) + floor * np.eye(3)
+    return FilterState(q=-q if q[0] < 0 else q, P=P)
+
+
+def _accel(direction, magnitude):
+    d = np.asarray(direction, dtype=float)
+    n = np.linalg.norm(d)
+    if n < 1e-3:
+        d, n = np.array([0.0, 0.0, 1.0]), 1.0
+    return d / n * magnitude
+
+
+class TestClosedFormMatchesMatrixForm:
+    @given(filter_states(), _vec3)
+    @settings(max_examples=300, deadline=None)
+    def test_predict(self, state, rate):
+        omega = np.array(rate) * 2000.0          # up to +-2000 dps
+        out = predict_step(state, omega, 0.005)
+        q_ref, P_ref = _ref_predict(state, omega, 0.005)
+        assert np.abs(out.q - q_ref).max() <= 1e-12
+        assert np.abs(out.P - P_ref).max() <= 1e-12
+        assert np.array_equal(out.P, out.P.T)
+        assert out.q.shape == (4,) and out.P.shape == (3, 3)
+
+    @given(filter_states(), _vec3, st.floats(0.71, 1.29))
+    @settings(max_examples=300, deadline=None)
+    def test_update_inside_gate(self, state, direction, magnitude):
+        accel = _accel(direction, magnitude)
+        out = update_step(state, accel)
+        assert out is not state
+        q_ref, P_ref = _ref_update(state, accel)
+        assert np.abs(out.q - q_ref).max() <= 1e-12
+        assert np.abs(out.P - P_ref).max() <= 1e-12
+        assert np.array_equal(out.P, out.P.T)
+        assert out.q.shape == (4,) and out.P.shape == (3, 3)
+
+    @given(filter_states(), _vec3,
+           st.one_of(st.floats(0.0, 0.69), st.floats(1.31, 16.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_update_outside_gate_returns_same_state(self, state, direction,
+                                                    magnitude):
+        assert update_step(state, _accel(direction, magnitude)) is state
+
+    @given(filter_states(), st.integers(0, 2),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_sample_raises(self, state, axis, bad):
+        sample = np.array([0.0, 0.0, 1.0])
+        sample[axis] = bad
+        with pytest.raises(OrientationError):
+            update_step(state, sample)
+        with pytest.raises(OrientationError):
+            predict_step(state, sample, 0.005)
+
+
+class TestFilterConfig:
+    def test_defaults_valid(self):
+        FilterConfig()
+        FilterConfig(gyro_noise=0.0, gate_low_g=1.0, gate_high_g=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"accel_noise": 0.0},
+        {"accel_noise": -0.05},
+        {"accel_noise": math.nan},
+        {"gyro_noise": -0.01},
+        {"gyro_noise": math.nan},
+        {"gate_low_g": 0.0},
+        {"gate_low_g": -0.5},
+        {"gate_low_g": 1.4},                    # above gate_high_g
+        {"gate_high_g": 0.6},
+        {"gate_high_g": math.nan},
+        {"init_window_s": 0.0},
+        {"init_window_s": -1.0},
+        {"init_att_std_rad": 0.0},
+        {"dynamic_init_std_rad": 0.0},
+        {"dynamic_init_std_rad": math.nan},
+    ])
+    def test_rejects_unrunnable(self, bad):
+        with pytest.raises(OrientationError):
+            FilterConfig(**bad)
 
 
 def _state(P_scale=0.01, **cfg):

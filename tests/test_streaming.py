@@ -69,11 +69,18 @@ class TestStreamTrial:
         assert report.count == len(annotated.trial)
         assert [e.index for e in events] == list(range(len(events)))
 
-    def test_stream_matches_batch_forward_bitexact(self, trained, subject):
+    # None, the corpus mounting the CLI passes by default, and an oblique
+    # axis that is not unit length
+    @pytest.mark.parametrize(
+        "body_up", [None, (0.0, -1.0, 0.0), (0.3, -0.9, 0.1)],
+        ids=["None", "minus_y", "oblique"])
+    def test_stream_matches_batch_forward_bitexact(self, trained, subject,
+                                                   body_up):
         fdnn_path, kan_path, pairs, params, cfg, stats = trained
-        for annotated, frames in pairs[:3]:
+        for annotated, _ in pairs[:3]:
             events, _ = stream_trial(fdnn_path, kan_path, annotated.trial,
-                                     subject)
+                                     subject, body_up=body_up)
+            frames = orient_and_frame(annotated, subject, body_up=body_up)
             example = frames_to_example(frames, stats)
             trace = fdnn_mod.predict_trace(params, cfg, example.static,
                                            example.sequence)
