@@ -53,15 +53,11 @@ from .kan import (
     CvPlan,
     KanConfig,
     KanModel,
-    PwlFunction,
     build_cv_plan,
     cross_validate,
     fit,
     fit_records,
-    kaczmarz_update,
     kan_eval,
-    pwl_eval,
-    pwl_grad_nodes,
 )
 from .orientation import (
     FilterConfig,

@@ -6,12 +6,27 @@ node abscissas and ordinates (clamped outside its grid).  Identification
 runs one projected Gauss-Newton (Kaczmarz) update per training record:
 only the node values bracketing the record's evaluation points move.
 
+With 5 inputs the model is 11 branches of a few dozen nodes, so a row
+costs far more in NumPy call overhead than in arithmetic.  Single rows
+therefore run on one scalar kernel, ``KanKernel``: a snapshot of the
+model's grids and node values as nested Python lists (plus the input
+standardizer), bracketed in O(1) from each grid's first node and mean
+step and then walked to the exact node, so any strictly increasing grid
+is bracketed as ``searchsorted`` would.  The stream's single-row reads
+and ``fit_records``' Kaczmarz writes both run on it; the sweeps write the
+node values back to the model's arrays once per pass.  Its arithmetic
+keeps a fixed order (inner sums as s_j + (u*a + t*b), gradient norms in
+NumPy's pairwise summation order), so reads and writes are bit-identical
+to the per-scalar NumPy form the tests keep as a reference.  Whole
+matrices (``kan_eval_batch``) stay vectorised with ``np.interp``.
+
 Inputs are the five selected signals, smoothed by a trailing moving
 average and standardized; targets stay in milliseconds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -71,56 +86,6 @@ class KanConfig:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear primitives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PwlFunction:
-    """Linear interpolation between nodes, clamped outside the grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise KanError("grid/values must be matching 1-D arrays, size >= 2")
-        if not np.all(np.diff(grid) > 0):
-            raise KanError("grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise KanError("node values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-def _bracket(grid: np.ndarray, x: float) -> tuple[int, float]:
-    """Left node index and interpolation weight t in [0, 1] (clamped)."""
-    k = int(np.searchsorted(grid, x, side="right")) - 1
-    k = min(max(k, 0), grid.shape[0] - 2)
-    if x <= grid[0]:
-        return k, 0.0
-    if x >= grid[-1]:
-        return k, 1.0
-    return k, (x - grid[k]) / (grid[k + 1] - grid[k])
-
-
-def pwl_eval(f: PwlFunction, x):
-    """Evaluate at scalar or array argument (clamped extrapolation)."""
-    return np.interp(x, f.grid, f.values)
-
-
-def pwl_grad_nodes(f: PwlFunction, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and weights of the (at most two) nodes that x activates.
-
-    The weights are the interpolation coefficients and sum to 1; exactly
-    at a node (or beyond the grid ends) a single node has weight 1.
-    """
-    k, t = _bracket(f.grid, float(x))
-    return np.array([k, k + 1]), np.array([1.0 - t, t])
-
-
-# ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
 
@@ -150,12 +115,6 @@ class KanModel:
             outer_values=self.outer_values.copy(),
         )
 
-    def inner_function(self, i: int, j: int) -> PwlFunction:
-        return PwlFunction(self.inner_grid, self.inner_values[i, j])
-
-    def outer_function(self, j: int) -> PwlFunction:
-        return PwlFunction(self.outer_grids[j], self.outer_values[j])
-
 
 @dataclass
 class UpdateInfo:
@@ -164,15 +123,181 @@ class UpdateInfo:
     degenerate: bool     # all active slopes were zero: no update applied
 
 
-def _inner_sums(model: KanModel, x: np.ndarray) -> np.ndarray:
-    """s_j = sum_i phi_ij(x_i) for one standardized input, shape (2d+1,)."""
-    grid = model.inner_grid
-    s = np.zeros(model.branches)
-    for i in range(model.d):
-        k, t = _bracket(grid, float(x[i]))
-        s += (1.0 - t) * model.inner_values[i, :, k] \
-            + t * model.inner_values[i, :, k + 1]
-    return s
+# ---------------------------------------------------------------------------
+# Scalar kernel
+# ---------------------------------------------------------------------------
+
+def _grid_spec(grid: list[float]) -> tuple:
+    """(nodes, gaps, first node, last node, 1 / mean step, last interval)."""
+    lo, hi, last = grid[0], grid[-1], len(grid) - 2
+    inv_step = (last + 1) / (hi - lo) if hi > lo else 0.0
+    gaps = [b - a for a, b in zip(grid, grid[1:])]
+    return grid, gaps, lo, hi, inv_step, last
+
+
+def _bracket(spec: tuple, x: float) -> tuple[int, float]:
+    """Left node index k and interpolation weight t of x on a grid.
+
+    k is ``searchsorted(grid, x, side="right") - 1`` clamped to the grid's
+    intervals: guessed from the mean step, then walked to the exact node.
+    Clamped ends give t = 0 or t = 1; a NaN x gives the last interval and
+    a NaN t.
+    """
+    grid, gaps, lo, hi, inv_step, last = spec
+    if x > lo:
+        if x < hi:
+            k = min(int((x - lo) * inv_step), last)
+            while grid[k] > x:
+                k -= 1
+            while grid[k + 1] <= x:
+                k += 1
+            return k, (x - grid[k]) / gaps[k]
+        return last, 1.0
+    if x <= lo:
+        return 0, 0.0
+    return last, x
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """The sum in the order NumPy's ``ndarray.sum()`` adds a contiguous
+    float64 vector: in sequence below 8 entries, over 8 interleaved
+    accumulators up to 128, and as two halves (split at a multiple of 8)
+    beyond."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    acc = values[:8]
+    full = n - n % 8
+    for i in range(8, full, 8):
+        acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) \
+        + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[full:]:
+        total += v
+    return total
+
+
+def _gram(inner_t: list[float], outer_t: list[float],
+          slopes: list[float]) -> float:
+    """Squared norm of the record's node gradient."""
+    outer_part = _pairwise_sum([(1.0 - t) * (1.0 - t) + t * t
+                                for t in outer_t])
+    inner_weights = _pairwise_sum([(1.0 - t) * (1.0 - t) + t * t
+                                   for t in inner_t])
+    return outer_part + _pairwise_sum([s * s for s in slopes]) * inner_weights
+
+
+class KanKernel:
+    """A model's grids and node values as nested lists, with its input
+    standardizer: the one evaluator of single rows and the state the
+    Kaczmarz sweeps update.
+
+    Inner values are held per input and node as a list over branches
+    (``inner_values[i][k][j]``), outer grids and values per branch.
+    ``store`` writes the node values back to the model's arrays.
+    """
+
+    __slots__ = ("names", "mean", "std", "damping", "inner", "inner_values",
+                 "outer", "outer_values")
+
+    def __init__(self, model: KanModel):
+        self.names = model.feature_names
+        self.mean = model.stats.mean.tolist()
+        self.std = model.stats.std.tolist()
+        self.damping = model.config.damping
+        self.inner = _grid_spec(model.inner_grid.tolist())
+        self.inner_values = model.inner_values.transpose(0, 2, 1).tolist()
+        self.outer = [_grid_spec(g) for g in model.outer_grids.tolist()]
+        self.outer_values = model.outer_values.tolist()
+
+    def store(self, model: KanModel) -> None:
+        model.inner_values[...] = np.array(
+            self.inner_values).transpose(0, 2, 1)
+        model.outer_values[...] = self.outer_values
+
+    def standardize(self, row) -> list[float]:
+        """One raw feature row standardized; non-finite results raise."""
+        if len(row) != len(self.mean):
+            raise KanError(
+                f"input must have {len(self.mean)} entries, got {len(row)}")
+        x = [(v - m) / s for v, m, s in zip(row, self.mean, self.std)]
+        if not all(map(math.isfinite, x)):
+            name = self.names[[math.isfinite(v) for v in x].index(False)]
+            raise KanError(f"non-finite standardized input {name!r}")
+        return x
+
+    def inner_sums(self, x) -> tuple[list[float], list[int], list[float]]:
+        """s_j = sum_i phi_ij(x_i) for one standardized row, with each
+        input's bracket (k, t)."""
+        s = [0.0] * len(self.outer)
+        inner_k, inner_t = [], []
+        for xi, nodes in zip(x, self.inner_values):
+            k, t = _bracket(self.inner, xi)
+            u = 1.0 - t
+            s = [sj + (u * a + t * b)
+                 for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
+            inner_k.append(k)
+            inner_t.append(t)
+        return s, inner_k, inner_t
+
+    def eval(self, x) -> float:
+        """Prediction in ms for one standardized row (can be negative)."""
+        y = 0.0
+        for sj, spec, ov in zip(self.inner_sums(x)[0], self.outer,
+                                self.outer_values):
+            k, t = _bracket(spec, sj)
+            y += (1.0 - t) * ov[k] + t * ov[k + 1]
+        return y
+
+    def eval_with_gradient(self, x):
+        """Prediction plus the sparse node-gradient structure for one row:
+        (y, inner k, inner t, outer k, outer t, outer slopes)."""
+        s, inner_k, inner_t = self.inner_sums(x)
+        y = 0.0
+        outer_k, outer_t, slopes = [], [], []
+        for sj, spec, ov in zip(s, self.outer, self.outer_values):
+            k, t = _bracket(spec, sj)
+            y += (1.0 - t) * ov[k] + t * ov[k + 1]
+            # Clamped regions are flat: no gradient flows to inner nodes.
+            _, gaps, lo, hi, _, _ = spec
+            if sj <= lo or sj >= hi:
+                slopes.append(0.0)
+            else:
+                slopes.append((ov[k + 1] - ov[k]) / gaps[k])
+            outer_k.append(k)
+            outer_t.append(t)
+        return y, inner_k, inner_t, outer_k, outer_t, slopes
+
+    def update(self, x, y: float, mu: float) -> UpdateInfo:
+        """One projected Gauss-Newton step for a single (row, target)
+        record.  Only the node values bracketing the record's evaluation
+        points change; a record whose gradient vanishes is degenerate and
+        leaves the state untouched."""
+        pred, inner_k, inner_t, outer_k, outer_t, slopes = \
+            self.eval_with_gradient(x)
+        r = y - pred
+        gram = _gram(inner_t, outer_t, slopes)
+        if gram == 0.0:
+            return UpdateInfo(residual=r, gram=0.0, degenerate=True)
+        if r == 0.0:
+            return UpdateInfo(residual=0.0, gram=gram, degenerate=False)
+        step = mu * r / (gram + self.damping)
+
+        for ov, k, t in zip(self.outer_values, outer_k, outer_t):
+            ov[k] += step * (1.0 - t)
+            ov[k + 1] += step * t
+        scaled = [step * sl for sl in slopes]
+        for nodes, k, t in zip(self.inner_values, inner_k, inner_t):
+            u = 1.0 - t
+            nodes[k] = [v + g * u for v, g in zip(nodes[k], scaled)]
+            nodes[k + 1] = [v + g * t for v, g in zip(nodes[k + 1], scaled)]
+        return UpdateInfo(residual=r, gram=gram, degenerate=False)
 
 
 def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
@@ -190,18 +315,16 @@ def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def kan_eval(model: KanModel, x: np.ndarray) -> float:
-    """Prediction in ms for one standardized d-vector (can be negative)."""
+def _as_row(model: KanModel, x) -> list[float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise KanError(f"input must have shape ({model.d},), got {x.shape}")
-    s = _inner_sums(model, x)
-    y = 0.0
-    for j in range(model.branches):
-        k, t = _bracket(model.outer_grids[j], float(s[j]))
-        ov = model.outer_values[j]
-        y += (1.0 - t) * ov[k] + t * ov[k + 1]
-    return float(y)
+    return x.tolist()
+
+
+def kan_eval(model: KanModel, x: np.ndarray) -> float:
+    """Prediction in ms for one standardized d-vector (can be negative)."""
+    return KanKernel(model).eval(_as_row(model, x))
 
 
 def kan_eval_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
@@ -215,80 +338,13 @@ def kan_eval_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _eval_with_gradient(model: KanModel, x: np.ndarray):
-    """Prediction plus the sparse node-gradient structure for one record."""
-    grid = model.inner_grid
-    inner_k = np.empty(model.d, dtype=np.intp)
-    inner_t = np.empty(model.d)
-    s = np.zeros(model.branches)
-    for i in range(model.d):
-        k, t = _bracket(grid, float(x[i]))
-        inner_k[i], inner_t[i] = k, t
-        s += (1.0 - t) * model.inner_values[i, :, k] \
-            + t * model.inner_values[i, :, k + 1]
-
-    outer_k = np.empty(model.branches, dtype=np.intp)
-    outer_t = np.empty(model.branches)
-    slopes = np.empty(model.branches)
-    y = 0.0
-    for j in range(model.branches):
-        og = model.outer_grids[j]
-        ov = model.outer_values[j]
-        k, t = _bracket(og, float(s[j]))
-        outer_k[j], outer_t[j] = k, t
-        y += (1.0 - t) * ov[k] + t * ov[k + 1]
-        # Clamped regions are flat: no gradient flows to inner nodes.
-        if s[j] <= og[0] or s[j] >= og[-1]:
-            slopes[j] = 0.0
-        else:
-            slopes[j] = (ov[k + 1] - ov[k]) / (og[k + 1] - og[k])
-    return y, inner_k, inner_t, outer_k, outer_t, slopes
-
-
-def _gram(inner_t: np.ndarray, outer_t: np.ndarray,
-          slopes: np.ndarray) -> float:
-    outer_part = float(((1.0 - outer_t) ** 2 + outer_t ** 2).sum())
-    inner_weights = float(((1.0 - inner_t) ** 2 + inner_t ** 2).sum())
-    inner_part = float((slopes ** 2).sum()) * inner_weights
-    return outer_part + inner_part
-
-
 def _update_inplace(model: KanModel, x: np.ndarray, y: float,
                     mu: float) -> UpdateInfo:
-    pred, inner_k, inner_t, outer_k, outer_t, slopes = \
-        _eval_with_gradient(model, x)
-    r = float(y) - pred
-    gram = _gram(inner_t, outer_t, slopes)
-    if gram == 0.0:
-        return UpdateInfo(residual=r, gram=0.0, degenerate=True)
-    if r == 0.0:
-        return UpdateInfo(residual=0.0, gram=gram, degenerate=False)
-    step = mu * r / (gram + model.config.damping)
-
-    rows = np.arange(model.branches)
-    model.outer_values[rows, outer_k] += step * (1.0 - outer_t)
-    model.outer_values[rows, outer_k + 1] += step * outer_t
-    for i in range(model.d):
-        k = inner_k[i]
-        model.inner_values[i, :, k] += step * slopes * (1.0 - inner_t[i])
-        model.inner_values[i, :, k + 1] += step * slopes * inner_t[i]
-    return UpdateInfo(residual=r, gram=gram, degenerate=False)
-
-
-def kaczmarz_update(model: KanModel, x: np.ndarray, y: float,
-                    mu: float | None = None) -> tuple[KanModel, UpdateInfo]:
-    """One projected Gauss-Newton step for a single (input, target) record.
-
-    Returns a new model; only the node values bracketing the record's
-    evaluation points change.  A record whose active slopes are all zero
-    is degenerate and leaves the model untouched.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise KanError(f"input must have shape ({model.d},), got {x.shape}")
-    updated = model.copy()
-    info = _update_inplace(updated, x, y, model.config.mu if mu is None else mu)
-    return updated, info
+    """One Kaczmarz step applied to the model's own arrays."""
+    kernel = KanKernel(model)
+    info = kernel.update(_as_row(model, x), float(y), mu)
+    kernel.store(model)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +442,8 @@ class FitEpochLog:
     epoch: int
     train_rmse: float
     val_rmse: float
+    degenerate: int               # Kaczmarz updates skipped: no gradient
+    mean_abs_residual: float      # mean |pre-update residual|, ms
 
 
 def rmse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -443,29 +501,40 @@ def fit_records(
     ramp = _target_ramp_scale(ys)
     model = _init_model(config, tuple(feature_names), stats, d, rng, ramp)
     _respan_outer(model, xs, ramp)
+    rows, targets = xs.tolist(), ys.tolist()
+
+    def sweep() -> list[UpdateInfo]:
+        """One Kaczmarz pass over the records on the scalar kernel; the
+        node values are written back to the model at its end."""
+        order = rng.permutation(len(rows)).tolist() if config.shuffle \
+            else range(len(rows))
+        kernel = KanKernel(model)
+        infos = [kernel.update(rows[i], targets[i], config.mu)
+                 for i in order]
+        kernel.store(model)
+        return infos
+
     if config.warmup == "epoch":
         # One warm-up pass lets the inner sums reach their working range;
         # the outer grids are then re-spanned (values resampled) and stay
         # fixed for the logged epochs.
-        order = rng.permutation(xs.shape[0]) if config.shuffle \
-            else np.arange(xs.shape[0])
-        for idx in order:
-            _update_inplace(model, xs[idx], ys[idx], config.mu)
+        sweep()
         _respan_outer(model, xs)
 
     best_model = to_ms(model)
     best_rmse = np.inf
     log: list[FitEpochLog] = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(xs.shape[0]) if config.shuffle \
-            else np.arange(xs.shape[0])
-        for idx in order:
-            _update_inplace(model, xs[idx], ys[idx], config.mu)
+        infos = sweep()
         in_ms = to_ms(model)
         train_rmse = rmse(kan_eval_batch(in_ms, xs), train_y)
         val_rmse = rmse(kan_eval_batch(in_ms, xv), yv) if len(yv) \
             else train_rmse
-        log.append(FitEpochLog(epoch, train_rmse, val_rmse))
+        log.append(FitEpochLog(
+            epoch, train_rmse, val_rmse,
+            degenerate=sum(info.degenerate for info in infos),
+            mean_abs_residual=y_scale * sum(
+                abs(info.residual) for info in infos) / len(infos)))
         if val_rmse < best_rmse:
             best_rmse = val_rmse
             best_model = in_ms
@@ -491,9 +560,10 @@ def fit(
 
 
 def write_fit_log(path: Path | str, log: list[FitEpochLog]) -> None:
-    lines = ["epoch,train_rmse,val_rmse"]
+    lines = ["epoch,train_rmse,val_rmse,degenerate,mean_abs_residual"]
     for row in log:
-        lines.append(f"{row.epoch},{row.train_rmse:.6f},{row.val_rmse:.6f}")
+        lines.append(f"{row.epoch},{row.train_rmse:.6f},{row.val_rmse:.6f},"
+                     f"{row.degenerate},{row.mean_abs_residual:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -501,16 +571,24 @@ def write_fit_log(path: Path | str, log: list[FitEpochLog]) -> None:
 # Prediction
 # ---------------------------------------------------------------------------
 
-def predict_smoothed_row(model: KanModel, smoothed_row: np.ndarray) -> float:
-    """Standardize an already-smoothed raw feature row, evaluate, clamp."""
-    x = apply_standardizer(model.stats, np.asarray(smoothed_row, dtype=float))
-    return max(0.0, kan_eval(model, x))
+def predict_smoothed_row(kernel: KanKernel, smoothed_row) -> float:
+    """Standardize an already-smoothed raw feature row, evaluate, clamp.
+
+    Raises KanError, naming the feature, on a non-finite standardized
+    input (clamping would otherwise read a NaN as "impact now").
+    """
+    return max(0.0, kernel.eval(kernel.standardize(smoothed_row)))
 
 
 def predict_segment(model: KanModel, segment: FallSegment) -> np.ndarray:
     """Per-instant clamped predictions over a whole segment."""
     smoothed = _smoothed_segment_rows(segment, model.config.window_samples)
     xs = apply_standardizer(model.stats, smoothed)
+    finite = np.isfinite(xs).all(axis=0)
+    if not finite.all():
+        name = model.feature_names[int(np.argmin(finite))]
+        raise KanError(f"{segment.trial_id}: non-finite standardized "
+                       f"input {name!r}")
     return np.maximum(0.0, kan_eval_batch(model, xs))
 
 
@@ -633,25 +711,65 @@ def save_checkpoint(path: Path | str, model: KanModel) -> None:
     checkpoint.write_container(path, "kan", header, arrays)
 
 
+def _check_loaded(name: str, d: int, model: KanModel) -> None:
+    """Shapes from d and the configured node counts, finite values, and
+    strictly increasing grids (which the kernel's bracket relies on)."""
+    def fail(message: str):
+        raise checkpoint.CheckpointError(f"{name}: {message}")
+
+    b, n, q = 2 * d + 1, model.config.n_inner_nodes, model.config.q_outer_nodes
+    expected = {
+        "inner_grid": (model.inner_grid, (n,)),
+        "outer_grids": (model.outer_grids, (b, q)),
+        "inner_values": (model.inner_values, (d, b, n)),
+        "outer_values": (model.outer_values, (b, q)),
+        "standardizer mean": (model.stats.mean, (d,)),
+        "standardizer std": (model.stats.std, (d,)),
+    }
+    for key, (values, _) in expected.items():
+        if not np.all(np.isfinite(values)):
+            fail(f"{key} has non-finite values")
+    grid = model.inner_grid
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        fail("inner_grid must be a strictly increasing 1-D grid of at "
+             "least 2 nodes")
+    for key, (values, shape) in expected.items():
+        if values.shape != shape:
+            fail(f"{key} has shape {values.shape}, expected {shape} "
+                 f"for d={d}, n={n}, q={q}")
+    if not np.all(np.diff(model.outer_grids, axis=1) > 0):
+        fail("every outer grid must be strictly increasing")
+    if not np.all(model.stats.std > 0):
+        fail("standardizer std must be positive")
+    if len(model.feature_names) != d:
+        fail(f"{len(model.feature_names)} feature names for d={d}")
+
+
 def load_checkpoint(path: Path | str) -> KanModel:
     header, arrays = checkpoint.read_container(path, "kan")
-    if "standardizer" not in header:
+    name = Path(path).name
+    try:
+        names = tuple(header["feature_names"])
+        std = header["standardizer"]
+        model = KanModel(
+            feature_names=names,
+            stats=StandardizationStats(
+                mean=np.asarray(std["mean"], dtype=float),
+                std=np.asarray(std["std"], dtype=float),
+                names=names,
+            ),
+            config=KanConfig(**header["config"]),
+            inner_grid=np.asarray(header["inner_grid"], dtype=float),
+            inner_values=arrays["inner_values"],
+            outer_grids=np.asarray(header["outer_grids"], dtype=float),
+            outer_values=arrays["outer_values"],
+        )
+        d = int(header["d"])
+    except KeyError as exc:
         raise checkpoint.CheckpointError(
-            f"{Path(path).name}: checkpoint lacks the standardizer block")
-    config = KanConfig(**header["config"])
-    std = header["standardizer"]
-    names = tuple(header["feature_names"])
-    stats = StandardizationStats(
-        mean=np.asarray(std["mean"], dtype=float),
-        std=np.asarray(std["std"], dtype=float),
-        names=names,
-    )
-    return KanModel(
-        feature_names=names,
-        stats=stats,
-        config=config,
-        inner_grid=np.asarray(header["inner_grid"], dtype=float),
-        inner_values=arrays["inner_values"],
-        outer_grids=np.asarray(header["outer_grids"], dtype=float),
-        outer_values=arrays["outer_values"],
-    )
+            f"{name}: checkpoint lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise checkpoint.CheckpointError(
+            f"{name}: malformed checkpoint: {exc}") from None
+    _check_loaded(name, d, model)
+    return model

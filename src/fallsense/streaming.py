@@ -137,8 +137,9 @@ def stream_trial(
     static = subject.static_vector()
     window = max(1, min(n, int(round(
         filter_config.init_window_s / SAMPLE_PERIOD_S))))
+    kernel = kan_mod.KanKernel(kan_model)
     kan_window = kan_model.config.window_samples
-    kan_buffer: list[np.ndarray] = []
+    kan_rows: list[list[float]] = []     # trailing window, oldest first
 
     accel = trial.accel_adxl345
     gyro = trial.gyro_itg3200
@@ -172,13 +173,21 @@ def stream_trial(
         p_fall = detector.step(x)
         decision = bool(p_fall > fcfg.threshold)
 
-        kan_buffer.append(frame[kan_idx].copy())
-        if len(kan_buffer) > kan_window:
-            kan_buffer.pop(0)
+        kan_rows.append(frame[kan_idx].tolist())
+        if len(kan_rows) > kan_window:
+            kan_rows.pop(0)
         tti = None
         if decision or not kan_gating:
-            smoothed = np.mean(kan_buffer, axis=0)
-            tti = kan_mod.predict_smoothed_row(kan_model, smoothed)
+            # Column means, each summed from 0.0 oldest row first, as
+            # np.mean(kan_rows, axis=0) adds them.
+            count = len(kan_rows)
+            smoothed = []
+            for column in zip(*kan_rows):
+                total = 0.0
+                for v in column:
+                    total += v
+                smoothed.append(total / count)
+            tti = kan_mod.predict_smoothed_row(kernel, smoothed)
         latency_us = (time.perf_counter_ns() - t0) / 1000.0
         latencies[k] = latency_us
         return StreamEvent(index=k, p_falling=p_fall, decision=decision,

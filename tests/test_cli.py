@@ -218,8 +218,14 @@ class TestTrainEvalFdnn:
 class TestTrainEvalKan:
     def test_artifacts(self, kan_dir):
         assert (kan_dir / "kan.ckpt").is_file()
-        assert (kan_dir / "fit_log.csv").is_file()
         assert (kan_dir / "plan.json").is_file()
+        lines = (kan_dir / "fit_log.csv").read_text().splitlines()
+        assert lines[0] == ("epoch,train_rmse,val_rmse,degenerate,"
+                            "mean_abs_residual")
+        for line in lines[1:]:
+            epoch, _, _, degenerate, residual = line.split(",")
+            assert int(degenerate) >= 0
+            assert 0.0 < float(residual) < float("inf")
 
     def test_eval_and_trace(self, workspace, features_dir, kan_dir):
         root, config = workspace

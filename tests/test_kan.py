@@ -1,31 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fallsense import checkpoint as ck
 from fallsense import kan
 from fallsense.checkpoint import CheckpointError
 from fallsense.features import (
     FallSegment,
     StandardizationStats,
     apply_standardizer,
+    fit_standardizer,
     tti_targets,
 )
 from fallsense.kan import (
     KanConfig,
     KanError,
+    KanKernel,
     KanModel,
-    PwlFunction,
     build_cv_plan,
     cross_validate,
     fit,
     fit_records,
-    kaczmarz_update,
     kan_eval,
     kan_eval_batch,
     load_checkpoint,
     predict_segment,
     predict_smoothed_row,
-    pwl_eval,
-    pwl_grad_nodes,
     save_checkpoint,
     smooth_rows,
 )
@@ -52,37 +55,62 @@ def training_style_model(y_scale=400.0, seed=0, config=None):
     return model, xs
 
 
+def pwl(grid, values, x):
+    """Value, node indices and node weights of the piecewise-linear
+    function (grid, values) at x, through the kernel's bracket."""
+    k, t = kan._bracket(kan._grid_spec(list(grid)), x)
+    value = (1.0 - t) * values[k] + t * values[k + 1]
+    return value, [k, k + 1], np.array([1.0 - t, t])
+
+
+@pytest.fixture(scope="module")
+def synthetic_falls(subject):
+    """Fall segments of twelve seeded 3 s synthetic fall trials."""
+    pairs = []
+    for i in range(12):
+        ann, _ = generate_synthetic_trial(
+            SyntheticSpec(duration_s=3.0, fall_onset_s=1.0,
+                          impact_s=1.5 + 0.06 * i),
+            seed=500 + i, trial_id=TrialId(f"F{i + 1:02d}", "SA01", 1))
+        pairs.append((ann, orient_and_frame(ann, subject)))
+    return collect_fall_segments(pairs)
+
+
 class TestPwl:
     def test_midpoint(self):
-        f = PwlFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert pwl_eval(f, 0.5) == 0.5
-        idx, w = pwl_grad_nodes(f, 0.5)
-        assert idx.tolist() == [0, 1]
+        value, idx, w = pwl([0.0, 1.0], [0.0, 1.0], 0.5)
+        assert value == 0.5
+        assert idx == [0, 1]
         assert np.allclose(w, [0.5, 0.5])
 
     def test_clamp_below(self):
-        f = PwlFunction(np.array([0.0, 1.0]), np.array([2.0, 5.0]))
-        assert pwl_eval(f, -7.0) == 2.0
-        idx, w = pwl_grad_nodes(f, -7.0)
+        value, idx, w = pwl([0.0, 1.0], [2.0, 5.0], -7.0)
+        assert value == 2.0
         assert np.allclose(w, [1.0, 0.0])
 
     def test_exactly_at_node(self):
-        f = PwlFunction(np.array([0.0, 1.0, 2.0]), np.array([3.0, 8.0, 1.0]))
-        assert pwl_eval(f, 1.0) == 8.0
-        idx, w = pwl_grad_nodes(f, 1.0)
-        assert idx.tolist() == [1, 2]
+        value, idx, w = pwl([0.0, 1.0, 2.0], [3.0, 8.0, 1.0], 1.0)
+        assert value == 8.0
+        assert idx == [1, 2]
         assert np.allclose(w, [1.0, 0.0])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
-        f = PwlFunction(np.sort(rng.uniform(-3, 3, 7)), rng.normal(size=7))
+        grid = np.sort(rng.uniform(-3, 3, 7))
+        values = rng.normal(size=7)
         for x in rng.uniform(-5, 5, 40):
-            _, w = pwl_grad_nodes(f, x)
+            _, _, w = pwl(grid, values, x)
             assert w.sum() == pytest.approx(1.0)
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(KanError):
-            PwlFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    def test_bad_grid_rejected(self, tmp_path):
+        # The kernel's bracket needs strictly increasing grids; a model
+        # file with a repeated node is refused at load.
+        model, _ = training_style_model()
+        model.inner_grid = np.array([-3.0, 0.0, 0.0, 3.0])
+        p = tmp_path / "repeated.kan"
+        save_checkpoint(p, model)
+        with pytest.raises(CheckpointError, match="strictly increasing"):
+            load_checkpoint(p)
 
 
 class TestEval:
@@ -145,12 +173,19 @@ class TestEval:
             kan_eval(model, np.zeros(D + 1))
 
 
+def updated_copy(model, x, y):
+    """The model after one Kaczmarz step; the original is left as is."""
+    updated = model.copy()
+    info = kan._update_inplace(updated, x, y, model.config.mu)
+    return updated, info
+
+
 class TestKaczmarz:
     def test_zero_residual_no_change(self):
         model, _ = training_style_model()
         x = np.zeros(D)
         y = kan_eval(model, x)
-        updated, info = kaczmarz_update(model, x, y)
+        updated, info = updated_copy(model, x, y)
         assert info.residual == 0.0
         assert np.array_equal(updated.inner_values, model.inner_values)
         assert np.array_equal(updated.outer_values, model.outer_values)
@@ -164,7 +199,7 @@ class TestKaczmarz:
         x = np.random.default_rng(4).normal(size=D)
         y = 150.0
         r0 = y - kan_eval(model, x)
-        updated, _ = kaczmarz_update(model, x, y)
+        updated, _ = updated_copy(model, x, y)
         r1 = y - kan_eval(updated, x)
         mu = model.config.mu
         assert r1 == pytest.approx((1.0 - mu) * r0, abs=1e-9 * abs(r0))
@@ -182,7 +217,7 @@ class TestKaczmarz:
     def test_update_support_is_sparse(self):
         model, xs = training_style_model(seed=8)
         x = xs[0]
-        updated, _ = kaczmarz_update(model, x, 321.0)
+        updated, _ = updated_copy(model, x, 321.0)
         d_outer = updated.outer_values != model.outer_values
         d_inner = updated.inner_values != model.inner_values
         # at most 2 nodes per outer branch and per inner function
@@ -198,8 +233,9 @@ class TestKaczmarz:
         checked = 0
         while checked < 5:
             x = rng.normal(0, 1.2, D)
-            y0, ik, it, ok, ot, slopes = kan._eval_with_gradient(model, x)
-            s = kan._inner_sums(model, x)
+            kernel = KanKernel(model)
+            y0, ik, it, ok, ot, slopes = kernel.eval_with_gradient(x.tolist())
+            s = kernel.inner_sums(x.tolist())[0]
             near_knot = any(
                 np.abs(model.outer_grids[j] - s[j]).min() < 50 * eps
                 for j in range(model.branches))
@@ -235,10 +271,11 @@ class TestKaczmarz:
         # branch, so the Kaczmarz denominator is bounded away from zero
         # for any valid model; the degenerate guard is purely defensive.
         model, xs = training_style_model(seed=11)
-        for x in xs[:50]:
-            _, _, it, _, ot, slopes = kan._eval_with_gradient(model, x)
+        kernel = KanKernel(model)
+        for x in xs[:50].tolist():
+            _, _, it, _, ot, slopes = kernel.eval_with_gradient(x)
             assert kan._gram(it, ot, slopes) >= 0.5 * model.branches
-        _, info = kaczmarz_update(model, xs[0], 100.0)
+        _, info = updated_copy(model, xs[0], 100.0)
         assert not info.degenerate
 
 
@@ -297,17 +334,10 @@ class TestFit:
         assert min(l.val_rmse for l in log_std) < 2.0 * \
             min(l.val_rmse for l in log_raw) + 50.0
 
-    def test_default_config_learns_synthetic_falls(self, subject):
+    def test_default_config_learns_synthetic_falls(self, synthetic_falls):
         # the default config must do better than predicting the mean
         # countdown; unscaled ms targets stall near the mean predictor
-        pairs = []
-        for i in range(12):
-            ann, _ = generate_synthetic_trial(
-                SyntheticSpec(duration_s=3.0, fall_onset_s=1.0,
-                              impact_s=1.5 + 0.06 * i),
-                seed=500 + i, trial_id=TrialId(f"F{i + 1:02d}", "SA01", 1))
-            pairs.append((ann, orient_and_frame(ann, subject)))
-        segs = collect_fall_segments(pairs)
+        segs = synthetic_falls
         train = [s for i, s in enumerate(segs) if i % 3]
         val = segs[::3]
         model, log = fit(KanConfig(), train, val)
@@ -369,6 +399,7 @@ class TestPredict:
         # predict_segment smooths each instant over the trailing window
         # that a stream sees, reaching into the rows before the onset
         model = self._model()
+        kernel = KanKernel(model)
         w = model.config.window_samples
         trial_rows = np.random.default_rng(4).normal(size=(60, D))
         start = 25
@@ -377,7 +408,7 @@ class TestPredict:
             end_index=59, feature_names=NAMES, rows=trial_rows[start:],
             tti_ms=tti_targets(60 - start), context=trial_rows[:start])
         want = [predict_smoothed_row(
-                    model, trial_rows[k - w + 1:k + 1].mean(axis=0))
+                    kernel, trial_rows[k - w + 1:k + 1].mean(axis=0))
                 for k in range(start, 60)]
         assert np.allclose(predict_segment(model, seg), want,
                            rtol=0, atol=1e-9)
@@ -385,19 +416,41 @@ class TestPredict:
         bare = FallSegment(seg.trial_id, start, 59, NAMES, seg.rows,
                            seg.tti_ms)
         assert predict_segment(model, bare)[0] == pytest.approx(
-            predict_smoothed_row(model, seg.rows[0]))
+            predict_smoothed_row(kernel, seg.rows[0]))
 
     def test_negative_clamped_to_zero(self):
         model = self._model()
         model.outer_values[...] = -5.0
-        assert predict_smoothed_row(model, np.zeros(D)) == 0.0
+        assert predict_smoothed_row(KanKernel(model), np.zeros(D)) == 0.0
 
     def test_prediction_not_rounded(self):
         model = self._model()
+        kernel = KanKernel(model)
         rng = np.random.default_rng(3)
-        vals = [predict_smoothed_row(model, rng.normal(size=D))
+        vals = [predict_smoothed_row(kernel, rng.normal(size=D))
                 for _ in range(20)]
         assert any(v % 5.0 != 0.0 for v in vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_raises(self, bad):
+        # max(0.0, nan) is 0.0: a NaN row must not read as "impact now"
+        model = self._model()
+        row = np.zeros(D)
+        row[2] = bad
+        with pytest.raises(KanError, match="'c'"):
+            predict_smoothed_row(KanKernel(model), row)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_segment_raises(self, bad):
+        model = self._model()
+        seg = make_segment("SA01", "F01", 1, seed=1)
+        seg.rows[7, 3] = bad
+        with pytest.raises(KanError, match="'d'"):
+            predict_segment(model, seg)
+
+    def test_row_length_checked(self):
+        with pytest.raises(KanError, match="5 entries"):
+            predict_smoothed_row(KanKernel(self._model()), np.zeros(D + 1))
 
 
 class TestCrossValidation:
@@ -470,3 +523,337 @@ class TestCheckpointRoundTrip:
         ck.write_container(p, "fdnn", {"standardizer": {}}, {})
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+class TestCheckpointValidation:
+    """load_checkpoint refuses containers the scalar kernel cannot run."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model, _ = training_style_model()
+        p = tmp_path / "model.kan"
+        save_checkpoint(p, model)
+        header, arrays = ck.read_container(p, "kan")
+        header = {k: v for k, v in header.items()
+                  if k not in ("kind", "arrays")}
+        return p, header, arrays
+
+    def _rewrite_and_load(self, saved, edit):
+        p, header, arrays = saved
+        edit(header, arrays)
+        ck.write_container(p, "kan", header, arrays)
+        return load_checkpoint(p)
+
+    def test_unedited_loads(self, saved):
+        model = self._rewrite_and_load(saved, lambda h, a: None)
+        assert model.d == D
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h, a: h.update(inner_grid=[[-3.0, -1.0, 1.0, 3.0]]),
+         "1-D"),
+        (lambda h, a: h.update(inner_grid=[0.0]), "at least 2 nodes"),
+        (lambda h, a: h.update(inner_grid=[-3.0, 1.0, -1.0, 3.0]),
+         "strictly increasing"),
+        (lambda h, a: h.update(inner_grid=[-3.0, -1.0, 1.0]),
+         r"inner_grid has shape \(3,\)"),
+        (lambda h, a: h.update(outer_grids=h["outer_grids"][:-1]),
+         "outer_grids has shape"),
+        (lambda h, a: h.update(outer_grids=[g[:-1] for g in h["outer_grids"]]),
+         "outer_grids has shape"),
+        (lambda h, a: h["outer_grids"][4].reverse(),
+         "every outer grid must be strictly increasing"),
+        (lambda h, a: a.update(inner_values=a["inner_values"][:, :, :3]),
+         "inner_values has shape"),
+        (lambda h, a: a.update(inner_values=a["inner_values"][:4]),
+         "inner_values has shape"),
+        (lambda h, a: a.update(outer_values=a["outer_values"][:, :-1]),
+         "outer_values has shape"),
+        (lambda h, a: h.update(d=4), "has shape"),
+        (lambda h, a: h["standardizer"]["mean"].append(0.0),
+         "standardizer mean has shape"),
+        (lambda h, a: a["outer_values"].__setitem__((3, 7), np.nan),
+         "outer_values has non-finite"),
+        (lambda h, a: a["inner_values"].__setitem__((1, 2, 0), np.inf),
+         "inner_values has non-finite"),
+        (lambda h, a: h["outer_grids"][2].__setitem__(5, float("nan")),
+         "outer_grids has non-finite"),
+        (lambda h, a: h["inner_grid"].__setitem__(0, float("-inf")),
+         "inner_grid has non-finite"),
+        (lambda h, a: h["standardizer"]["std"].__setitem__(1, float("nan")),
+         "standardizer std has non-finite"),
+        (lambda h, a: h["standardizer"]["std"].__setitem__(1, 0.0),
+         "std must be positive"),
+        (lambda h, a: h.pop("d"), "lacks 'd'"),
+        (lambda h, a: h.pop("standardizer"), "lacks 'standardizer'"),
+        (lambda h, a: h.pop("outer_grids"), "lacks 'outer_grids'"),
+        (lambda h, a: a.pop("inner_values"), "lacks 'inner_values'"),
+        (lambda h, a: h["config"].update(bogus=1), "malformed"),
+        (lambda h, a: h["config"].update(mu=5.0), "malformed"),
+        (lambda h, a: h.update(outer_grids=[[0.0, 1.0], [2.0]]),
+         "malformed"),
+    ])
+    def test_rejected(self, saved, edit, match):
+        with pytest.raises(CheckpointError, match=match):
+            self._rewrite_and_load(saved, edit)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the NumPy per-scalar kernel the scalar KanKernel replaced.
+# Reads and Kaczmarz writes must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_bracket(grid, x):
+    k = int(np.searchsorted(grid, x, side="right")) - 1
+    k = min(max(k, 0), grid.shape[0] - 2)
+    if x <= grid[0]:
+        return k, 0.0
+    if x >= grid[-1]:
+        return k, 1.0
+    return k, (x - grid[k]) / (grid[k + 1] - grid[k])
+
+
+def ref_kan_eval(model, x):
+    grid = model.inner_grid
+    s = np.zeros(model.branches)
+    for i in range(model.d):
+        k, t = ref_bracket(grid, float(x[i]))
+        s += (1.0 - t) * model.inner_values[i, :, k] \
+            + t * model.inner_values[i, :, k + 1]
+    y = 0.0
+    for j in range(model.branches):
+        k, t = ref_bracket(model.outer_grids[j], float(s[j]))
+        ov = model.outer_values[j]
+        y += (1.0 - t) * ov[k] + t * ov[k + 1]
+    return float(y)
+
+
+def ref_eval_with_gradient(model, x):
+    grid = model.inner_grid
+    inner_k = np.empty(model.d, dtype=np.intp)
+    inner_t = np.empty(model.d)
+    s = np.zeros(model.branches)
+    for i in range(model.d):
+        k, t = ref_bracket(grid, float(x[i]))
+        inner_k[i], inner_t[i] = k, t
+        s += (1.0 - t) * model.inner_values[i, :, k] \
+            + t * model.inner_values[i, :, k + 1]
+    outer_k = np.empty(model.branches, dtype=np.intp)
+    outer_t = np.empty(model.branches)
+    slopes = np.empty(model.branches)
+    y = 0.0
+    for j in range(model.branches):
+        og = model.outer_grids[j]
+        ov = model.outer_values[j]
+        k, t = ref_bracket(og, float(s[j]))
+        outer_k[j], outer_t[j] = k, t
+        y += (1.0 - t) * ov[k] + t * ov[k + 1]
+        if s[j] <= og[0] or s[j] >= og[-1]:
+            slopes[j] = 0.0
+        else:
+            slopes[j] = (ov[k + 1] - ov[k]) / (og[k + 1] - og[k])
+    return y, inner_k, inner_t, outer_k, outer_t, slopes
+
+
+def ref_update_inplace(model, x, y, mu):
+    pred, inner_k, inner_t, outer_k, outer_t, slopes = \
+        ref_eval_with_gradient(model, x)
+    r = float(y) - pred
+    gram = float(((1.0 - outer_t) ** 2 + outer_t ** 2).sum()) \
+        + float((slopes ** 2).sum()) \
+        * float(((1.0 - inner_t) ** 2 + inner_t ** 2).sum())
+    if gram == 0.0:
+        return kan.UpdateInfo(residual=r, gram=0.0, degenerate=True)
+    if r == 0.0:
+        return kan.UpdateInfo(residual=0.0, gram=gram, degenerate=False)
+    step = mu * r / (gram + model.config.damping)
+    rows = np.arange(model.branches)
+    model.outer_values[rows, outer_k] += step * (1.0 - outer_t)
+    model.outer_values[rows, outer_k + 1] += step * outer_t
+    for i in range(model.d):
+        k = inner_k[i]
+        model.inner_values[i, :, k] += step * slopes * (1.0 - inner_t[i])
+        model.inner_values[i, :, k + 1] += step * slopes * inner_t[i]
+    return kan.UpdateInfo(residual=r, gram=gram, degenerate=False)
+
+
+def ref_fit_records(config, train_x, train_y, val_x, val_y, names):
+    """fit_records as written on the NumPy update, record by record."""
+    stats = fit_standardizer(train_x, names)
+    xs = apply_standardizer(stats, train_x)
+    xv = apply_standardizer(stats, val_x)
+    y_shift = float(train_y.mean())
+    y_scale = max(float(train_y.std()), 1e-8)
+    ys = (train_y - y_shift) / y_scale
+
+    def to_ms(model):
+        out = model.copy()
+        out.outer_values *= y_scale
+        out.outer_values += y_shift / out.branches
+        return out
+
+    rng = np.random.default_rng(config.seed)
+    ramp = kan._target_ramp_scale(ys)
+    model = kan._init_model(config, names, stats, xs.shape[1], rng, ramp)
+    kan._respan_outer(model, xs, ramp)
+    for idx in rng.permutation(xs.shape[0]):
+        ref_update_inplace(model, xs[idx], ys[idx], config.mu)
+    kan._respan_outer(model, xs)
+    best_model, best_rmse, log = to_ms(model), np.inf, []
+    for _ in range(config.epochs):
+        infos = [ref_update_inplace(model, xs[idx], ys[idx], config.mu)
+                 for idx in rng.permutation(xs.shape[0])]
+        in_ms = to_ms(model)
+        train_rmse = kan.rmse(kan_eval_batch(in_ms, xs), train_y)
+        val_rmse = kan.rmse(kan_eval_batch(in_ms, xv), val_y)
+        residuals = np.array([abs(i.residual) for i in infos])
+        log.append((train_rmse, val_rmse,
+                    sum(i.degenerate for i in infos),
+                    y_scale * residuals.mean()))
+        if val_rmse < best_rmse:
+            best_rmse, best_model = val_rmse, in_ms
+    return best_model, log
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300]
+
+
+@st.composite
+def grids(draw, min_nodes=2, max_nodes=12):
+    """Strictly increasing grids: uniform linspaces or uneven ones."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    lo = draw(st.floats(-50.0, 50.0))
+    if draw(st.booleans()):
+        return np.linspace(lo, lo + draw(st.floats(1e-3, 100.0)), n)
+    gaps = draw(st.lists(st.floats(1e-6, 20.0), min_size=n - 1,
+                         max_size=n - 1))
+    grid = lo + np.concatenate([[0.0], np.cumsum(gaps)])
+    if not np.all(np.diff(grid) > 0):      # rounding merged two nodes
+        grid = np.linspace(lo, lo + 1.0, n)
+    return grid
+
+
+def grid_points(draw, grid):
+    """A node, a point beyond either end, a special value or any float."""
+    return draw(st.one_of(
+        st.sampled_from(grid.tolist()),
+        st.sampled_from(SPECIAL),
+        st.floats(float(grid[0]) - 10.0, float(grid[-1]) + 10.0),
+        st.floats(allow_nan=False)))
+
+
+@st.composite
+def models_and_rows(draw):
+    """A random model (uneven grids included) and standardized rows that
+    hit inner nodes, both ends and special values.  With ``snap`` the
+    first input's inner values are outer-grid nodes, so rows at inner
+    nodes put inner sums exactly on outer nodes."""
+    d = draw(st.integers(1, 4))
+    b = 2 * d + 1
+    inner_grid = draw(grids(2, 6))
+    n = inner_grid.size
+    q = draw(st.integers(2, 16))
+    outer_grids = np.stack([draw(grids(q, q)) for _ in range(b)])
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    inner_values = rng.normal(0.0, scale, (d, b, n))
+    outer_values = rng.normal(0.0, scale, (b, q))
+    if draw(st.booleans()):
+        inner_values[1:] = 0.0
+        for j in range(b):
+            inner_values[0, j] = rng.choice(
+                np.concatenate([outer_grids[j], outer_grids[j][[0, -1]]
+                                + [-1.0, 1.0]]), n)
+    cfg = KanConfig(n_inner_nodes=n, q_outer_nodes=q)
+    model = KanModel(
+        feature_names=tuple("abcd"[:d]),
+        stats=StandardizationStats(mean=np.zeros(d), std=np.ones(d)),
+        config=cfg, inner_grid=inner_grid, inner_values=inner_values,
+        outer_grids=outer_grids, outer_values=outer_values)
+    rows = [[grid_points(draw, inner_grid) for _ in range(d)]
+            for _ in range(draw(st.integers(1, 6)))]
+    return model, rows
+
+
+class TestKernelMatchesNumpyReference:
+    @given(grids(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bracket(self, grid, data):
+        spec = kan._grid_spec(grid.tolist())
+        for _ in range(8):
+            x = grid_points(data.draw, grid)
+            k, t = kan._bracket(spec, x)
+            want_k, want_t = ref_bracket(grid, x)
+            assert k == want_k and same_float(t, want_t), (x, k, t)
+
+    @given(models_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_eval_and_gradient(self, case):
+        model, rows = case
+        kernel = KanKernel(model)
+        for row in rows:
+            x = np.array(row)
+            assert same_float(kernel.eval(row), ref_kan_eval(model, x))
+            assert same_float(kan_eval(model, x), ref_kan_eval(model, x))
+            got = kernel.eval_with_gradient(row)
+            want = ref_eval_with_gradient(model, x)
+            assert same_float(got[0], want[0])
+            assert got[1] == want[1].tolist() and got[3] == want[3].tolist()
+            for g, w in zip(got[2:], want[2:]):
+                assert np.array_equal(np.array(g, dtype=float), w,
+                                      equal_nan=True)
+
+    @given(models_and_rows(), st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_update(self, case, y):
+        model, rows = case
+        rows = [r for r in rows if all(map(math.isfinite, r))]
+        ref = model.copy()
+        kernel = KanKernel(model)
+        for row in rows:
+            got = kernel.update(row, y, 0.3)
+            want = ref_update_inplace(ref, np.array(row), y, 0.3)
+            assert got == want
+        kernel.store(model)
+        assert np.array_equal(model.inner_values, ref.inner_values)
+        assert np.array_equal(model.outer_values, ref.outer_values)
+
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_sum_is_ndarray_sum(self, values):
+        assert kan._pairwise_sum(values) == float(np.array(values).sum())
+
+    def test_kaczmarz_sequence_3000_records(self):
+        model, _ = training_style_model(seed=12)
+        ref = model.copy()
+        rng = np.random.default_rng(13)
+        xs = rng.normal(0.0, 1.6, (3000, D))     # some beyond the grid
+        ys = rng.uniform(0.0, 700.0, 3000)
+        kernel = KanKernel(model)
+        for x, y in zip(xs, ys):
+            got = kernel.update(x.tolist(), float(y), model.config.mu)
+            assert got == ref_update_inplace(ref, x, y, model.config.mu)
+        kernel.store(model)
+        assert np.array_equal(model.inner_values, ref.inner_values)
+        assert np.array_equal(model.outer_values, ref.outer_values)
+
+    def test_fit_records_on_synthetic_falls(self, synthetic_falls):
+        cfg = KanConfig(epochs=3, seed=4)
+        train, val = synthetic_falls[::2], synthetic_falls[1::2]
+        window = cfg.window_samples
+        tx, ty = kan.segment_records(train, window)
+        vx, vy = kan.segment_records(val, window)
+        names = train[0].feature_names
+        model, log = fit_records(cfg, tx, ty, vx, vy, names)
+        want, want_log = ref_fit_records(cfg, tx, ty, vx, vy, names)
+        assert np.array_equal(model.inner_values, want.inner_values)
+        assert np.array_equal(model.outer_values, want.outer_values)
+        assert np.array_equal(model.outer_grids, want.outer_grids)
+        got_log = [(e.train_rmse, e.val_rmse, e.degenerate,
+                    e.mean_abs_residual) for e in log]
+        assert np.allclose(got_log, want_log, rtol=1e-12, atol=0)
+        assert [g[:3] for g in got_log] == [w[:3] for w in want_log]

@@ -5,6 +5,7 @@ import pytest
 
 from fallsense import fdnn as fdnn_mod
 from fallsense import kan as kan_mod
+from fallsense.features import feature_indices
 from fallsense.kan import KanConfig
 from fallsense.pipeline import (
     collect_fall_segments,
@@ -152,6 +153,45 @@ class TestStreamTrial:
             assert (e.tti_ms is not None) == e.decision
             if e.tti_ms is not None:
                 assert e.tti_ms >= 0.0
+
+    @pytest.mark.parametrize("gating", [False, True])
+    def test_impact_model_called_once_per_estimate(self, trained, subject,
+                                                   monkeypatch, gating):
+        # profilers wrap kan.predict_smoothed_row (the benchmark's kan.eval
+        # span): the stream must call it through the module, once for every
+        # sample that gets an impact time
+        fdnn_path, kan_path, pairs, *_ = trained
+        annotated, _ = pairs[0]
+        calls = []
+        real = kan_mod.predict_smoothed_row
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kan_mod, "predict_smoothed_row", counted)
+        events, _ = stream_trial(fdnn_path, kan_path, annotated.trial,
+                                 subject, kan_gating=gating)
+        flagged = sum(e.decision for e in events)
+        assert flagged > 0
+        assert len(calls) == (flagged if gating else len(events))
+
+    def test_tti_is_kernel_on_numpy_trailing_mean(self, trained, subject):
+        # the stream's plain-float window sums add in the order np.mean
+        # adds a list of row vectors, so every streamed tti is
+        # bit-identical to the kernel applied to that NumPy trailing mean
+        fdnn_path, kan_path, pairs, *_ = trained
+        annotated, frames = pairs[1]
+        model = kan_mod.load_checkpoint(kan_path)
+        kernel = kan_mod.KanKernel(model)
+        rows = list(frames.data[:, feature_indices(model.feature_names)])
+        w = model.config.window_samples
+        events, _ = stream_trial(fdnn_path, kan_path, annotated.trial,
+                                 subject, kan_gating=False)
+        want = [kan_mod.predict_smoothed_row(
+                    kernel, np.mean(rows[max(0, k - w + 1):k + 1], axis=0))
+                for k in range(len(events))]
+        assert [e.tti_ms for e in events] == want
 
     def test_all_background_trial_has_no_tti(self, trained, subject):
         fdnn_path, kan_path, pairs, *_ = trained
