@@ -7,8 +7,13 @@ dropout -> fully connected -> softmax over {background, falling}.
 The two LSTM cells carry state across the whole sequence.  Supervision is
 per time step (each sample has its own label); batches pad sequences to a
 common length and mask the padding out of stats, loss, and metrics.
-Per-step matmuls keep the single-sequence batch path numerically identical
-to the streaming path.
+
+Inference runs one folded step (``InferStep``): with frozen batch-norm
+moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
+one affine map, folded into LSTM1's weights once per model.  The stream
+steps it one row at a time and infer-mode ``forward`` scans it over time
+with one row per sequence, so a single-sequence batch reproduces the
+stream bit for bit.  Train mode keeps the layers apart for BPTT.
 """
 
 from __future__ import annotations
@@ -54,6 +59,16 @@ class FdnnConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("input_dim", "static_dim", "inner_dim", "fc1_units",
+                     "classes", "batch_size", "epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FdnnError(f"{name} must be an integer, got {value!r}")
+        if min(self.input_dim, self.inner_dim, self.fc1_units,
+               self.batch_size) < 1 or self.static_dim < 0:
+            raise FdnnError("layer sizes and batch size must be positive")
+        if self.classes < 2:
+            raise FdnnError("classes must be at least 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise FdnnError("dropout rate must be in [0, 1)")
         if self.static_dim >= self.input_dim:
@@ -161,21 +176,77 @@ def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
     return h_new, c_new, cache
 
 
-def bn_scale(params: FdnnParams, eps: float) -> np.ndarray:
-    """Per-unit multiplier of inference batch norm (frozen moments)."""
-    return params.bn_gamma / np.sqrt(params.bn_var + eps)
-
-
-def bn_infer(x: np.ndarray, params: FdnnParams,
-             scale: np.ndarray) -> np.ndarray:
-    """Inference batch norm; ``scale`` is ``bn_scale(params, eps)``."""
-    return (x - params.bn_mean) * scale + params.bn_beta
-
-
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+class InferStep:
+    """The frozen detector as one step over ``rows`` input rows at a time.
+
+    Built once per model: batch norm's frozen moments and fc1 are folded
+    into LSTM1's input weights, each layer's input and recurrent weights
+    are stacked, and every bias is a weight row against a constant 1.
+    One buffer laid out ``[x | h1 | 1 | h2]`` holds the inputs and the
+    state, so layer 1 is ``[x | h1 | 1] @ W1``, layer 2
+    ``[h1 | 1 | h2] @ W2`` and fc2 ``[1 | h2] @ W3``, each one matmul on a
+    view of it.  Gate columns are ordered i, f, o, g with the sigmoid
+    columns pre-halved, so one tanh covers the slab and
+    sigmoid(z) = tanh(z/2)/2 + 1/2 finishes i, f and o.
+    """
+
+    def __init__(self, params: FdnnParams, config: FdnnConfig,
+                 rows: int = 1):
+        d, h = config.input_dim, config.inner_dim
+        order = np.r_[0:2 * h, 3 * h:4 * h, 2 * h:3 * h]     # i, f, o, g
+        half = np.r_[np.full(3 * h, 0.5), np.ones(h)]
+        scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
+        shift = (params.fc1_b - params.bn_mean) * scale + params.bn_beta
+        w1 = np.vstack([(params.fc1_w * scale) @ params.lstm1_wx,
+                        params.lstm1_wh,
+                        shift @ params.lstm1_wx + params.lstm1_b])
+        w2 = np.vstack([params.lstm2_wx, params.lstm2_b, params.lstm2_wh])
+        self._w3 = np.vstack([params.fc2_b, params.fc2_w])
+
+        buf = np.zeros((rows, d + 2 * h + 1))
+        buf[:, d + h] = 1.0
+        h1, h2 = buf[:, d:d + h], buf[:, d + h + 1:]
+        c1, c2 = np.zeros((rows, h)), np.zeros((rows, h))
+        self._x = buf[:, :d]
+        self._fc2_in = buf[:, d + h:]
+        self._state = (h1, h2, c1, c2)
+        self._logits = np.empty((rows, config.classes))
+        self._cells = []
+        for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, h1),
+                                    (buf[:, d:], w2, c2, h2)):
+            z = np.empty((rows, 4 * h))
+            self._cells.append((
+                inputs, w[:, order] * half, z, z[:, :3 * h],
+                z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
+                c, np.empty((rows, h)), h_out))
+
+    def reset(self) -> None:
+        """Zero both layers' hidden and cell state."""
+        for s in self._state:
+            s[...] = 0.0
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Logits for one step of each row; the returned buffer is
+        overwritten by the next call."""
+        self._x[...] = x
+        for inputs, w, z, sig, i, f, o, g, c, tmp, h in self._cells:
+            np.dot(inputs, w, out=z)
+            np.tanh(z, out=z)
+            sig *= 0.5
+            sig += 0.5
+            c *= f
+            np.multiply(i, g, out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            np.multiply(o, tmp, out=h)
+        np.dot(self._fc2_in, self._w3, out=self._logits)
+        return self._logits
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +297,15 @@ def forward(
     """Per-step class probabilities for a batch of sequences.
 
     static: (B, static_dim); sequence: (B, T, input_dim - static_dim).
-    Returns (B, T, classes) probabilities (and the backward cache when
-    requested).  Train mode uses batch statistics over unmasked steps and
-    applies dropout; infer mode is deterministic and mutates nothing.
+    Returns (B, T, classes) probabilities (and, in train mode, the
+    backward cache when requested).  Train mode uses batch statistics over
+    unmasked steps and applies dropout; infer mode scans ``InferStep``
+    over time, is deterministic and mutates nothing.
     """
     if mode not in ("train", "infer"):
         raise FdnnError(f"unknown mode {mode!r}")
     x = _concat_inputs(config, static, sequence)
     b, t, _ = x.shape
-    h = config.inner_dim
     if mask is None:
         mask = np.ones((b, t), dtype=bool)
     else:
@@ -242,32 +313,41 @@ def forward(
         if mask.shape != (b, t):
             raise FdnnError(f"mask shape {mask.shape} != {(b, t)}")
 
-    # Layer 1, per step so the B=1 path matches streaming bit for bit.
+    if mode == "infer":
+        if want_cache:
+            raise FdnnError("the backward cache exists in train mode only")
+        step_fn = InferStep(params, config, rows=b)
+        logits = np.empty((b, t, config.classes))
+        for step in range(t):
+            logits[:, step, :] = step_fn(x[:, step, :])
+        probs = softmax_rows(logits)
+        if not np.all(np.isfinite(probs)):
+            raise FdnnError("non-finite activations in forward pass")
+        return probs
+
+    # Layer 1: fully connected.
     a1 = np.empty((b, t, config.fc1_units))
     for step in range(t):
         a1[:, step, :] = x[:, step, :] @ params.fc1_w + params.fc1_b
 
     # Layer 2: batch norm over unmasked (batch x time) positions.
-    bn_cache = None
-    if mode == "train":
-        valid = a1[mask]
-        mu = valid.mean(axis=0)
-        var = valid.var(axis=0)
-        inv = 1.0 / np.sqrt(var + config.bn_eps)
-        xhat = (a1 - mu) * inv
-        y_bn = params.bn_gamma * xhat + params.bn_beta
-        bn_cache = {"xhat": xhat, "inv": inv, "mu": mu, "var": var,
-                    "n_valid": valid.shape[0]}
-        m = config.bn_momentum
-        params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
-        params.bn_var[:] = m * params.bn_var + (1 - m) * var
-    else:
-        y_bn = bn_infer(a1, params, bn_scale(params, config.bn_eps))
+    valid = a1[mask]
+    mu = valid.mean(axis=0)
+    var = valid.var(axis=0)
+    inv = 1.0 / np.sqrt(var + config.bn_eps)
+    xhat = (a1 - mu) * inv
+    y_bn = params.bn_gamma * xhat + params.bn_beta
+    bn_cache = {"xhat": xhat, "inv": inv, "mu": mu, "var": var,
+                "n_valid": valid.shape[0]}
+    m = config.bn_momentum
+    params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
+    params.bn_var[:] = m * params.bn_var + (1 - m) * var
 
-    # Dropout layers 3, 5, 7 (train only, inverted scaling).
+    # Dropout layers 3, 5, 7 (inverted scaling).
+    h = config.inner_dim
     keep = 1.0 - config.dropout_rate
     drop_masks: list[np.ndarray | None] = [None, None, None]
-    if mode == "train" and config.dropout_rate > 0.0:
+    if config.dropout_rate > 0.0:
         if rng is None:
             raise FdnnError("train mode with dropout needs an rng")
         drop_masks = [
@@ -470,6 +550,9 @@ class EpochLog:
     train_loss: float
     val_accuracy: float
     wall_seconds: float
+    grad_norm_mean: float     # pre-clip global gradient norm over batches
+    grad_norm_max: float
+    clipped_fraction: float   # share of batches scaled down by the clip
 
 
 def _pad_batch(examples: list[SequenceExample]):
@@ -488,12 +571,15 @@ def _pad_batch(examples: list[SequenceExample]):
     return static, seq, labels, mask
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
+def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale the gradients in place to a global norm of at most
+    ``max_norm`` (when positive); returns the norm before clipping."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
+    return float(total)
 
 
 def sample_accuracy(params: FdnnParams, config: FdnnConfig,
@@ -538,6 +624,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_set))
         losses = []
+        norms = []
         for i in range(0, len(order), config.batch_size):
             batch = [train_set[j] for j in order[i:i + config.batch_size]]
             static, seq, labels, mask = _pad_batch(batch)
@@ -547,7 +634,7 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", log)
             losses.append(loss)
-            _clip_gradients(grads, config.grad_clip)
+            norms.append(_clip_gradients(grads, config.grad_clip))
             step_count += 1
             b1c = 1.0 - config.beta1 ** step_count
             b2c = 1.0 - config.beta2 ** step_count
@@ -565,6 +652,11 @@ def train(
             train_loss=float(np.mean(losses)),
             val_accuracy=val_acc,
             wall_seconds=time.perf_counter() - t0,
+            grad_norm_mean=float(np.mean(norms)),
+            grad_norm_max=float(np.max(norms)),
+            clipped_fraction=float(np.mean(
+                [config.grad_clip > 0 and n > config.grad_clip
+                 for n in norms])),
         ))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -573,10 +665,13 @@ def train(
 
 
 def write_training_log(path: Path | str, log: list[EpochLog]) -> None:
-    lines = ["epoch,train_loss,val_accuracy,wall_seconds"]
+    lines = ["epoch,train_loss,val_accuracy,wall_seconds,"
+             "grad_norm_mean,grad_norm_max,clipped_fraction"]
     for row in log:
         lines.append(f"{row.epoch},{row.train_loss:.6f},"
-                     f"{row.val_accuracy:.6f},{row.wall_seconds:.3f}")
+                     f"{row.val_accuracy:.6f},{row.wall_seconds:.3f},"
+                     f"{row.grad_norm_mean:.6g},{row.grad_norm_max:.6g},"
+                     f"{row.clipped_fraction:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -599,22 +694,61 @@ def save_checkpoint(path: Path | str, params: FdnnParams, config: FdnnConfig,
     checkpoint.write_container(path, "fdnn", header, params.arrays())
 
 
+def _check_loaded(name: str, params: FdnnParams, config: FdnnConfig,
+                  stats: StandardizationStats,
+                  feature_names: tuple[str, ...]) -> None:
+    """Shapes from the config, finite values, a positive batch-norm
+    variance and a positive standardizer std: what ``InferStep`` folds."""
+    def fail(message: str):
+        raise checkpoint.CheckpointError(f"{name}: {message}")
+
+    d, f, h, c = (config.input_dim, config.fc1_units, config.inner_dim,
+                  config.classes)
+    expected = {
+        "fc1_w": (d, f), "fc1_b": (f,),
+        "bn_gamma": (f,), "bn_beta": (f,), "bn_mean": (f,), "bn_var": (f,),
+        "lstm1_wx": (f, 4 * h), "lstm1_wh": (h, 4 * h), "lstm1_b": (4 * h,),
+        "lstm2_wx": (h, 4 * h), "lstm2_wh": (h, 4 * h), "lstm2_b": (4 * h,),
+        "fc2_w": (h, c), "fc2_b": (c,),
+    }
+    arrays = params.arrays()
+    arrays["standardizer mean"] = stats.mean
+    arrays["standardizer std"] = stats.std
+    expected["standardizer mean"] = expected["standardizer std"] = (d,)
+    for key, shape in expected.items():
+        if arrays[key].shape != shape:
+            fail(f"{key} has shape {arrays[key].shape}, expected {shape} "
+                 f"for input_dim={d}, fc1_units={f}, inner_dim={h}, "
+                 f"classes={c}")
+        if not np.isfinite(arrays[key]).all():
+            fail(f"{key} has non-finite values")
+    if not np.all(params.bn_var + config.bn_eps > 0):
+        fail("bn_var + bn_eps must be positive")
+    if not np.all(stats.std > 0):
+        fail("standardizer std must be positive")
+    if feature_names and len(feature_names) != d:
+        fail(f"{len(feature_names)} feature names for input_dim={d}")
+
+
 def load_checkpoint(path: Path | str) -> tuple[
         FdnnParams, FdnnConfig, StandardizationStats, tuple[str, ...]]:
     header, arrays = checkpoint.read_container(path, "fdnn")
-    if "standardizer" not in header:
+    name = Path(path).name
+    try:
+        config = FdnnConfig(**header["config"])
+        params = FdnnParams(**{f: arrays[f] for f in PARAM_FIELDS})
+        std = header["standardizer"]
+        names = tuple(header.get("feature_names", []))
+        stats = StandardizationStats(
+            mean=np.asarray(std["mean"], dtype=float),
+            std=np.asarray(std["std"], dtype=float),
+            names=names,
+        )
+    except KeyError as exc:
         raise checkpoint.CheckpointError(
-            f"{Path(path).name}: checkpoint lacks the standardizer block")
-    missing = [f for f in PARAM_FIELDS if f not in arrays]
-    if missing:
+            f"{name}: checkpoint lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise checkpoint.CheckpointError(
-            f"{Path(path).name}: missing parameter arrays {missing}")
-    config = FdnnConfig(**header["config"])
-    params = FdnnParams(**{f: arrays[f] for f in PARAM_FIELDS})
-    std = header["standardizer"]
-    stats = StandardizationStats(
-        mean=np.asarray(std["mean"], dtype=float),
-        std=np.asarray(std["std"], dtype=float),
-        names=tuple(header.get("feature_names", [])),
-    )
-    return params, config, stats, tuple(header.get("feature_names", []))
+            f"{name}: malformed checkpoint: {exc}") from None
+    _check_loaded(name, params, config, stats, names)
+    return params, config, stats, names

@@ -352,14 +352,21 @@ def _update_inplace(model: KanModel, x: np.ndarray, y: float,
 # ---------------------------------------------------------------------------
 
 def smooth_rows(rows: np.ndarray, window: int) -> np.ndarray:
-    """Trailing moving average per column; partial windows at the start."""
+    """Trailing moving average per column; partial windows at the start.
+
+    Each mean is summed from 0.0 over its own window, oldest row first,
+    the order the stream sums its trailing window in, so a row outside
+    the window (a non-finite one included) cannot reach it.
+    """
     rows = np.asarray(rows, dtype=float)
     if window <= 1:
         return rows.copy()
-    c = np.cumsum(np.vstack([np.zeros((1, rows.shape[1])), rows]), axis=0)
-    hi = np.arange(1, rows.shape[0] + 1)
-    lo = np.maximum(0, hi - window)
-    return (c[hi] - c[lo]) / (hi - lo)[:, None]
+    n = rows.shape[0]
+    total = np.zeros_like(rows)
+    for lag in range(min(window, n) - 1, -1, -1):
+        total[lag:] += rows[:n - lag]
+    count = np.minimum(np.arange(1, n + 1), window)
+    return total / count[:, None]
 
 
 def _smoothed_segment_rows(seg: FallSegment, window: int) -> np.ndarray:

@@ -60,36 +60,22 @@ class LatencyReport:
 
 
 class FdnnStream:
-    """Stateful per-step detector inference (frozen batch-norm moments,
-    whose scale is computed once)."""
+    """Stateful per-sample detector: ``fdnn.InferStep`` stepped one row
+    at a time, the same step infer-mode ``fdnn.forward`` scans over a
+    batch, so the stream reproduces ``predict_trace`` bit for bit."""
 
     def __init__(self, params: fdnn_mod.FdnnParams,
                  config: fdnn_mod.FdnnConfig):
         self.params = params
         self.config = config
-        self._bn_scale = fdnn_mod.bn_scale(params, config.bn_eps)
-        self.reset()
+        self._step = fdnn_mod.InferStep(params, config)
 
     def reset(self) -> None:
-        h = self.config.inner_dim
-        self._h1 = np.zeros((1, h))
-        self._c1 = np.zeros((1, h))
-        self._h2 = np.zeros((1, h))
-        self._c2 = np.zeros((1, h))
+        self._step.reset()
 
     def step(self, x: np.ndarray) -> float:
         """P(falling) for one standardized 18-entry input row."""
-        p, cfg = self.params, self.config
-        a1 = x[None, :] @ p.fc1_w + p.fc1_b
-        y = fdnn_mod.bn_infer(a1, p, self._bn_scale)
-        self._h1, self._c1, _ = fdnn_mod.lstm_step(
-            y, self._h1, self._c1, p.lstm1_wx, p.lstm1_wh, p.lstm1_b,
-            cfg.inner_dim)
-        self._h2, self._c2, _ = fdnn_mod.lstm_step(
-            self._h1, self._h2, self._c2, p.lstm2_wx, p.lstm2_wh, p.lstm2_b,
-            cfg.inner_dim)
-        logits = self._h2 @ p.fc2_w + p.fc2_b
-        return float(fdnn_mod.softmax_rows(logits)[0, 1])
+        return float(fdnn_mod.softmax_rows(self._step(x))[0, 1])
 
 
 def stream_trial(

@@ -189,6 +189,14 @@ class TestTrainEvalFdnn:
     def test_artifacts(self, fdnn_dir):
         assert (fdnn_dir / "fdnn.ckpt").is_file()
         assert (fdnn_dir / "train_log.csv").is_file()
+        lines = (fdnn_dir / "train_log.csv").read_text().splitlines()
+        assert lines[0] == ("epoch,train_loss,val_accuracy,wall_seconds,"
+                            "grad_norm_mean,grad_norm_max,clipped_fraction")
+        assert len(lines) > 1
+        for line in lines[1:]:
+            _, _, _, _, norm_mean, norm_max, clipped = line.split(",")
+            assert 0.0 < float(norm_mean) <= float(norm_max) < float("inf")
+            assert 0.0 <= float(clipped) <= 1.0
         split = json.loads((fdnn_dir / "split.json").read_text())
         assert set(split) == {"train", "validation", "test"}
         n = sum(len(v) for v in split.values())

@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fallsense import checkpoint as ck
 from fallsense import fdnn
 from fallsense.checkpoint import CheckpointError
 from fallsense.fdnn import (
@@ -100,6 +103,127 @@ class TestForward:
         static, seq, _, mask = toy_batch()
         forward(p, TOY, static, seq, mode="train", mask=mask)
         assert not np.array_equal(before, p.bn_mean)
+
+
+def _unfolded_infer(params, config, static, seq):
+    """The unfolded infer forward, the reference for ``InferStep``: per
+    step fc1 -> frozen batch norm -> lstm_step x2 -> fc2 -> softmax_rows.
+    Also returns the largest |gate pre-activation| it saw."""
+    b, t, _ = seq.shape
+    x = np.concatenate([np.repeat(static[:, None, :], t, axis=1), seq],
+                       axis=2)
+    h = config.inner_dim
+    scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
+    h1 = c1 = h2 = c2 = np.zeros((b, h))
+    probs = np.empty((b, t, config.classes))
+    widest = 0.0
+    for k in range(t):
+        a1 = x[:, k, :] @ params.fc1_w + params.fc1_b
+        y = (a1 - params.bn_mean) * scale + params.bn_beta
+        widest = max(widest, np.abs(
+            y @ params.lstm1_wx + h1 @ params.lstm1_wh + params.lstm1_b).max())
+        h1, c1, _ = fdnn.lstm_step(y, h1, c1, params.lstm1_wx,
+                                   params.lstm1_wh, params.lstm1_b, h)
+        widest = max(widest, np.abs(
+            h1 @ params.lstm2_wx + h2 @ params.lstm2_wh + params.lstm2_b).max())
+        h2, c2, _ = fdnn.lstm_step(h1, h2, c2, params.lstm2_wx,
+                                   params.lstm2_wh, params.lstm2_b, h)
+        probs[:, k, :] = fdnn.softmax_rows(h2 @ params.fc2_w + params.fc2_b)
+    return probs, widest
+
+
+def _gated_model(rng, config, gain):
+    """Random frozen model whose gate pre-activations reach about
+    +-gain.  The recurrent weights keep their fan-in scale, so rounding
+    differences are not amplified step after step."""
+    p = init_params(config, seed=int(rng.integers(1 << 30)))
+    f, h = config.fc1_units, config.inner_dim
+    p.fc1_b[:] = rng.normal(size=f)
+    p.bn_gamma[:] = rng.normal(size=f)
+    p.bn_beta[:] = rng.normal(size=f)
+    p.bn_mean[:] = rng.normal(size=f)
+    p.bn_var[:] = rng.uniform(0.2, 3.0, size=f)
+    p.lstm1_wx[...] = rng.uniform(-1, 1, p.lstm1_wx.shape) * gain / np.sqrt(f)
+    p.lstm2_wx[...] = rng.uniform(-1, 1, p.lstm2_wx.shape) * gain / np.sqrt(h)
+    p.lstm1_b[:] = rng.uniform(-1, 1, 4 * h) * gain
+    p.lstm2_b[:] = rng.uniform(-1, 1, 4 * h) * gain
+    p.fc2_b[:] = rng.normal(size=config.classes)
+    return p
+
+
+@st.composite
+def gated_cases(draw):
+    d = draw(st.integers(3, 8))
+    config = FdnnConfig(
+        input_dim=d, static_dim=draw(st.integers(1, d - 1)),
+        inner_dim=draw(st.integers(1, 6)), fc1_units=draw(st.integers(1, 6)),
+        classes=draw(st.sampled_from([2, 3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = _gated_model(rng, config, draw(st.floats(0.01, 50.0)))
+    b, t = draw(st.sampled_from([1, 3])), draw(st.integers(1, 40))
+    static = rng.normal(size=(b, config.static_dim))
+    seq = rng.normal(size=(b, t, d - config.static_dim))
+    return params, config, static, seq
+
+
+class TestFoldedInference:
+    """Infer-mode forward scans the folded InferStep; the unfolded
+    per-layer form above is its reference."""
+
+    @given(gated_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unfolded_reference(self, case):
+        params, config, static, seq = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise"):
+                got = forward(params, config, static, seq, mode="infer")
+                want, _ = _unfolded_infer(params, config, static, seq)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_saturated_gates_match_reference(self):
+        config = FdnnConfig(input_dim=6, static_dim=2, inner_dim=5,
+                            fc1_units=4, classes=3)
+        rng = np.random.default_rng(4)
+        params = _gated_model(rng, config, 50.0)
+        static = rng.normal(size=(3, 2))
+        seq = rng.normal(size=(3, 40, 4))
+        want, widest = _unfolded_infer(params, config, static, seq)
+        assert widest > 40.0
+        got = forward(params, config, static, seq, mode="infer")
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_zero_params_give_exactly_half(self):
+        p = init_params(TOY)
+        for name in fdnn.TRAINABLE_FIELDS:
+            getattr(p, name)[...] = 0.0
+        static, seq, _, _ = toy_batch(B=3, T=12, masked=False)
+        probs = forward(p, TOY, static, seq, mode="infer")
+        assert np.array_equal(probs, np.full((3, 12, 2), 0.5))
+
+    def test_padded_batch_matches_each_trace(self):
+        # sample_accuracy and eval-fdnn score padded batches: every
+        # sequence's unmasked steps must be its own predict_trace
+        rng = np.random.default_rng(11)
+        params = _gated_model(rng, TOY, 5.0)
+        examples = [SequenceExample(
+            static=rng.normal(size=2),
+            sequence=rng.normal(size=(t, 4)),
+            labels=np.zeros(t, dtype=int)) for t in (9, 23, 1, 17)]
+        static, seq, _, mask = fdnn._pad_batch(examples)
+        seq[~mask] = 1e3                      # loud padding
+        probs = forward(params, TOY, static, seq, mode="infer", mask=mask)
+        for i, ex in enumerate(examples):
+            trace = predict_trace(params, TOY, ex.static, ex.sequence)
+            t = len(ex.sequence)
+            assert np.abs(probs[i, :t, 1] - trace.p_falling).max() <= 1e-12
+
+    def test_cache_is_train_only(self):
+        static, seq, _, _ = toy_batch()
+        with pytest.raises(FdnnError, match="train mode only"):
+            forward(init_params(TOY), TOY, static, seq, mode="infer",
+                    want_cache=True)
 
 
 def _two_branch_sigmoid(x):
@@ -298,6 +422,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_bad_config_rejected(self):
+        with pytest.raises(FdnnError, match="integer"):
+            FdnnConfig(inner_dim=16.0)
+        with pytest.raises(FdnnError, match="classes"):
+            FdnnConfig(classes=1)
+        with pytest.raises(FdnnError, match="positive"):
+            FdnnConfig(fc1_units=0)
+
     def test_truncation_detected(self, tmp_path):
         cfg = FdnnConfig()
         path = tmp_path / "model.fdnn"
@@ -306,3 +438,105 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _set(name, value):
+    def edit(header, arrays):
+        arrays[name] = np.asarray(value, dtype=float)
+    return edit
+
+
+def _poke(name, index, value):
+    def edit(header, arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+    return edit
+
+
+def _header(path, value):
+    *keys, last = path
+
+    def edit(header, arrays):
+        node = header
+        for k in keys:
+            node = node[k]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return edit
+
+
+_DROP = object()
+
+
+class TestCheckpointValidation:
+    """load_checkpoint refuses containers the folded step cannot run."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = FdnnConfig(seed=4)
+        p = tmp_path / "model.fdnn"
+        save_checkpoint(p, init_params(cfg), cfg, StandardizationStats(
+            mean=np.zeros(18), std=np.ones(18)))
+        header, arrays = ck.read_container(p, "fdnn")
+        header = {k: v for k, v in header.items()
+                  if k not in ("kind", "arrays")}
+        return p, header, arrays
+
+    def _rewrite_and_load(self, saved, edit):
+        p, header, arrays = saved
+        edit(header, arrays)
+        ck.write_container(p, "fdnn", header, arrays)
+        return load_checkpoint(p)
+
+    def test_unedited_loads(self, saved):
+        params, cfg, stats, names = self._rewrite_and_load(
+            saved, lambda h, a: None)
+        assert params.fc2_w.shape == (cfg.inner_dim, cfg.classes)
+        assert len(names) == 18
+
+    @pytest.mark.parametrize("edit, match", [
+        (_set("fc1_w", np.zeros((16, 18))), "fc1_w has shape"),
+        (_set("fc1_b", np.zeros(15)), "fc1_b has shape"),
+        (_set("bn_gamma", np.ones(17)), "bn_gamma has shape"),
+        (_set("bn_var", np.ones((16, 1))), "bn_var has shape"),
+        (_set("lstm1_wx", np.zeros((16, 63))), "lstm1_wx has shape"),
+        (_set("lstm1_wh", np.zeros((64, 16))), "lstm1_wh has shape"),
+        (_set("lstm1_b", np.zeros(16)), "lstm1_b has shape"),
+        (_set("lstm2_wx", np.zeros((18, 64))), "lstm2_wx has shape"),
+        (_set("lstm2_b", np.zeros(65)), "lstm2_b has shape"),
+        (_set("fc2_w", np.zeros((15, 2))), "fc2_w has shape"),
+        (_set("fc2_b", np.zeros(3)), "fc2_b has shape"),
+        (_poke("lstm1_wh", (3, 7), np.nan), "lstm1_wh has non-finite"),
+        (_poke("fc2_b", 1, np.inf), "fc2_b has non-finite"),
+        (_poke("bn_mean", 0, -np.inf), "bn_mean has non-finite"),
+        (_poke("bn_var", 5, -1.0), "bn_var \\+ bn_eps must be positive"),
+        (_header(("standardizer", "mean"), [0.0] * 17),
+         "standardizer mean has shape"),
+        (_header(("standardizer", "std"), [1.0] * 17 + [0.0]),
+         "std must be positive"),
+        (_header(("standardizer", "std"), [1.0] * 17 + [float("nan")]),
+         "standardizer std has non-finite"),
+        (_header(("feature_names",), ["a"] * 17), "17 feature names"),
+        (_header(("config",), _DROP), "lacks 'config'"),
+        (_header(("standardizer",), _DROP), "lacks 'standardizer'"),
+        (_header(("standardizer", "std"), _DROP), "lacks 'std'"),
+        (_header(("config",), [1, 2]), "malformed"),
+        (_header(("config", "hidden"), 16), "malformed"),
+        (_header(("config", "inner_dim"), "16"), "malformed"),
+        (_header(("config", "classes"), 1), "malformed"),
+        (lambda h, a: a.pop("fc2_b"), "lacks 'fc2_b'"),
+    ])
+    def test_rejected(self, saved, edit, match):
+        with pytest.raises(CheckpointError, match=match):
+            self._rewrite_and_load(saved, edit)
+
+    def test_config_must_match_arrays(self, saved):
+        # a consistent container for another size still loads
+        def resize(header, arrays):
+            header["config"]["classes"] = 3
+            arrays["fc2_w"] = np.zeros((16, 3))
+            arrays["fc2_b"] = np.zeros(3)
+        params, cfg, _, _ = self._rewrite_and_load(saved, resize)
+        assert cfg.classes == 3 and params.fc2_w.shape == (16, 3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,30 @@ class TestSmoothing:
         rows = np.random.default_rng(1).normal(size=(40, 3))
         want = [rows[max(0, i - 6):i + 1].mean(axis=0) for i in range(40)]
         assert np.allclose(smooth_rows(rows, 7), want, rtol=0, atol=1e-12)
+
+    def test_sums_each_window_oldest_first(self):
+        # the order the stream sums its trailing window in
+        rows = np.random.default_rng(2).normal(size=(30, 3))
+        for k, got in enumerate(smooth_rows(rows, 6)):
+            window = rows[max(0, k - 5):k + 1]
+            for j in range(3):
+                total = 0.0
+                for v in window[:, j]:
+                    total += v
+                assert got[j] == total / len(window)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_row_stays_in_its_window(self, bad):
+        rows = np.random.default_rng(3).normal(size=(40, 3))
+        clean = smooth_rows(rows, 5)
+        rows[10, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_rows(rows, 5)
+        outside = np.r_[0:10, 15:40]          # windows without row 10
+        assert np.array_equal(got[outside], clean[outside])
+        assert np.array_equal(got[10:15, [0, 2]], clean[10:15, [0, 2]])
+        assert not np.isfinite(got[10:15, 1]).any()
 
     def test_window_longer_than_bound_rejected(self):
         assert KanConfig(window_ms=500.0).window_samples == 100

@@ -14,7 +14,9 @@ from fallsense.pipeline import (
     orient_and_frame,
 )
 from fallsense.sisfall import TrialId
+from fallsense.checkpoint import CheckpointError
 from fallsense.streaming import (
+    FdnnStream,
     StreamError,
     stream_trial,
     write_events_csv,
@@ -221,6 +223,34 @@ class TestStreamTrial:
         annotated, _ = pairs[0]
         with pytest.raises(StreamError, match="not in the frame"):
             stream_trial(fdnn_path, bad, annotated.trial, subject)
+
+    def test_detector_reset_replays_bit_for_bit(self, trained):
+        # a stream run over a trial, reset and run again gives what a
+        # fresh stream gives, which is the batch trace
+        _, _, pairs, params, cfg, stats = trained
+        example = frames_to_example(pairs[0][1], stats)
+        rows = np.hstack([
+            np.tile(example.static, (len(example.sequence), 1)),
+            example.sequence])
+        stream = FdnnStream(params, cfg)
+        first = [stream.step(r) for r in rows]
+        stream.reset()
+        again = [stream.step(r) for r in rows]
+        fresh = FdnnStream(params, cfg)
+        assert again == first == [fresh.step(r) for r in rows]
+        trace = fdnn_mod.predict_trace(params, cfg, example.static,
+                                       example.sequence)
+        assert np.array_equal(first, trace.p_falling)
+
+    def test_misshapen_detector_rejected_at_load(self, trained, subject,
+                                                  tmp_path):
+        fdnn_path, kan_path, pairs, params, cfg, stats = trained
+        bad = params.copy()
+        bad.fc2_w = bad.fc2_w[1:]
+        bad_path = tmp_path / "bad.ckpt"
+        fdnn_mod.save_checkpoint(bad_path, bad, cfg, stats)
+        with pytest.raises(CheckpointError, match="fc2_w has shape"):
+            stream_trial(bad_path, kan_path, pairs[0][0].trial, subject)
 
     def test_events_csv(self, trained, subject, tmp_path):
         fdnn_path, kan_path, pairs, *_ = trained
