@@ -12,12 +12,11 @@ import numpy as np
 from fallsense.features import StandardizationStats
 from fallsense.kan import (
     KanConfig,
+    KanKernel,
     _init_model,
     _respan_outer,
-    _update_inplace,
     fit,
     fit_records,
-    kan_eval,
 )
 from fallsense.pipeline import collect_fall_segments, orient_and_frame
 from fallsense.sisfall import SubjectProfile, TrialId
@@ -33,12 +32,13 @@ model = _init_model(cfg, tuple("abcde"), stats, d,
                     np.random.default_rng(0), 400.0)
 _respan_outer(model, rng.normal(size=(200, d)), 400.0)
 
-x, y = rng.normal(size=d), 250.0
+x, y = rng.normal(size=d).tolist(), 250.0
+kernel = KanKernel(model)
 print("repeated updates on one record (mu = 0.0625):")
 for it in range(1, 201):
-    _update_inplace(model, x, y, cfg.mu)
+    kernel.update(x, y, cfg.mu)
     if it in (1, 10, 50, 100, 200):
-        print(f"  iteration {it:3d}: residual {y - kan_eval(model, x):11.6f}")
+        print(f"  iteration {it:3d}: residual {y - kernel.eval(x):11.6f}")
 
 # --- 2. additive function ------------------------------------------------
 X = rng.uniform(-3, 3, (5000, d))

@@ -33,6 +33,9 @@ class CalibrationConfig:
     mma8451q_range_g: float = 8.0
     mma8451q_bits: int = 14
 
+    def __post_init__(self):
+        self.to_spec()          # a sensor that cannot calibrate fails at load
+
     def to_spec(self) -> CalibrationSpec:
         return CalibrationSpec(
             adxl345=SensorSpec(self.adxl345_range_g, self.adxl345_bits),
@@ -96,7 +99,6 @@ class SplitConfig:
 @dataclass(frozen=True)
 class StreamSettings:
     deadline_us: float = 5000.0
-    mode: str = "fast"
     kan_gating: bool = True
 
 
@@ -112,11 +114,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset_root: str | None = None
-    annotations: str | None = None
-    subjects_file: str | None = None
     seed: int = 0
-    jobs: int = 1
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     orientation: OrientationConfig = field(default_factory=OrientationConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)

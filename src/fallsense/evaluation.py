@@ -18,13 +18,11 @@ import numpy as np
 from .features import FallSegment
 from .kan import KanModel, predict_segment
 from .sisfall import FALL, TrialId
-from .synthetic import SyntheticSpec, SyntheticTruth, generate_synthetic_trial
 
 __all__ = [
     "ConfusionCounts", "confusion", "rates", "TrialMetric", "MetricTable",
     "metric_table", "SegmentPrediction", "RmseHeatmap", "rmse_by_group",
     "TrajectoryTrace", "trajectory", "ReportBundle", "render_report",
-    "generate_synthetic_trial", "SyntheticSpec", "SyntheticTruth",
 ]
 
 

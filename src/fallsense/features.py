@@ -74,19 +74,9 @@ class FeatureFrames:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def full_matrix(self) -> np.ndarray:
-        return self.data
-
     def fdnn_matrix(self) -> np.ndarray:
         """The 18-entry detector view (drops the tilt derivative)."""
         return self.data[:, :18]
-
-    def static_row(self) -> np.ndarray:
-        return self.data[0, :4]
-
-    def dynamic_matrix(self) -> np.ndarray:
-        """The 14 time-varying detector inputs."""
-        return self.data[:, 4:18]
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, FEATURE_NAMES.index(name)]
@@ -168,11 +158,6 @@ def fit_standardizer(matrix: np.ndarray,
 def apply_standardizer(stats: StandardizationStats,
                        matrix: np.ndarray) -> np.ndarray:
     return (np.asarray(matrix, dtype=float) - stats.mean) / stats.std
-
-
-def invert_standardizer(stats: StandardizationStats,
-                        matrix: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix, dtype=float) * stats.std + stats.mean
 
 
 # ---------------------------------------------------------------------------

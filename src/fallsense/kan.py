@@ -315,18 +315,6 @@ def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_row(model: KanModel, x) -> list[float]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise KanError(f"input must have shape ({model.d},), got {x.shape}")
-    return x.tolist()
-
-
-def kan_eval(model: KanModel, x: np.ndarray) -> float:
-    """Prediction in ms for one standardized d-vector (can be negative)."""
-    return KanKernel(model).eval(_as_row(model, x))
-
-
 def kan_eval_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.d:
@@ -336,15 +324,6 @@ def kan_eval_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     for j in range(model.branches):
         y += np.interp(s[:, j], model.outer_grids[j], model.outer_values[j])
     return y
-
-
-def _update_inplace(model: KanModel, x: np.ndarray, y: float,
-                    mu: float) -> UpdateInfo:
-    """One Kaczmarz step applied to the model's own arrays."""
-    kernel = KanKernel(model)
-    info = kernel.update(_as_row(model, x), float(y), mu)
-    kernel.store(model)
-    return info
 
 
 # ---------------------------------------------------------------------------

@@ -87,28 +87,12 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return np.array(_rotation(q)).reshape(3, 3)
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_to_matrix(q) @ v
-
-
-def tilt_angle(q: np.ndarray, body_up: np.ndarray | None = None) -> float:
-    """Angle in [0, pi] between the rotated body-up axis and the world up.
-
-    Insensitive to the quaternion sign.  Raises if the quaternion is not
-    unit norm (beyond 1e-6).
-    """
-    q = np.asarray(q, dtype=float)
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-6:
-        raise OrientationError(f"tilt_angle needs a unit quaternion, |q|={norm}")
-    u = WORLD_UP if body_up is None else np.asarray(body_up, dtype=float)
-    u = u / np.linalg.norm(u)
-    up_world = quat_rotate(q, u)
-    return math.acos(min(1.0, max(-1.0, float(up_world @ WORLD_UP))))
-
-
 def tilt_angles(quats: np.ndarray, body_up: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized tilt over an (N, 4) quaternion series."""
+    """Tilt per row of an (N, 4) quaternion series: the angle in [0, pi]
+    between the rotated body-up axis (default e_z) and the world up.
+
+    Insensitive to the quaternion sign.
+    """
     quats = np.asarray(quats, dtype=float)
     w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
     # Third row of R(q) dotted with the unit body-up u: the world-z

@@ -41,7 +41,8 @@ class TrialParseError(IngestError):
 
 
 class CalibrationError(IngestError):
-    """ADC count outside the signed range of the sensor resolution."""
+    """ADC count non-finite or outside the signed range of the sensor
+    resolution."""
 
 
 class AnnotationError(IngestError):
@@ -151,16 +152,6 @@ class CalibrationSpec:
     mma8451q: SensorSpec = field(default_factory=lambda: SensorSpec(8.0, 14))
 
 
-@dataclass(frozen=True)
-class CalibratedSample:
-    """One 200 Hz reading in physical units."""
-
-    accel_adxl345: np.ndarray  # (3,) g
-    gyro_itg3200: np.ndarray   # (3,) deg/s
-    accel_mma8451q: np.ndarray  # (3,) g
-    t: float                   # seconds from trial start
-
-
 @dataclass
 class CalibratedTrial:
     trial_id: TrialId | None
@@ -172,41 +163,15 @@ class CalibratedTrial:
     def __len__(self) -> int:
         return self.accel_adxl345.shape[0]
 
-    def sample(self, i: int) -> CalibratedSample:
-        return CalibratedSample(
-            self.accel_adxl345[i], self.gyro_itg3200[i],
-            self.accel_mma8451q[i], float(self.t[i]))
-
 
 def _check_counts(counts: np.ndarray, spec: SensorSpec, sensor: str) -> None:
+    if not np.isfinite(counts).all():
+        raise CalibrationError(f"{sensor}: non-finite counts")
     lo, hi = spec.count_range
     if counts.size and (counts.min() < lo or counts.max() > hi):
         raise CalibrationError(
             f"{sensor}: counts outside signed {spec.resolution_bits}-bit "
             f"range [{lo}, {hi}]")
-
-
-def calibrate(record: np.ndarray, spec: CalibrationSpec | None = None,
-              index: int = 0) -> CalibratedSample:
-    """Convert one 9-count raw record to physical units.
-
-    Time is assigned from the sample index at the fixed 200 Hz rate.
-    """
-    spec = spec or CalibrationSpec()
-    record = np.asarray(record)
-    if record.shape != (9,):
-        raise CalibrationError(f"raw record must have 9 counts, got {record.shape}")
-    if not np.all(np.isfinite(record)):
-        raise CalibrationError("raw record contains non-finite counts")
-    _check_counts(record[0:3], spec.adxl345, "ADXL345")
-    _check_counts(record[3:6], spec.itg3200, "ITG3200")
-    _check_counts(record[6:9], spec.mma8451q, "MMA8451Q")
-    return CalibratedSample(
-        record[0:3] * spec.adxl345.scale,
-        record[3:6] * spec.itg3200.scale,
-        record[6:9] * spec.mma8451q.scale,
-        index * SAMPLE_PERIOD_S,
-    )
 
 
 def calibrate_trial(records: np.ndarray, spec: CalibrationSpec | None = None,
@@ -401,12 +366,6 @@ def annotate_trial(trial: CalibratedTrial,
                 f"0..{n - 1}")
         labels[start:end + 1] = FALL
     return AnnotatedTrial(trial=trial, labels=labels)
-
-
-def import_annotations(path: Path | str,
-                       trial: CalibratedTrial) -> AnnotatedTrial:
-    spans = read_annotation_spans(path)
-    return annotate_trial(trial, spans.get(str(trial.trial_id)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def stream_trial(
     Latency is pure processing time; real-time pacing waits are not
     counted.  By default the impact estimator runs only while the
     detector reports falling; ``kan_gating=False`` evaluates it on every
-    sample instead.
+    sample instead.  A trial with a non-finite sample raises StreamError
+    before any event is emitted.
     """
     if mode not in ("realtime", "fast"):
         raise StreamError(f"unknown mode {mode!r}")
@@ -118,6 +119,13 @@ def stream_trial(
     n = len(trial)
     if n == 0:
         raise StreamError("empty trial")
+    for sensor, values in (("ADXL345", trial.accel_adxl345),
+                           ("ITG3200", trial.gyro_itg3200),
+                           ("MMA8451Q", trial.accel_mma8451q)):
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise StreamError(f"{sensor}: non-finite sample at index "
+                              f"{int(bad.argmax())}")
 
     detector = FdnnStream(params, fcfg)
     static = subject.static_vector()

@@ -30,7 +30,7 @@ from fallsense.features import (
     mrmr_select,
     tti_targets,
 )
-from fallsense.kan import KanConfig, KanModel, kan_eval
+from fallsense.kan import KanConfig, KanKernel, KanModel
 from fallsense.pipeline import (
     collect_fall_segments,
     fit_frame_standardizer,
@@ -155,24 +155,24 @@ def test_a4_kaczmarz_contraction_and_fixed_point():
     # linear outer-node dependence
     flat = model.copy()
     flat.outer_values[...] = 2.0
-    x = rng.normal(size=d)
+    x = rng.normal(size=d).tolist()
     y = 150.0
-    r0 = y - kan_eval(flat, x)
-    updated = flat.copy()
-    kan_mod._update_inplace(updated, x, y, cfg.mu)
-    r1 = y - kan_eval(updated, x)
+    kernel = KanKernel(flat)
+    r0 = y - kernel.eval(x)
+    kernel.update(x, y, cfg.mu)
+    r1 = y - kernel.eval(x)
     err = abs(r1 - (1.0 - cfg.mu) * r0)
     assert err < 1e-9 * abs(r0)
 
-    m = model.copy()
-    x = xs[0]
+    kernel = KanKernel(model)
+    x = xs[0].tolist()
     y = 520.0
     hit = None
     for it in range(500):
-        info = kan_mod._update_inplace(m, x, y, cfg.mu)
-        if hit is None and abs(y - kan_eval(m, x)) < 1e-6:
+        kernel.update(x, y, cfg.mu)
+        if hit is None and abs(y - kernel.eval(x)) < 1e-6:
             hit = it + 1
-    final = abs(y - kan_eval(m, x))
+    final = abs(y - kernel.eval(x))
     assert final < 1e-6
     _ok("A4", f"(contraction error {err:.1e}; |r|={final:.1e} "
               f"after {hit} iterations)")
@@ -202,7 +202,7 @@ def test_a5_kan_additive_recovery_and_sin_fit():
     for _ in range(50):
         x = rng.choice(inner_grid, size=d)
         want = sum(f(x[i]) for i, f in enumerate(funcs))
-        worst = max(worst, abs(kan_eval(model, x) - want))
+        worst = max(worst, abs(KanKernel(model).eval(x.tolist()) - want))
     assert worst < 1e-9
 
     # trained from noise on y = sum_i sin(x_i): validation RMSE < 20% of
@@ -301,20 +301,41 @@ def test_a10_benchmark_trace_targets_resolve():
     _ok("A10", f"({len(targets)} trace targets resolve)")
 
 
-@pytest.mark.tier_a
-def test_a11_orientation_demo_runs():
-    """demos/02_orientation_tilt.py, which drives the quaternion helpers
-    and the filter steps directly, runs to completion."""
+def _run_demo(name: str) -> str:
+    """Run demos/<name> against this checkout; its stdout on exit 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(root / "demos" / "02_orientation_tilt.py")],
+        [sys.executable, str(root / "demos" / name)],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "update skipped -> state unchanged: True" in done.stdout
+    return done.stdout
+
+
+@pytest.mark.tier_a
+def test_a11_orientation_demo_runs():
+    """demos/02_orientation_tilt.py, which drives the quaternion helpers
+    and the filter steps directly, runs to completion."""
+    stdout = _run_demo("02_orientation_tilt.py")
+    assert "update skipped -> state unchanged: True" in stdout
     _ok("A11", "(demo 02 exits 0)")
+
+
+@pytest.mark.tier_a
+def test_a12_impact_countdown_demo_runs():
+    """demos/03_impact_countdown.py, which drives the KAN kernel's reads
+    and Kaczmarz writes directly, runs, and its one-record solver prints
+    the residuals pinned here."""
+    stdout = _run_demo("03_impact_countdown.py")
+    for line in ("iteration   1: residual   41.211828",
+                 "iteration  10: residual   23.054907",
+                 "iteration  50: residual    1.744273",
+                 "iteration 100: residual    0.069211",
+                 "iteration 200: residual    0.000109"):
+        assert line in stdout
+    _ok("A12", "(demo 03 exits 0, one-record residuals unchanged)")
 
 
 # ===========================================================================

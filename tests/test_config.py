@@ -72,6 +72,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid orientation section"):
             load_config(p)
 
+    # Settings the CLI takes only as flags (--root, --annotations,
+    # --subjects, --jobs, --mode): a config file naming one fails at load
+    # rather than being recorded as if it had been used.
+    @pytest.mark.parametrize("data, key", [
+        ({"dataset_root": "corpus"}, "dataset_root"),
+        ({"annotations": "spans.csv"}, "annotations"),
+        ({"subjects_file": "subjects.csv"}, "subjects_file"),
+        ({"jobs": 4}, "jobs"),
+        ({"stream": {"mode": "realtime"}}, "mode"),
+    ], ids=["dataset_root", "annotations", "subjects_file", "jobs", "mode"])
+    def test_flag_only_keys_rejected(self, tmp_path, data, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+    @pytest.mark.parametrize("section", [
+        {"adxl345_bits": 12},
+        {"mma8451q_range_g": 0.0},
+    ])
+    def test_unrunnable_calibration_rejected(self, tmp_path, section):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"calibration": section}))
+        with pytest.raises(ConfigError, match="invalid calibration section"):
+            load_config(p)
+
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
         p = tmp_path / "resolved.json"

@@ -25,7 +25,6 @@ from fallsense.kan import (
     cross_validate,
     fit,
     fit_records,
-    kan_eval,
     kan_eval_batch,
     load_checkpoint,
     predict_segment,
@@ -120,7 +119,7 @@ class TestEval:
         model.outer_values[...] = 0.0
         rng = np.random.default_rng(1)
         for _ in range(10):
-            assert kan_eval(model, rng.normal(size=D)) == 0.0
+            assert KanKernel(model).eval(rng.normal(size=D).tolist()) == 0.0
 
     def test_additive_construction_recovered(self):
         # Phi_j identity on its grid, phi_ij encoding g_i(x_i)/(2d+1):
@@ -142,42 +141,40 @@ class TestEval:
         for _ in range(30):
             x = rng.choice(inner_grid, size=D)
             want = sum(f(x[i]) for i, f in enumerate(funcs))
-            assert kan_eval(model, x) == pytest.approx(want, abs=1e-9)
+            assert KanKernel(model).eval(x.tolist()) == pytest.approx(
+                want, abs=1e-9)
 
     def test_perturbation_locality(self):
         model, _ = training_style_model()
         x_inside = np.zeros(D)  # brackets the middle inner segment
-        y0 = kan_eval(model, x_inside)
+        y0 = KanKernel(model).eval(x_inside.tolist())
         # perturb an inner node NOT bracketed by x (the far-left node;
         # x=0 sits in the middle of the 4-node grid)
         model2 = model.copy()
         model2.inner_values[0, :, 0] += 10.0
-        assert kan_eval(model2, x_inside) == y0
+        assert KanKernel(model2).eval(x_inside.tolist()) == y0
         # but an x clamped at the left edge is affected
-        x_left = np.full(D, -99.0)
-        assert kan_eval(model2, x_left) != kan_eval(model, x_left)
+        x_left = [-99.0] * D
+        assert KanKernel(model2).eval(x_left) != KanKernel(model).eval(x_left)
 
     def test_batch_matches_scalar(self):
         model, xs = training_style_model()
         batch = kan_eval_batch(model, xs[:50])
-        single = [kan_eval(model, x) for x in xs[:50]]
+        single = [KanKernel(model).eval(x.tolist()) for x in xs[:50]]
         assert np.allclose(batch, single, atol=1e-12)
 
     def test_clamp_totality(self):
         model, _ = training_style_model()
         for x in (np.full(D, 1e12), np.full(D, -1e12), np.zeros(D)):
-            assert np.isfinite(kan_eval(model, x))
-
-    def test_dimension_mismatch(self):
-        model, _ = training_style_model()
-        with pytest.raises(KanError):
-            kan_eval(model, np.zeros(D + 1))
+            assert np.isfinite(KanKernel(model).eval(x.tolist()))
 
 
 def updated_copy(model, x, y):
     """The model after one Kaczmarz step; the original is left as is."""
     updated = model.copy()
-    info = kan._update_inplace(updated, x, y, model.config.mu)
+    kernel = KanKernel(updated)
+    info = kernel.update(x.tolist(), y, model.config.mu)
+    kernel.store(updated)
     return updated, info
 
 
@@ -185,7 +182,7 @@ class TestKaczmarz:
     def test_zero_residual_no_change(self):
         model, _ = training_style_model()
         x = np.zeros(D)
-        y = kan_eval(model, x)
+        y = KanKernel(model).eval(x.tolist())
         updated, info = updated_copy(model, x, y)
         assert info.residual == 0.0
         assert np.array_equal(updated.inner_values, model.inner_values)
@@ -199,9 +196,9 @@ class TestKaczmarz:
         model.outer_values[...] = 3.0
         x = np.random.default_rng(4).normal(size=D)
         y = 150.0
-        r0 = y - kan_eval(model, x)
+        r0 = y - KanKernel(model).eval(x.tolist())
         updated, _ = updated_copy(model, x, y)
-        r1 = y - kan_eval(updated, x)
+        r1 = y - KanKernel(updated).eval(x.tolist())
         mu = model.config.mu
         assert r1 == pytest.approx((1.0 - mu) * r0, abs=1e-9 * abs(r0))
 
@@ -210,10 +207,10 @@ class TestKaczmarz:
         rng = np.random.default_rng(7)
         x = xs[3]
         y = float(rng.uniform(0, 700))
-        m = model.copy()
+        kernel = KanKernel(model)
         for _ in range(500):
-            kan._update_inplace(m, x, y, m.config.mu)
-        assert abs(y - kan_eval(m, x)) < 1e-6
+            kernel.update(x.tolist(), y, model.config.mu)
+        assert abs(y - kernel.eval(x.tolist())) < 1e-6
 
     def test_update_support_is_sparse(self):
         model, xs = training_style_model(seed=8)
@@ -248,9 +245,9 @@ class TestKaczmarz:
                 for which, want in ((ok[j], 1 - ot[j]), (ok[j] + 1, ot[j])):
                     orig = model.outer_values[j, which]
                     model.outer_values[j, which] = orig + eps
-                    yp = kan_eval(model, x)
+                    yp = KanKernel(model).eval(x.tolist())
                     model.outer_values[j, which] = orig - eps
-                    ym = kan_eval(model, x)
+                    ym = KanKernel(model).eval(x.tolist())
                     model.outer_values[j, which] = orig
                     num = (yp - ym) / (2 * eps)
                     assert num == pytest.approx(want, rel=1e-6, abs=1e-9)
@@ -260,9 +257,9 @@ class TestKaczmarz:
                     want = slopes[j] * (1 - it[i])
                     orig = model.inner_values[i, j, ik[i]]
                     model.inner_values[i, j, ik[i]] = orig + eps
-                    yp = kan_eval(model, x)
+                    yp = KanKernel(model).eval(x.tolist())
                     model.inner_values[i, j, ik[i]] = orig - eps
-                    ym = kan_eval(model, x)
+                    ym = KanKernel(model).eval(x.tolist())
                     model.inner_values[i, j, ik[i]] = orig
                     num = (yp - ym) / (2 * eps)
                     assert num == pytest.approx(want, rel=1e-5, abs=1e-7)
@@ -539,8 +536,8 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(loaded.inner_values, model.inner_values)
         assert np.array_equal(loaded.outer_values, model.outer_values)
         assert np.array_equal(loaded.outer_grids, model.outer_grids)
-        x = np.random.default_rng(0).normal(size=D)
-        assert kan_eval(loaded, x) == kan_eval(model, x)
+        x = np.random.default_rng(0).normal(size=D).tolist()
+        assert KanKernel(loaded).eval(x) == KanKernel(model).eval(x)
 
     def test_wrong_kind_rejected(self, tmp_path):
         from fallsense import checkpoint as ck
@@ -823,7 +820,6 @@ class TestKernelMatchesNumpyReference:
         for row in rows:
             x = np.array(row)
             assert same_float(kernel.eval(row), ref_kan_eval(model, x))
-            assert same_float(kan_eval(model, x), ref_kan_eval(model, x))
             got = kernel.eval_with_gradient(row)
             want = ref_eval_with_gradient(model, x)
             assert same_float(got[0], want[0])

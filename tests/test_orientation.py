@@ -17,12 +17,16 @@ from fallsense.orientation import (
     predict_step,
     quat_from_rotvec,
     quat_to_matrix,
-    tilt_angle,
     tilt_angles,
     update_step,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _tilt(q) -> float:
+    """Tilt of one quaternion, as a one-row series."""
+    return float(tilt_angles(np.asarray(q)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,7 @@ class TestUpdate:
         for _ in range(400):
             s = predict_step(s, np.zeros(3), 0.005)
             s = update_step(s, a)
-        assert abs(math.degrees(tilt_angle(s.q)) - 30.0) < 0.5
+        assert abs(math.degrees(_tilt(s.q)) - 30.0) < 0.5
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(3)
@@ -283,31 +287,31 @@ class TestEstimateOrientation:
 
 class TestTiltAngle:
     def test_identity_is_zero(self):
-        assert tilt_angle(IDENTITY) == 0.0
+        assert _tilt(IDENTITY) == 0.0
 
     def test_quarter_turn_about_x(self):
         q = quat_from_rotvec(np.array([math.pi / 2, 0, 0]))
-        assert tilt_angle(q) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert _tilt(q) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_sign_symmetry(self):
         q = quat_from_rotvec(np.array([0.3, -0.2, 0.9]))
-        assert tilt_angle(q) == pytest.approx(tilt_angle(-q))
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(OrientationError):
-            tilt_angle(np.array([1.0, 0.0, 0.0, 0.1]))
+        assert _tilt(q) == pytest.approx(_tilt(-q))
 
     def test_batch_matches_scalar(self):
+        # The angle between R(q) u and the world up: acos((R(q) u)_z), for
+        # the default u = e_z and an oblique mounting.
         rng = np.random.default_rng(5)
-        quats = []
-        for _ in range(50):
-            v = rng.normal(size=3)
-            quats.append(quat_from_rotvec(v))
-        quats = np.array(quats)
-        batch = tilt_angles(quats)
-        single = [tilt_angle(q) for q in quats]
-        assert np.allclose(batch, single)
-        assert np.all(batch >= 0) and np.all(batch <= math.pi)
+        quats = np.array([quat_from_rotvec(rng.normal(size=3))
+                          for _ in range(50)])
+        for body_up in (None, (0.3, -0.8, 0.5)):
+            u = np.array(body_up or (0.0, 0.0, 1.0))
+            u = u / np.linalg.norm(u)
+            want = [math.acos(min(1.0, max(-1.0,
+                                           (quat_to_matrix(q) @ u)[2])))
+                    for q in quats]
+            batch = tilt_angles(quats, body_up)
+            assert np.allclose(batch, want)
+            assert np.all(batch >= 0) and np.all(batch <= math.pi)
 
 
 class TestAngularDerivative:

@@ -10,9 +10,7 @@ from fallsense.sisfall import (
     TrialId,
     TrialParseError,
     annotate_trial,
-    calibrate,
     calibrate_trial,
-    import_annotations,
     load_subjects,
     parse_trial_file,
     parse_trial_filename,
@@ -71,38 +69,47 @@ class TestParseTrialFile:
 
 class TestCalibrate:
     def test_zero_counts_map_to_zero(self):
-        s = calibrate(np.zeros(9, dtype=int))
+        s = calibrate_trial(np.zeros((1, 9), dtype=int))
         assert np.all(s.accel_adxl345 == 0)
         assert np.all(s.gyro_itg3200 == 0)
         assert np.all(s.accel_mma8451q == 0)
 
     def test_adxl345_scale(self):
         # +/-16 g at 13 bits: 256 counts = 1 g
-        s = calibrate(np.array([256, 0, 0, 0, 0, 0, 0, 0, 0]))
-        assert s.accel_adxl345[0] == pytest.approx(1.0)
+        s = calibrate_trial(np.array([[256, 0, 0, 0, 0, 0, 0, 0, 0]]))
+        assert s.accel_adxl345[0, 0] == pytest.approx(1.0)
 
     def test_itg3200_scale(self):
         # +/-2000 deg/s at 16 bits: 16384 counts = 1000 deg/s
-        s = calibrate(np.array([0, 0, 0, 16384, 0, 0, 0, 0, 0]))
-        assert s.gyro_itg3200[0] == pytest.approx(1000.0)
+        s = calibrate_trial(np.array([[0, 0, 0, 16384, 0, 0, 0, 0, 0]]))
+        assert s.gyro_itg3200[0, 0] == pytest.approx(1000.0)
 
     def test_time_from_index(self):
-        assert calibrate(np.zeros(9, dtype=int), index=7).t == pytest.approx(
-            7 / 200.0)
+        s = calibrate_trial(np.zeros((8, 9), dtype=int))
+        assert s.t[7] == pytest.approx(7 / 200.0)
 
     def test_linear_in_counts(self):
-        r = np.array([100, -50, 3, 1000, -200, 7, 40, -40, 11])
-        a = calibrate(r)
-        b = calibrate(2 * r)
+        r = np.array([[100, -50, 3, 1000, -200, 7, 40, -40, 11]])
+        a = calibrate_trial(r)
+        b = calibrate_trial(2 * r)
         assert np.allclose(b.accel_adxl345, 2 * a.accel_adxl345)
         assert np.allclose(b.gyro_itg3200, 2 * a.gyro_itg3200)
         assert np.allclose(b.accel_mma8451q, 2 * a.accel_mma8451q)
 
     def test_out_of_range_counts(self):
-        bad = np.zeros(9, dtype=int)
-        bad[0] = 5000  # beyond signed 13-bit
-        with pytest.raises(CalibrationError):
-            calibrate(bad)
+        bad = np.zeros((3, 9), dtype=int)
+        bad[1, 0] = 5000  # beyond signed 13-bit
+        with pytest.raises(CalibrationError, match="ADXL345"):
+            calibrate_trial(bad)
+
+    @pytest.mark.parametrize("column, sensor", [
+        (1, "ADXL345"), (4, "ITG3200"), (8, "MMA8451Q")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts(self, column, sensor, bad):
+        records = np.zeros((5, 9))
+        records[2, column] = bad
+        with pytest.raises(CalibrationError, match=f"{sensor}: non-finite"):
+            calibrate_trial(records)
 
     def test_parse_then_calibrate_preserves_count(self):
         rows = np.arange(600 * 9).reshape(600, 9) % 64
@@ -188,7 +195,8 @@ class TestAnnotations:
     def test_import_annotations(self, tmp_path):
         p = tmp_path / "ann.csv"
         p.write_text("trial_id,start_index,end_index\nF01_SA01_R01,5,9\n")
-        annotated = import_annotations(p, _trial(n=20))
+        spans = read_annotation_spans(p)
+        annotated = annotate_trial(_trial(n=20), spans.get("F01_SA01_R01"))
         assert annotated.fall_span() == (5, 9)
         assert len(annotated.labels) == 20
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -251,6 +252,28 @@ class TestStreamTrial:
         fdnn_mod.save_checkpoint(bad_path, bad, cfg, stats)
         with pytest.raises(CheckpointError, match="fc2_w has shape"):
             stream_trial(bad_path, kan_path, pairs[0][0].trial, subject)
+
+    @pytest.mark.parametrize("kan_gating", [True, False],
+                             ids=["gated", "ungated"])
+    @pytest.mark.parametrize("sensor, attr", [
+        ("ADXL345", "accel_adxl345"), ("ITG3200", "gyro_itg3200"),
+        ("MMA8451Q", "accel_mma8451q")])
+    def test_non_finite_sample_rejected(self, trained, subject, monkeypatch,
+                                        sensor, attr, kan_gating):
+        # refused before the first detector step, so no event is emitted
+        fdnn_path, kan_path, pairs, *_ = trained
+        trial = pairs[0][0].trial
+        values = getattr(trial, attr).copy()
+        values[300, 1] = np.nan
+        bad = dataclasses.replace(trial, **{attr: values})
+        steps = []
+        monkeypatch.setattr(FdnnStream, "step",
+                            lambda self, x: steps.append(x))
+        with pytest.raises(StreamError,
+                           match=f"{sensor}: non-finite sample at index 300"):
+            stream_trial(fdnn_path, kan_path, bad, subject,
+                         kan_gating=kan_gating)
+        assert steps == []
 
     def test_events_csv(self, trained, subject, tmp_path):
         fdnn_path, kan_path, pairs, *_ = trained
