@@ -16,7 +16,7 @@ import numpy as np
 
 from .fdnn import FdnnConfig
 from .kan import KanConfig
-from .orientation import FilterConfig
+from .orientation import FilterConfig, unit_body_up
 from .sisfall import CalibrationSpec, SensorSpec
 
 
@@ -58,6 +58,12 @@ class OrientationConfig:
 
     def __post_init__(self):
         self.filter_config()    # a filter that cannot run fails at load
+        unit_body_up(self.body_up)          # as does a tilt that cannot
+        if (not isinstance(self.deriv_order, int)
+                or isinstance(self.deriv_order, bool)
+                or self.deriv_order not in (1, 2)):
+            raise ConfigError(
+                f"deriv_order must be 1 or 2, got {self.deriv_order!r}")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(

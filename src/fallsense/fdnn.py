@@ -13,7 +13,9 @@ moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
 with one row per sequence, so a single-sequence batch reproduces the
-stream bit for bit.  Train mode keeps the layers apart for BPTT.
+stream bit for bit.  Train mode runs each layer over the whole
+(time-major) sequence before the next, LSTMs as ``_lstm_scan``s, and BPTT
+runs those scans backwards with only the recurrence in the loop.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def init_params(config: FdnnConfig, seed: int | None = None) -> FdnnParams:
 
 
 # ---------------------------------------------------------------------------
-# Primitive steps (shared by batch forward and streaming)
+# Primitives
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -154,26 +156,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-              wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
-              hidden: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM cell step on a (B, in) slab.  Gate order: i, f, g, o."""
-    gates = x @ wx + h @ wh + b
-    # One sigmoid over the whole slab, then tanh over the g block.
-    act = _sigmoid(gates)
-    act[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    i = act[:, 0:hidden]
-    f = act[:, hidden:2 * hidden]
-    g = act[:, 2 * hidden:3 * hidden]
-    o = act[:, 3 * hidden:4 * hidden]
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    cache = {"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "g": g,
-             "o": o, "c": c_new, "tanh_c": tanh_c}
-    return h_new, c_new, cache
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -278,10 +260,35 @@ def _concat_inputs(config: FdnnConfig, static: np.ndarray,
     if config.static_dim + dd != config.input_dim:
         raise FdnnError(
             f"input width {config.static_dim}+{dd} != {config.input_dim}")
-    x = np.empty((b, t, config.input_dim))
-    x[:, :, :config.static_dim] = static[:, None, :]
-    x[:, :, config.static_dim:] = sequence
+    x = np.empty((t, b, config.input_dim))       # time-major
+    x[:, :, :config.static_dim] = static
+    x[:, :, config.static_dim:] = sequence.transpose(1, 0, 2)
     return x
+
+
+def _lstm_scan(xw: np.ndarray, wh: np.ndarray):
+    """One LSTM layer over a whole sequence.  Gate order: i, f, g, o.
+
+    xw: (T, B, 4H) input projections, bias included; the gate activations
+    overwrite it.  Returns the stacked h and c, (T+1, B, H) with row 0 the
+    zero initial state, the activations (T, B, 4H) and tanh(c) (T, B, H).
+    """
+    t, b, four_h = xw.shape
+    hd = four_h // 4
+    h = np.zeros((t + 1, b, hd))
+    c = np.zeros((t + 1, b, hd))
+    tanh_c = np.empty((t, b, hd))
+    i, f, g, o = xw.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
+    for k in range(t):
+        z = h[k] @ wh + xw[k]
+        # One sigmoid over the whole slab, then tanh over the g block.
+        xw[k] = _sigmoid(z)
+        np.tanh(z[:, 2 * hd:3 * hd], out=g[k])
+        np.multiply(f[k], c[k], out=c[k + 1])
+        c[k + 1] += i[k] * g[k]
+        np.tanh(c[k + 1], out=tanh_c[k])
+        np.multiply(o[k], tanh_c[k], out=h[k + 1])
+    return h, c, xw, tanh_c
 
 
 def forward(
@@ -305,7 +312,7 @@ def forward(
     if mode not in ("train", "infer"):
         raise FdnnError(f"unknown mode {mode!r}")
     x = _concat_inputs(config, static, sequence)
-    b, t, _ = x.shape
+    t, b, _ = x.shape
     if mask is None:
         mask = np.ones((b, t), dtype=bool)
     else:
@@ -319,78 +326,54 @@ def forward(
         step_fn = InferStep(params, config, rows=b)
         logits = np.empty((b, t, config.classes))
         for step in range(t):
-            logits[:, step, :] = step_fn(x[:, step, :])
+            logits[:, step, :] = step_fn(x[step])
         probs = softmax_rows(logits)
         if not np.all(np.isfinite(probs)):
             raise FdnnError("non-finite activations in forward pass")
         return probs
 
-    # Layer 1: fully connected.
-    a1 = np.empty((b, t, config.fc1_units))
-    for step in range(t):
-        a1[:, step, :] = x[:, step, :] @ params.fc1_w + params.fc1_b
-
-    # Layer 2: batch norm over unmasked (batch x time) positions.
-    valid = a1[mask]
+    # Layer 1, fully connected, and layer 2, batch norm over the unmasked
+    # (time x batch) positions; fc1's output becomes xhat in place.
+    xhat = x @ params.fc1_w + params.fc1_b
+    valid = xhat[mask.T]
     mu = valid.mean(axis=0)
     var = valid.var(axis=0)
     inv = 1.0 / np.sqrt(var + config.bn_eps)
-    xhat = (a1 - mu) * inv
-    y_bn = params.bn_gamma * xhat + params.bn_beta
-    bn_cache = {"xhat": xhat, "inv": inv, "mu": mu, "var": var,
-                "n_valid": valid.shape[0]}
+    xhat -= mu
+    xhat *= inv
     m = config.bn_momentum
     params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
     params.bn_var[:] = m * params.bn_var + (1 - m) * var
 
-    # Dropout layers 3, 5, 7 (inverted scaling).
+    # Dropout layers 3, 5, 7 (inverted scaling), drawn batch-major and
+    # applied time-major.
     h = config.inner_dim
     keep = 1.0 - config.dropout_rate
-    drop_masks: list[np.ndarray | None] = [None, None, None]
+    drop: list[np.ndarray | None] = [None, None, None]
     if config.dropout_rate > 0.0:
         if rng is None:
             raise FdnnError("train mode with dropout needs an rng")
-        drop_masks = [
-            (rng.random((b, t, config.fc1_units)) < keep) / keep,
-            (rng.random((b, t, h)) < keep) / keep,
-            (rng.random((b, t, h)) < keep) / keep,
-        ]
+        drop = [((rng.random((b, t, width)) < keep) / keep).transpose(1, 0, 2)
+                for width in (config.fc1_units, h, h)]
 
-    d1 = y_bn * drop_masks[0] if drop_masks[0] is not None else y_bn
-
-    h1 = np.zeros((b, h))
-    c1 = np.zeros((b, h))
-    h2 = np.zeros((b, h))
-    c2 = np.zeros((b, h))
-    lstm1_caches: list[dict] = []
-    lstm2_caches: list[dict] = []
-    logits = np.empty((b, t, config.classes))
-    for step in range(t):
-        h1, c1, cache1 = lstm_step(
-            d1[:, step, :], h1, c1,
-            params.lstm1_wx, params.lstm1_wh, params.lstm1_b, h)
-        lstm1_caches.append(cache1)
-        z1 = h1 * drop_masks[1][:, step, :] if drop_masks[1] is not None else h1
-        h2, c2, cache2 = lstm_step(
-            z1, h2, c2,
-            params.lstm2_wx, params.lstm2_wh, params.lstm2_b, h)
-        lstm2_caches.append(cache2)
-        z2 = h2 * drop_masks[2][:, step, :] if drop_masks[2] is not None else h2
-        logits[:, step, :] = z2 @ params.fc2_w + params.fc2_b
-        lstm2_caches[-1]["z2"] = z2
-
-    probs = softmax_rows(logits)
+    z = params.bn_gamma * xhat + params.bn_beta
+    if drop[0] is not None:
+        z *= drop[0]
+    layers = []         # per LSTM layer, what BPTT reads
+    for wx, wh, bias, out_mask in (
+            (params.lstm1_wx, params.lstm1_wh, params.lstm1_b, drop[1]),
+            (params.lstm2_wx, params.lstm2_wh, params.lstm2_b, drop[2])):
+        scan = _lstm_scan(z @ wx + bias, wh)
+        layers.append((z, scan, wx, wh))
+        z = scan[0][1:] if out_mask is None else scan[0][1:] * out_mask
+    probs = softmax_rows(z @ params.fc2_w + params.fc2_b)
     if not np.all(np.isfinite(probs)):
         raise FdnnError("non-finite activations in forward pass")
     if not want_cache:
-        return probs
-    cache = {
-        "x": x, "a1": a1, "bn": bn_cache, "y_bn": y_bn,
-        "drop_masks": drop_masks, "d1": d1,
-        "lstm1": lstm1_caches, "lstm2": lstm2_caches,
-        "probs": probs, "mask": mask,
-    }
-    return probs, cache
+        return probs.transpose(1, 0, 2)
+    cache = {"x": x, "mask": mask, "xhat": xhat, "inv": inv, "drop": drop,
+             "layers": layers, "z2": z, "probs": probs}
+    return probs.transpose(1, 0, 2), cache
 
 
 def predict_trace(params: FdnnParams, config: FdnnConfig,
@@ -407,38 +390,35 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 # Loss and gradients (backpropagation through time)
 # ---------------------------------------------------------------------------
 
-def _lstm_backward(caches: list[dict], d_out: np.ndarray,
-                   wx: np.ndarray, wh: np.ndarray,
-                   hidden: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """BPTT through one LSTM layer.  d_out: (B, T, H) upstream grads."""
-    b, t, _ = d_out.shape
-    dx = np.empty((b, t, wx.shape[0]))
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * hidden)
-    dh_next = np.zeros((b, hidden))
-    dc_next = np.zeros((b, hidden))
-    for step in range(t - 1, -1, -1):
-        cc = caches[step]
-        dh = d_out[:, step, :] + dh_next
-        dc = dc_next + dh * cc["o"] * (1.0 - cc["tanh_c"] ** 2)
-        do = dh * cc["tanh_c"]
-        di = dc * cc["g"]
-        dg = dc * cc["i"]
-        df = dc * cc["c_prev"]
-        dc_next = dc * cc["f"]
-        dgates = np.concatenate([
-            di * cc["i"] * (1 - cc["i"]),
-            df * cc["f"] * (1 - cc["f"]),
-            dg * (1 - cc["g"] ** 2),
-            do * cc["o"] * (1 - cc["o"]),
-        ], axis=1)
-        dwx += cc["x"].T @ dgates
-        dwh += cc["h_prev"].T @ dgates
-        db += dgates.sum(axis=0)
-        dx[:, step, :] = dgates @ wx.T
-        dh_next = dgates @ wh.T
-    return dx, {"wx": dwx, "wh": dwh, "b": db}
+def _lstm_scan_backward(d_out: np.ndarray, x: np.ndarray, scan: tuple,
+                        wx: np.ndarray, wh: np.ndarray):
+    """BPTT through one ``_lstm_scan``.  d_out: (T, B, H) gradient reaching
+    each step's h from above; x: the layer's (T, B, in) input.  Returns
+    dx, dwx, dwh and db."""
+    h, c, act, tanh_c = scan
+    t, b, hd = tanh_c.shape
+    i, f, g, o = act.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
+    # Every factor that does not depend on the recurrence, for all T at
+    # once; the loop scales the i, f, g blocks by dc and the o block by dh.
+    dgates = np.empty((t, b, 4, hd))
+    dgates[:, :, 0] = g * i * (1 - i)
+    dgates[:, :, 1] = c[:-1] * f * (1 - f)
+    dgates[:, :, 2] = i * (1 - g * g)
+    dgates[:, :, 3] = tanh_c * o * (1 - o)
+    to_c = o * (1 - tanh_c * tanh_c)
+    flat = dgates.reshape(t, b, 4 * hd)
+    dh = np.zeros((b, hd))
+    dc = np.zeros((b, hd))
+    for k in range(t - 1, -1, -1):
+        dh += d_out[k]
+        dc += dh * to_c[k]
+        dgates[k, :, :3] *= dc[:, None, :]
+        dgates[k, :, 3] *= dh
+        dc *= f[k]
+        np.dot(flat[k], wh.T, out=dh)
+    sum_tb = ([0, 1], [0, 1])
+    return (flat @ wx.T, np.tensordot(x, flat, sum_tb),
+            np.tensordot(h[:-1], flat, sum_tb), flat.sum(axis=(0, 1)))
 
 
 def loss_and_gradients(
@@ -461,75 +441,53 @@ def loss_and_gradients(
     probs, cache = forward(params, config, static, sequence, mode="train",
                            mask=mask, rng=rng, want_cache=True)
     mask = cache["mask"]
-    b, t, c = probs.shape
+    b, t, _ = probs.shape
     if labels.shape != (b, t):
         raise FdnnError(f"labels shape {labels.shape} != {(b, t)}")
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise FdnnError("batch has no unmasked steps")
 
-    p_true = probs[np.arange(b)[:, None], np.arange(t)[None, :], labels]
+    rows, steps = np.arange(b)[:, None], np.arange(t)[None, :]
+    p_true = probs[rows, steps, labels]
     logp = np.log(np.maximum(p_true, 1e-300))
     loss = float(-(logp * mask).sum() / n_valid)
 
-    dlogits = probs.copy()
-    dlogits[np.arange(b)[:, None], np.arange(t)[None, :], labels] -= 1.0
+    # Everything below is time-major, (T, B, .).
+    mask = mask.T
+    dlogits = cache["probs"].copy()
+    dlogits.transpose(1, 0, 2)[rows, steps, labels] -= 1.0
     dlogits /= n_valid
     dlogits[~mask] = 0.0
 
     grads: dict[str, np.ndarray] = {}
-    h = config.inner_dim
-    drop = cache["drop_masks"]
-
-    # FC2 (per step to mirror the forward structure).
-    dz2 = np.empty((b, t, h))
-    dfc2_w = np.zeros_like(params.fc2_w)
-    dfc2_b = np.zeros_like(params.fc2_b)
-    for step in range(t):
-        z2 = cache["lstm2"][step]["z2"]
-        dfc2_w += z2.T @ dlogits[:, step, :]
-        dfc2_b += dlogits[:, step, :].sum(axis=0)
-        dz2[:, step, :] = dlogits[:, step, :] @ params.fc2_w.T
-    grads["fc2_w"], grads["fc2_b"] = dfc2_w, dfc2_b
-
-    dh2 = dz2 * drop[2] if drop[2] is not None else dz2
-    dz1, lstm2_grads = _lstm_backward(
-        cache["lstm2"], dh2, params.lstm2_wx, params.lstm2_wh, h)
-    grads["lstm2_wx"] = lstm2_grads["wx"]
-    grads["lstm2_wh"] = lstm2_grads["wh"]
-    grads["lstm2_b"] = lstm2_grads["b"]
-
-    dh1 = dz1 * drop[1] if drop[1] is not None else dz1
-    dd1, lstm1_grads = _lstm_backward(
-        cache["lstm1"], dh1, params.lstm1_wx, params.lstm1_wh, h)
-    grads["lstm1_wx"] = lstm1_grads["wx"]
-    grads["lstm1_wh"] = lstm1_grads["wh"]
-    grads["lstm1_b"] = lstm1_grads["b"]
-
-    dy_bn = dd1 * drop[0] if drop[0] is not None else dd1
+    sum_tb = ([0, 1], [0, 1])
+    drop = cache["drop"]
+    grads["fc2_w"] = np.tensordot(cache["z2"], dlogits, sum_tb)
+    grads["fc2_b"] = dlogits.sum(axis=(0, 1))
+    dz = dlogits @ params.fc2_w.T
+    for k in (2, 1):
+        if drop[k] is not None:
+            dz *= drop[k]
+        dz, *layer_grads = _lstm_scan_backward(dz, *cache["layers"][k - 1])
+        grads.update(zip((f"lstm{k}_wx", f"lstm{k}_wh", f"lstm{k}_b"),
+                         layer_grads))
+    if drop[0] is not None:
+        dz *= drop[0]
 
     # Batch norm backward over the unmasked positions only.
-    bn = cache["bn"]
-    xhat_v = bn["xhat"][mask]
-    dy_v = dy_bn[mask]
-    nv = bn["n_valid"]
+    xhat_v = cache["xhat"][mask]
+    dy_v = dz[mask]
     grads["bn_gamma"] = (dy_v * xhat_v).sum(axis=0)
     grads["bn_beta"] = dy_v.sum(axis=0)
     dxhat_v = dy_v * params.bn_gamma
-    da1_v = (bn["inv"] / nv) * (
-        nv * dxhat_v
+    da1 = np.zeros_like(dz)
+    da1[mask] = (cache["inv"] / n_valid) * (
+        n_valid * dxhat_v
         - dxhat_v.sum(axis=0)
         - xhat_v * (dxhat_v * xhat_v).sum(axis=0))
-    da1 = np.zeros_like(cache["a1"])
-    da1[mask] = da1_v
-
-    dfc1_w = np.zeros_like(params.fc1_w)
-    dfc1_b = np.zeros_like(params.fc1_b)
-    x = cache["x"]
-    for step in range(t):
-        dfc1_w += x[:, step, :].T @ da1[:, step, :]
-        dfc1_b += da1[:, step, :].sum(axis=0)
-    grads["fc1_w"], grads["fc1_b"] = dfc1_w, dfc1_b
+    grads["fc1_w"] = np.tensordot(cache["x"], da1, sum_tb)
+    grads["fc1_b"] = da1.sum(axis=(0, 1))
     return loss, grads
 
 

@@ -362,23 +362,26 @@ class FallSegment:
 def rolling_std_forward(values: np.ndarray, window: int) -> np.ndarray:
     """Population std over the forward-looking window [i, i+window).
 
-    Truncated (but never single-sample) windows at the tail.
+    Truncated windows at the tail; one of fewer than 2 samples gives inf.
+    Each window's mean, then its squared deviations from that mean, are
+    summed from its own samples, as ``kan.smooth_rows`` sums: no
+    cancellation against a running sum, and a non-finite sample reaches
+    only the windows that hold it.
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
-    out = np.empty(n)
-    c1 = np.concatenate([[0.0], np.cumsum(v)])
-    c2 = np.concatenate([[0.0], np.cumsum(v * v)])
-    for i in range(n):
-        j = min(n, i + window)
-        m = j - i
-        if m < 2:
-            out[i] = np.inf
-            continue
-        s1 = c1[j] - c1[i]
-        s2 = c2[j] - c2[i]
-        var = max(0.0, s2 / m - (s1 / m) ** 2)
-        out[i] = np.sqrt(var)
+    lags = range(min(window, n))
+    m = np.maximum(1, np.minimum(window, np.arange(n, 0, -1)))
+    mean = np.zeros(n)
+    for lag in lags:
+        mean[:n - lag] += v[lag:]
+    mean /= m
+    var = np.zeros(n)
+    for lag in lags:
+        d = v[lag:] - mean[:n - lag]
+        var[:n - lag] += d * d
+    out = np.sqrt(var / m)
+    out[m < 2] = np.inf
     return out
 
 

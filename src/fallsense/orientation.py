@@ -87,6 +87,19 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return np.array(_rotation(q)).reshape(3, 3)
 
 
+def unit_body_up(body_up) -> tuple[float, float, float]:
+    """The body-up axis scaled to unit length.  Raises OrientationError
+    unless it has 3 finite entries and a non-zero (finite) norm: any other
+    axis gives no tilt."""
+    u = np.asarray(body_up, dtype=float)
+    norm = math.hypot(*u.tolist()) if u.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf:
+        raise OrientationError(
+            f"body_up must be 3 finite numbers with a non-zero norm, "
+            f"got {body_up!r}")
+    return tuple((u / norm).tolist())
+
+
 def tilt_angles(quats: np.ndarray, body_up: np.ndarray | None = None) -> np.ndarray:
     """Tilt per row of an (N, 4) quaternion series: the angle in [0, pi]
     between the rotated body-up axis (default e_z) and the world up.
@@ -99,8 +112,7 @@ def tilt_angles(quats: np.ndarray, body_up: np.ndarray | None = None) -> np.ndar
     # component of R(q) @ u, which is R22 alone for the default u = e_z.
     cosang = 1 - 2 * (x * x + y * y)
     if body_up is not None:
-        u = np.asarray(body_up, dtype=float)
-        ux, uy, uz = (u / np.linalg.norm(u)).tolist()
+        ux, uy, uz = unit_body_up(body_up)
         cosang = (2 * (x * z - w * y) * ux + 2 * (y * z + w * x) * uy
                   + cosang * uz)
     return np.arccos(np.clip(cosang, -1.0, 1.0))

@@ -72,6 +72,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid orientation section"):
             load_config(p)
 
+    # Each makes every tilt NaN or cannot be computed; the derivative
+    # exists for orders 1 and 2 only.
+    @pytest.mark.parametrize("section", [
+        {"body_up": [0, 0, 0]},
+        {"body_up": [1, 2]},
+        {"body_up": [float("nan"), 0, 1]},
+        {"body_up": [0, float("inf"), 1]},
+        {"deriv_order": 3},
+        {"deriv_order": 0},
+        {"deriv_order": 1.5},
+    ])
+    def test_uncomputable_tilt_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid orientation section"):
+            load_config(None, overrides={"orientation": section})
+
+    def test_scaled_body_up_and_first_order_load(self):
+        cfg = load_config(None, overrides={
+            "orientation": {"body_up": [0, 0, 2], "deriv_order": 1}})
+        assert cfg.orientation.body_up == (0, 0, 2)
+        assert cfg.orientation.deriv_order == 1
+
     # Settings the CLI takes only as flags (--root, --annotations,
     # --subjects, --jobs, --mode): a config file naming one fails at load
     # rather than being recorded as if it had been used.

@@ -105,13 +105,163 @@ class TestForward:
         assert not np.array_equal(before, p.bn_mean)
 
 
+def _batch_inputs(static, seq):
+    """(B, T, input_dim): the static inputs repeated along time, then seq."""
+    t = seq.shape[1]
+    return np.concatenate([np.repeat(static[:, None, :], t, axis=1), seq],
+                          axis=2)
+
+
+def ref_lstm_step(x, h, c, wx, wh, b, hidden):
+    """One LSTM cell step on a (B, in) slab.  Gate order: i, f, g, o."""
+    gates = x @ wx + h @ wh + b
+    act = fdnn._sigmoid(gates)
+    act[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    i = act[:, 0:hidden]
+    f = act[:, hidden:2 * hidden]
+    g = act[:, 2 * hidden:3 * hidden]
+    o = act[:, 3 * hidden:4 * hidden]
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    h_new = o * tanh_c
+    cache = {"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "g": g,
+             "o": o, "c": c_new, "tanh_c": tanh_c}
+    return h_new, c_new, cache
+
+
+def ref_train_forward(params, config, static, seq, mask, rng):
+    """Train-mode forward stepped one time step at a time, batch-major,
+    with one cache dict per step and layer: the reference for the
+    layer-wise scans."""
+    x = _batch_inputs(static, seq)
+    b, t, _ = x.shape
+    a1 = np.empty((b, t, config.fc1_units))
+    for step in range(t):
+        a1[:, step, :] = x[:, step, :] @ params.fc1_w + params.fc1_b
+    valid = a1[mask]
+    mu, var = valid.mean(axis=0), valid.var(axis=0)
+    inv = 1.0 / np.sqrt(var + config.bn_eps)
+    xhat = (a1 - mu) * inv
+    y_bn = params.bn_gamma * xhat + params.bn_beta
+    m = config.bn_momentum
+    params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
+    params.bn_var[:] = m * params.bn_var + (1 - m) * var
+
+    h = config.inner_dim
+    keep = 1.0 - config.dropout_rate
+    drop = [None, None, None]
+    if config.dropout_rate > 0.0:
+        drop = [(rng.random((b, t, config.fc1_units)) < keep) / keep,
+                (rng.random((b, t, h)) < keep) / keep,
+                (rng.random((b, t, h)) < keep) / keep]
+    d1 = y_bn * drop[0] if drop[0] is not None else y_bn
+    h1 = c1 = h2 = c2 = np.zeros((b, h))
+    caches1, caches2 = [], []
+    logits = np.empty((b, t, config.classes))
+    for step in range(t):
+        h1, c1, cache1 = ref_lstm_step(
+            d1[:, step, :], h1, c1,
+            params.lstm1_wx, params.lstm1_wh, params.lstm1_b, h)
+        caches1.append(cache1)
+        z1 = h1 * drop[1][:, step, :] if drop[1] is not None else h1
+        h2, c2, cache2 = ref_lstm_step(
+            z1, h2, c2, params.lstm2_wx, params.lstm2_wh, params.lstm2_b, h)
+        caches2.append(cache2)
+        z2 = h2 * drop[2][:, step, :] if drop[2] is not None else h2
+        logits[:, step, :] = z2 @ params.fc2_w + params.fc2_b
+        cache2["z2"] = z2
+    cache = {"x": x, "xhat": xhat, "inv": inv, "n_valid": valid.shape[0],
+             "drop": drop, "lstm1": caches1, "lstm2": caches2}
+    return fdnn.softmax_rows(logits), cache
+
+
+def ref_lstm_backward(caches, d_out, wx, wh, hidden):
+    """BPTT through one LSTM layer, per step.  d_out: (B, T, H)."""
+    b, t, _ = d_out.shape
+    dx = np.empty((b, t, wx.shape[0]))
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros(4 * hidden)
+    dh_next = np.zeros((b, hidden))
+    dc_next = np.zeros((b, hidden))
+    for step in range(t - 1, -1, -1):
+        cc = caches[step]
+        dh = d_out[:, step, :] + dh_next
+        dc = dc_next + dh * cc["o"] * (1.0 - cc["tanh_c"] ** 2)
+        do = dh * cc["tanh_c"]
+        di = dc * cc["g"]
+        dg = dc * cc["i"]
+        df = dc * cc["c_prev"]
+        dc_next = dc * cc["f"]
+        dgates = np.concatenate([
+            di * cc["i"] * (1 - cc["i"]),
+            df * cc["f"] * (1 - cc["f"]),
+            dg * (1 - cc["g"] ** 2),
+            do * cc["o"] * (1 - cc["o"]),
+        ], axis=1)
+        dwx += cc["x"].T @ dgates
+        dwh += cc["h_prev"].T @ dgates
+        db += dgates.sum(axis=0)
+        dx[:, step, :] = dgates @ wx.T
+        dh_next = dgates @ wh.T
+    return dx, dwx, dwh, db
+
+
+def ref_loss_and_gradients(params, config, static, seq, labels, mask, rng):
+    """Loss and gradients of the per-step forward, fc1 and fc2 included."""
+    probs, cache = ref_train_forward(params, config, static, seq, mask, rng)
+    b, t, _ = probs.shape
+    n_valid = int(mask.sum())
+    rows, steps = np.arange(b)[:, None], np.arange(t)[None, :]
+    loss = float(-(np.log(np.maximum(probs[rows, steps, labels], 1e-300))
+                   * mask).sum() / n_valid)
+    dlogits = probs.copy()
+    dlogits[rows, steps, labels] -= 1.0
+    dlogits /= n_valid
+    dlogits[~mask] = 0.0
+
+    h = config.inner_dim
+    drop = cache["drop"]
+    grads = {"fc2_w": np.zeros_like(params.fc2_w),
+             "fc2_b": np.zeros_like(params.fc2_b)}
+    dz2 = np.empty((b, t, h))
+    for step in range(t):
+        z2 = cache["lstm2"][step]["z2"]
+        grads["fc2_w"] += z2.T @ dlogits[:, step, :]
+        grads["fc2_b"] += dlogits[:, step, :].sum(axis=0)
+        dz2[:, step, :] = dlogits[:, step, :] @ params.fc2_w.T
+    dh2 = dz2 * drop[2] if drop[2] is not None else dz2
+    dz1, grads["lstm2_wx"], grads["lstm2_wh"], grads["lstm2_b"] = \
+        ref_lstm_backward(cache["lstm2"], dh2, params.lstm2_wx,
+                          params.lstm2_wh, h)
+    dh1 = dz1 * drop[1] if drop[1] is not None else dz1
+    dd1, grads["lstm1_wx"], grads["lstm1_wh"], grads["lstm1_b"] = \
+        ref_lstm_backward(cache["lstm1"], dh1, params.lstm1_wx,
+                          params.lstm1_wh, h)
+    dy_bn = dd1 * drop[0] if drop[0] is not None else dd1
+
+    xhat_v = cache["xhat"][mask]
+    dy_v = dy_bn[mask]
+    nv = cache["n_valid"]
+    grads["bn_gamma"] = (dy_v * xhat_v).sum(axis=0)
+    grads["bn_beta"] = dy_v.sum(axis=0)
+    dxhat_v = dy_v * params.bn_gamma
+    da1 = np.zeros_like(cache["xhat"])
+    da1[mask] = (cache["inv"] / nv) * (
+        nv * dxhat_v - dxhat_v.sum(axis=0)
+        - xhat_v * (dxhat_v * xhat_v).sum(axis=0))
+    grads["fc1_w"] = np.zeros_like(params.fc1_w)
+    grads["fc1_b"] = np.zeros_like(params.fc1_b)
+    for step in range(t):
+        grads["fc1_w"] += cache["x"][:, step, :].T @ da1[:, step, :]
+        grads["fc1_b"] += da1[:, step, :].sum(axis=0)
+    return loss, grads
+
+
 def _unfolded_infer(params, config, static, seq):
     """The unfolded infer forward, the reference for ``InferStep``: per
-    step fc1 -> frozen batch norm -> lstm_step x2 -> fc2 -> softmax_rows.
-    Also returns the largest |gate pre-activation| it saw."""
+    step fc1 -> frozen batch norm -> ref_lstm_step x2 -> fc2 ->
+    softmax_rows.  Also returns the largest |gate pre-activation| it saw."""
     b, t, _ = seq.shape
-    x = np.concatenate([np.repeat(static[:, None, :], t, axis=1), seq],
-                       axis=2)
+    x = _batch_inputs(static, seq)
     h = config.inner_dim
     scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
     h1 = c1 = h2 = c2 = np.zeros((b, h))
@@ -122,12 +272,12 @@ def _unfolded_infer(params, config, static, seq):
         y = (a1 - params.bn_mean) * scale + params.bn_beta
         widest = max(widest, np.abs(
             y @ params.lstm1_wx + h1 @ params.lstm1_wh + params.lstm1_b).max())
-        h1, c1, _ = fdnn.lstm_step(y, h1, c1, params.lstm1_wx,
-                                   params.lstm1_wh, params.lstm1_b, h)
+        h1, c1, _ = ref_lstm_step(y, h1, c1, params.lstm1_wx,
+                                  params.lstm1_wh, params.lstm1_b, h)
         widest = max(widest, np.abs(
             h1 @ params.lstm2_wx + h2 @ params.lstm2_wh + params.lstm2_b).max())
-        h2, c2, _ = fdnn.lstm_step(h1, h2, c2, params.lstm2_wx,
-                                   params.lstm2_wh, params.lstm2_b, h)
+        h2, c2, _ = ref_lstm_step(h1, h2, c2, params.lstm2_wx,
+                                  params.lstm2_wh, params.lstm2_b, h)
         probs[:, k, :] = fdnn.softmax_rows(h2 @ params.fc2_w + params.fc2_b)
     return probs, widest
 
@@ -347,6 +497,52 @@ class TestGradients:
         for name in fdnn.TRAINABLE_FIELDS:
             # identical up to reduction-order rounding
             assert np.abs(g_plain[name] - g_padded[name]).max() < 1e-12
+
+
+@st.composite
+def train_cases(draw):
+    d = draw(st.integers(3, 8))
+    config = FdnnConfig(
+        input_dim=d, static_dim=draw(st.integers(1, d - 1)),
+        inner_dim=draw(st.integers(1, 6)), fc1_units=draw(st.integers(1, 6)),
+        classes=draw(st.sampled_from([2, 3])),
+        dropout_rate=draw(st.sampled_from([0.0, 0.3, 0.5])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    params = _gated_model(rng, config, draw(st.floats(0.1, 5.0)))
+    b, t = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    static = rng.normal(size=(b, config.static_dim))
+    seq = rng.normal(size=(b, t, d - config.static_dim))
+    labels = rng.integers(0, config.classes, size=(b, t))
+    mask = rng.random((b, t)) < 0.7
+    mask[np.arange(b), rng.integers(0, t, size=b)] = True
+    return params, config, (static, seq, labels, mask), seed
+
+
+class TestScansMatchPerStepReference:
+    """The layer-wise scans compute what the per-step code above did, with
+    the same dropout draws, up to summation-order rounding."""
+
+    @given(train_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_loss_gradients_and_running_moments(self, case):
+        params, config, batch, seed = case
+        ref_params = params.copy()
+        loss, grads = loss_and_gradients(
+            params, config, *batch, rng=np.random.default_rng(seed))
+        want_loss, want = ref_loss_and_gradients(
+            ref_params, config, *batch, np.random.default_rng(seed))
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert set(grads) == set(want) == set(fdnn.TRAINABLE_FIELDS)
+        # One scale for all tensors: fc1_b's gradient is zero in theory
+        # under batch norm, so its own scale is rounding noise.
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert grads[name].shape == g.shape
+            assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+        for name in ("bn_mean", "bn_var"):
+            assert np.abs(getattr(params, name)
+                          - getattr(ref_params, name)).max() <= 1e-12
 
 
 def separable_set(n=10, T=40, seed=0):

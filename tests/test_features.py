@@ -275,6 +275,96 @@ class TestTtiTargets:
         assert np.all(t % 5.0 == 0)
 
 
+def ref_rolling_std_forward(values, window):
+    """The per-sample loop over one running cumsum that
+    ``rolling_std_forward`` replaced."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    out = np.empty(n)
+    c1 = np.concatenate([[0.0], np.cumsum(v)])
+    c2 = np.concatenate([[0.0], np.cumsum(v * v)])
+    for i in range(n):
+        j = min(n, i + window)
+        m = j - i
+        if m < 2:
+            out[i] = np.inf
+            continue
+        s1 = c1[j] - c1[i]
+        s2 = c2[j] - c2[i]
+        out[i] = np.sqrt(max(0.0, s2 / m - (s1 / m) ** 2))
+    return out
+
+
+def exact_rolling_std_forward(values, window):
+    """Per window: the mean, then the mean squared deviation from it, each
+    summed exactly with math.fsum."""
+    out = np.full(len(values), np.inf)
+    for i in range(len(values)):
+        w = [float(x) for x in values[i:i + window]]
+        if len(w) >= 2:
+            mean = math.fsum(w) / len(w)
+            out[i] = math.sqrt(math.fsum((x - mean) ** 2 for x in w)
+                               / len(w))
+    return out
+
+
+FALL_SPECS = [
+    (11, SyntheticSpec()),
+    (3, SyntheticSpec(duration_s=9.0, fall_onset_s=3.0, impact_s=3.9)),
+    (5, SyntheticSpec(impact_spike_g=2.0, noise_g=0.02)),
+    (8, SyntheticSpec(fall_jitter_g=0.3, tilt_axis=(0.0, 1.0, 0.0))),
+]
+
+
+class TestRollingStdForward:
+    @given(st.integers(1, 300), st.integers(1, 60),
+           st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_window_std(self, n, window, spread, seed):
+        v = 1.0 + spread * np.random.default_rng(seed).normal(size=n)
+        got = feat.rolling_std_forward(v, window)
+        want = exact_rolling_std_forward(v, window)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed, spec", FALL_SPECS)
+    def test_matches_loop_reference_on_falls(self, monkeypatch, seed, spec):
+        annotated, _ = generate_synthetic_trial(spec, seed=seed)
+        mag = np.linalg.norm(annotated.trial.accel_adxl345, axis=1)
+        tail = mag[annotated.fall_span()[0]:]
+        got = feat.rolling_std_forward(tail, 40)
+        want = ref_rolling_std_forward(tail, 40)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        # The loop's running-sum differences are off the exact window
+        # std by up to 2.2e-11 on these trials (the new form by < 1e-15).
+        finite = np.isfinite(want)
+        assert np.abs(got[finite] - want[finite]).max() <= 1e-10
+        seg = extract_fall_segment(annotated)
+        monkeypatch.setattr(feat, "rolling_std_forward",
+                            ref_rolling_std_forward)
+        old = extract_fall_segment(annotated)
+        assert (seg.start_index, seg.end_index, seg.stillness_flagged) == \
+            (old.start_index, old.end_index, old.stillness_flagged)
+
+    def test_tail_windows_under_two_samples_are_inf(self):
+        out = feat.rolling_std_forward(np.arange(10.0), 4)
+        assert np.isinf(out[-1]) and np.isfinite(out[:-1]).all()
+        assert np.isinf(feat.rolling_std_forward(np.ones(3), 1)).all()
+        assert feat.rolling_std_forward(np.empty(0), 40).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reaches_only_its_windows(self, bad):
+        v = 1.0 + 0.1 * np.random.default_rng(2).normal(size=200)
+        clean = feat.rolling_std_forward(v, 40)
+        v[120] = bad
+        with np.errstate(invalid="ignore"):      # inf - inf in its windows
+            got = feat.rolling_std_forward(v, 40)
+        holds = (np.arange(200) <= 120) & (np.arange(200) > 120 - 40)
+        assert np.isnan(got[holds]).all()
+        assert np.array_equal(got[~holds], clean[~holds])
+
+
 class TestExtractFallSegment:
     def test_recovers_synthetic_impact(self, fall_trial):
         annotated, truth = fall_trial

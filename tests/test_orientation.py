@@ -314,6 +314,20 @@ class TestTiltAngle:
             assert np.all(batch >= 0) and np.all(batch <= math.pi)
 
 
+    @pytest.mark.parametrize("body_up", [
+        (0.0, 0.0, 0.0), (1.0, 2.0), (math.nan, 0.0, 1.0),
+        (0.0, math.inf, 1.0), ((0.0, 0.0, 1.0),)])
+    def test_body_up_without_a_tilt_rejected(self, body_up):
+        with pytest.raises(OrientationError, match="body_up"):
+            tilt_angles(IDENTITY[None, :], body_up)
+
+    def test_body_up_scale_does_not_matter(self):
+        q = quat_from_rotvec(np.array([0.3, -0.2, 0.9]))[None, :]
+        want = tilt_angles(q, (0.0, 0.0, 1.0))
+        for body_up in ((0.0, 0.0, 1e-200), (0.0, 0.0, 1e200)):
+            assert np.array_equal(tilt_angles(q, body_up), want)
+
+
 class TestAngularDerivative:
     def test_constant_series_is_zero(self):
         series = np.full(50, 0.7)
