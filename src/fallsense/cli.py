@@ -15,6 +15,13 @@ import sys
 from multiprocessing import Pool
 from pathlib import Path
 
+# One BLAS thread by default: the models are small, and a threaded BLAS
+# pool only contends with other work on the machine.  Set before NumPy is
+# first imported, since the pool reads these once; a value the user set
+# is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import evaluation as eval_mod

@@ -12,14 +12,16 @@ Inference runs one folded step (``InferStep``): with frozen batch-norm
 moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
-with one row per sequence, so a single-sequence batch reproduces the
-stream bit for bit.  Train mode runs each layer over the whole
+with one row per sequence; each row's logits become P(falling) through
+``falling_probability``, so a single-sequence batch reproduces the stream
+bit for bit.  Train mode runs each layer over the whole
 (time-major) sequence before the next, LSTMs as ``_lstm_scan``s, and BPTT
 runs those scans backwards with only the recurrence in the loop.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -164,6 +166,17 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def falling_probability(z) -> float:
+    """P(falling), softmax's entry 1, of one row of logits (any number of
+    classes >= 2) on floats.  Every exponent is <= 0, so no logit
+    overflows; a NaN logit gives NaN."""
+    m = max(z)
+    total = 0.0
+    for v in z:
+        total += math.exp(v - m)
+    return math.exp(z[1] - m) / total
+
+
 class InferStep:
     """The frozen detector as one step over ``rows`` input rows at a time.
 
@@ -175,7 +188,8 @@ class InferStep:
     ``[h1 | 1 | h2] @ W2`` and fc2 ``[1 | h2] @ W3``, each one matmul on a
     view of it.  Gate columns are ordered i, f, o, g with the sigmoid
     columns pre-halved, so one tanh covers the slab and
-    sigmoid(z) = tanh(z/2)/2 + 1/2 finishes i, f and o.
+    sigmoid(z) = tanh(z/2)/2 + 1/2 finishes i, f and o.  A call returns
+    ``falling_probability`` of each row's logits.
     """
 
     def __init__(self, params: FdnnParams, config: FdnnConfig,
@@ -213,9 +227,8 @@ class InferStep:
         for s in self._state:
             s[...] = 0.0
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Logits for one step of each row; the returned buffer is
-        overwritten by the next call."""
+    def __call__(self, x: np.ndarray) -> list[float]:
+        """P(falling) after one step of each row."""
         self._x[...] = x
         for inputs, w, z, sig, i, f, o, g, c, tmp, h in self._cells:
             np.dot(inputs, w, out=z)
@@ -228,7 +241,7 @@ class InferStep:
             np.tanh(c, out=tmp)
             np.multiply(o, tmp, out=h)
         np.dot(self._fc2_in, self._w3, out=self._logits)
-        return self._logits
+        return [falling_probability(z) for z in self._logits.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +314,13 @@ def forward(
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
 ):
-    """Per-step class probabilities for a batch of sequences.
+    """Per-step probabilities for a batch of sequences.
 
     static: (B, static_dim); sequence: (B, T, input_dim - static_dim).
-    Returns (B, T, classes) probabilities (and, in train mode, the
-    backward cache when requested).  Train mode uses batch statistics over
-    unmasked steps and applies dropout; infer mode scans ``InferStep``
-    over time, is deterministic and mutates nothing.
+    Train mode returns (B, T, classes) class probabilities (and the
+    backward cache when requested); it uses batch statistics over unmasked
+    steps and applies dropout.  Infer mode returns (B, T) P(falling): it
+    scans ``InferStep`` over time, is deterministic and mutates nothing.
     """
     if mode not in ("train", "infer"):
         raise FdnnError(f"unknown mode {mode!r}")
@@ -324,13 +337,12 @@ def forward(
         if want_cache:
             raise FdnnError("the backward cache exists in train mode only")
         step_fn = InferStep(params, config, rows=b)
-        logits = np.empty((b, t, config.classes))
+        p_fall = np.empty((b, t))
         for step in range(t):
-            logits[:, step, :] = step_fn(x[step])
-        probs = softmax_rows(logits)
-        if not np.all(np.isfinite(probs)):
+            p_fall[:, step] = step_fn(x[step])
+        if not np.all(np.isfinite(p_fall)):
             raise FdnnError("non-finite activations in forward pass")
-        return probs
+        return p_fall
 
     # Layer 1, fully connected, and layer 2, batch norm over the unmasked
     # (time x batch) positions; fc1's output becomes xhat in place.
@@ -379,9 +391,8 @@ def forward(
 def predict_trace(params: FdnnParams, config: FdnnConfig,
                   static: np.ndarray, sequence: np.ndarray) -> PredictionTrace:
     """Inference on a single sequence: P(falling) and decision per step."""
-    probs = forward(params, config, np.atleast_2d(static),
-                    np.asarray(sequence)[None, :, :], mode="infer")
-    p_fall = probs[0, :, 1]
+    p_fall = forward(params, config, np.atleast_2d(static),
+                     np.asarray(sequence)[None, :, :], mode="infer")[0]
     return PredictionTrace(
         p_falling=p_fall, decisions=classify(p_fall, config.threshold))
 
@@ -550,8 +561,8 @@ def sample_accuracy(params: FdnnParams, config: FdnnConfig,
     for i in range(0, len(examples), bs):
         chunk = examples[i:i + bs]
         static, seq, labels, mask = _pad_batch(chunk)
-        probs = forward(params, config, static, seq, mode="infer")
-        decisions = classify(probs[:, :, 1], config.threshold)
+        p_fall = forward(params, config, static, seq, mode="infer")
+        decisions = classify(p_fall, config.threshold)
         correct += int(((decisions == (labels == 1)) & mask).sum())
         total += int(mask.sum())
     return correct / total if total else 0.0

@@ -91,31 +91,47 @@ def unit_body_up(body_up) -> tuple[float, float, float]:
     """The body-up axis scaled to unit length.  Raises OrientationError
     unless it has 3 finite entries and a non-zero (finite) norm: any other
     axis gives no tilt."""
-    u = np.asarray(body_up, dtype=float)
-    norm = math.hypot(*u.tolist()) if u.shape == (3,) else math.nan
+    values = body_up.tolist() if isinstance(body_up, np.ndarray) else body_up
+    try:
+        ux, uy, uz = map(float, values)
+    except (TypeError, ValueError):
+        ux = uy = uz = math.nan
+    norm = math.hypot(ux, uy, uz)
     if not 0.0 < norm < math.inf:
         raise OrientationError(
             f"body_up must be 3 finite numbers with a non-zero norm, "
             f"got {body_up!r}")
-    return tuple((u / norm).tolist())
+    return (ux / norm, uy / norm, uz / norm)
+
+
+def tilt(q, up: tuple[float, float, float] | None = None) -> float:
+    """Tilt of one quaternion [w, x, y, z]: the angle in [0, pi] between
+    the rotated unit body-up axis ``up`` (default e_z) and the world up.
+
+    The only tilt definition; ``tilt_angles`` maps it over a series.
+    Insensitive to the quaternion sign.  A NaN entry gives NaN.
+    """
+    w, x, y, z = q
+    # Third row of R(q) dotted with u: the world-z component of R(q) @ u,
+    # which is R22 alone for the default u = e_z.
+    c = 1 - 2 * (x * x + y * y)
+    if up is not None:
+        ux, uy, uz = up
+        c = 2 * (x * z - w * y) * ux + 2 * (y * z + w * x) * uy + c * uz
+    # Clamp rounding past +-1; NaN fails both tests and stays NaN.
+    if c > 1.0:
+        c = 1.0
+    elif c < -1.0:
+        c = -1.0
+    return math.acos(c)
 
 
 def tilt_angles(quats: np.ndarray, body_up: np.ndarray | None = None) -> np.ndarray:
-    """Tilt per row of an (N, 4) quaternion series: the angle in [0, pi]
-    between the rotated body-up axis (default e_z) and the world up.
-
-    Insensitive to the quaternion sign.
-    """
-    quats = np.asarray(quats, dtype=float)
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    # Third row of R(q) dotted with the unit body-up u: the world-z
-    # component of R(q) @ u, which is R22 alone for the default u = e_z.
-    cosang = 1 - 2 * (x * x + y * y)
-    if body_up is not None:
-        ux, uy, uz = unit_body_up(body_up)
-        cosang = (2 * (x * z - w * y) * ux + 2 * (y * z + w * x) * uy
-                  + cosang * uz)
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
+    """``tilt`` per row of an (N, 4) quaternion series, with ``body_up``
+    scaled to unit length once."""
+    up = None if body_up is None else unit_body_up(body_up)
+    rows = np.asarray(quats, dtype=float).tolist()
+    return np.array([tilt(q, up) for q in rows], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,12 @@ from . import kan as kan_mod
 from .features import FDNN_FEATURES, FEATURE_NAMES, feature_indices
 from .orientation import (
     FilterConfig,
+    OrientationError,
     backward_difference,
     init_state,
     predict_step,
     tilt_angles,
+    unit_body_up,
     update_step,
 )
 from .sisfall import SAMPLE_PERIOD_S, CalibratedTrial, SubjectProfile
@@ -40,8 +43,7 @@ class StreamError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class StreamEvent(NamedTuple):
     index: int
     p_falling: float
     decision: bool
@@ -75,7 +77,7 @@ class FdnnStream:
 
     def step(self, x: np.ndarray) -> float:
         """P(falling) for one standardized 18-entry input row."""
-        return float(fdnn_mod.softmax_rows(self._step(x))[0, 1])
+        return self._step(x)[0]
 
 
 def stream_trial(
@@ -96,13 +98,19 @@ def stream_trial(
     Latency is pure processing time; real-time pacing waits are not
     counted.  By default the impact estimator runs only while the
     detector reports falling; ``kan_gating=False`` evaluates it on every
-    sample instead.  A trial with a non-finite sample raises StreamError
-    before any event is emitted.
+    sample instead.  A ``body_up`` or ``deriv_order`` that gives no tilt
+    raises StreamError before any work, and a trial with a non-finite
+    sample raises it before any event is emitted.
     """
     if mode not in ("realtime", "fast"):
         raise StreamError(f"unknown mode {mode!r}")
     if deriv_order not in (1, 2):
         raise StreamError(f"derivative order must be 1 or 2, got {deriv_order}")
+    if body_up is not None:
+        try:
+            unit_body_up(body_up)
+        except OrientationError as exc:
+            raise StreamError(str(exc)) from None
     params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(fdnn_checkpoint)
     kan_model = kan_mod.load_checkpoint(kan_checkpoint)
 
@@ -184,8 +192,7 @@ def stream_trial(
             tti = kan_mod.predict_smoothed_row(kernel, smoothed)
         latency_us = (time.perf_counter_ns() - t0) / 1000.0
         latencies[k] = latency_us
-        return StreamEvent(index=k, p_falling=p_fall, decision=decision,
-                           tti_ms=tti, latency_us=latency_us)
+        return StreamEvent(k, p_fall, decision, tti, latency_us)
 
     start = time.perf_counter()
     for k in range(n):

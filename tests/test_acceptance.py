@@ -100,8 +100,10 @@ def test_a2_softmax_and_strict_threshold():
                               fc1_units=4, dropout_rate=0.0, seed=1)
     params = fdnn_mod.init_params(cfg)
     rng = np.random.default_rng(2)
-    probs = fdnn_mod.forward(params, cfg, rng.normal(size=(3, 2)),
-                             rng.normal(size=(3, 17, 4)), mode="infer")
+    static, seq = rng.normal(size=(3, 2)), rng.normal(size=(3, 17, 4))
+    p_fall = fdnn_mod.forward(params, cfg, static, seq, mode="infer")
+    assert np.all((p_fall >= 0.0) & (p_fall <= 1.0))
+    probs = fdnn_mod.forward(params, cfg, static, seq, mode="train")
     dev = np.abs(probs.sum(axis=-1) - 1.0).max()
     assert dev < 1e-12
     assert not fdnn_mod.classify(np.array([0.5]), 0.5)[0]

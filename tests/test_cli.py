@@ -5,6 +5,10 @@ runs in seconds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +308,28 @@ class TestStreamAndReport:
                                 "adl_tnr_avg", "tti_rmse_ms"}
         assert summary["fall_tpr_avg"] is not None
         assert (root / "report" / "rmse_heatmap.svg").is_file()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "user_set"])
+def test_blas_threads_default_to_one(preset):
+    # importing the CLI sets each BLAS thread count to 1 before NumPy
+    # loads, unless the user already exported one
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    code = ("import os, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import fallsense.cli\n"
+            f"print(','.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    want = ["1", preset or "1", "1"]
+    assert done.stdout.strip() == ",".join(want)

@@ -23,6 +23,7 @@ from fallsense.fdnn import (
     train,
 )
 from fallsense.features import StandardizationStats
+from fallsense.streaming import FdnnStream
 
 TOY = FdnnConfig(input_dim=6, static_dim=2, inner_dim=4, fc1_units=4,
                  dropout_rate=0.0, seed=3)
@@ -87,9 +88,14 @@ class TestForward:
             assert np.array_equal(before[n], getattr(p, n))
 
     def test_softmax_sums_to_one(self):
+        # train mode returns the whole softmax, infer mode its falling
+        # entry per step
         p = init_params(TOY)
         static, seq, _, _ = toy_batch(B=3, T=11, masked=False)
-        probs = forward(p, TOY, static, seq, mode="infer")
+        p_fall = forward(p, TOY, static, seq, mode="infer")
+        assert p_fall.shape == (3, 11)
+        assert np.all((p_fall >= 0.0) & (p_fall <= 1.0))
+        probs = forward(p, TOY, static, seq, mode="train")
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_wrong_width_rejected(self):
@@ -329,8 +335,8 @@ class TestFoldedInference:
             with np.errstate(over="raise"):
                 got = forward(params, config, static, seq, mode="infer")
                 want, _ = _unfolded_infer(params, config, static, seq)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
+        assert got.shape == want.shape[:2]
+        assert np.abs(got - want[..., 1]).max() <= 1e-12
 
     def test_saturated_gates_match_reference(self):
         config = FdnnConfig(input_dim=6, static_dim=2, inner_dim=5,
@@ -342,7 +348,7 @@ class TestFoldedInference:
         want, widest = _unfolded_infer(params, config, static, seq)
         assert widest > 40.0
         got = forward(params, config, static, seq, mode="infer")
-        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got - want[..., 1]).max() <= 1e-12
 
     def test_zero_params_give_exactly_half(self):
         p = init_params(TOY)
@@ -350,7 +356,7 @@ class TestFoldedInference:
             getattr(p, name)[...] = 0.0
         static, seq, _, _ = toy_batch(B=3, T=12, masked=False)
         probs = forward(p, TOY, static, seq, mode="infer")
-        assert np.array_equal(probs, np.full((3, 12, 2), 0.5))
+        assert np.array_equal(probs, np.full((3, 12), 0.5))
 
     def test_padded_batch_matches_each_trace(self):
         # sample_accuracy and eval-fdnn score padded batches: every
@@ -367,7 +373,7 @@ class TestFoldedInference:
         for i, ex in enumerate(examples):
             trace = predict_trace(params, TOY, ex.static, ex.sequence)
             t = len(ex.sequence)
-            assert np.abs(probs[i, :t, 1] - trace.p_falling).max() <= 1e-12
+            assert np.abs(probs[i, :t] - trace.p_falling).max() <= 1e-12
 
     def test_cache_is_train_only(self):
         static, seq, _, _ = toy_batch()
@@ -410,6 +416,41 @@ class TestSigmoid:
         assert np.all((out >= 0.0) & (out <= 1.0))
         assert out[self.GRID == 1e4][0] == 1.0
         assert out[self.GRID == -1e4][0] == 0.0
+
+
+class TestFallingProbability:
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_softmax_entry(self, logits):
+        want = fdnn.softmax_rows(np.array([logits]))[0, 1]
+        assert abs(fdnn.falling_probability(logits) - want) <= 1e-15
+
+    @pytest.mark.parametrize("logits, want", [
+        ([0.0, 1e4], 1.0), ([1e4, 0.0], 0.0), ([-1e4, 0.0], 1.0),
+        ([0.0, -1e4], 0.0), ([0.0, 1e4, 0.0], 1.0), ([1e4, 0.0, -1e4], 0.0),
+        ([-1e4, 0.0, 1e4], 0.0)])
+    def test_extreme_logits_exact_without_warning(self, logits, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fdnn.falling_probability(logits) == want
+
+    @pytest.mark.parametrize("logits", [
+        [np.nan, 0.0], [0.0, np.nan], [0.0, 1.0, np.nan]])
+    def test_nan_logit_gives_nan(self, logits):
+        assert np.isnan(fdnn.falling_probability(logits))
+
+    def test_stream_matches_trace_three_classes(self):
+        config = FdnnConfig(input_dim=6, static_dim=2, inner_dim=5,
+                            fc1_units=4, classes=3)
+        rng = np.random.default_rng(8)
+        params = _gated_model(rng, config, 5.0)
+        static, seq = rng.normal(size=2), rng.normal(size=(60, 4))
+        stream = FdnnStream(params, config)
+        streamed = [stream.step(np.r_[static, row]) for row in seq]
+        trace = predict_trace(params, config, static, seq)
+        assert np.array_equal(streamed, trace.p_falling)
+        # unsaturated, so the third class's logit counts
+        assert 0.05 < trace.p_falling.min() and trace.p_falling.max() < 0.95
 
 
 class TestClassify:

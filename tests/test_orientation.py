@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fallsense.orientation import (
@@ -17,16 +17,12 @@ from fallsense.orientation import (
     predict_step,
     quat_from_rotvec,
     quat_to_matrix,
+    tilt,
     tilt_angles,
     update_step,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def _tilt(q) -> float:
-    """Tilt of one quaternion, as a one-row series."""
-    return float(tilt_angles(np.asarray(q)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +227,7 @@ class TestUpdate:
         for _ in range(400):
             s = predict_step(s, np.zeros(3), 0.005)
             s = update_step(s, a)
-        assert abs(math.degrees(_tilt(s.q)) - 30.0) < 0.5
+        assert abs(math.degrees(tilt(s.q)) - 30.0) < 0.5
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(3)
@@ -285,17 +281,64 @@ class TestEstimateOrientation:
             estimate_orientation(np.empty((0, 3)), np.empty((0, 3)))
 
 
+def ref_tilt_angles(quats, body_up=None):
+    """The vectorised tilt: np.arccos of the clipped cosine, the third
+    row of R(q) dotted with the unit body-up axis."""
+    quats = np.asarray(quats, dtype=float)
+    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
+    cosang = 1 - 2 * (x * x + y * y)
+    if body_up is not None:
+        u = np.asarray(body_up, dtype=float)
+        ux, uy, uz = u / math.hypot(*u.tolist())
+        cosang = (2 * (x * z - w * y) * ux + 2 * (y * z + w * x) * uy
+                  + cosang * uz)
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
 class TestTiltAngle:
+    @given(st.lists(st.tuples(_unit, _unit, _unit, _unit), min_size=1,
+                    max_size=20),
+           st.one_of(st.none(), _vec3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_vectorised_form(self, raw, body_up):
+        # math.acos and np.arccos may differ in the last bit only
+        quats = np.array(raw)
+        norms = np.linalg.norm(quats, axis=1)
+        assume(norms.min() > 1e-3)
+        assume(body_up is None or math.hypot(*body_up) > 1e-3)
+        quats /= norms[:, None]
+        got = tilt_angles(quats, body_up)
+        assert np.abs(got - ref_tilt_angles(quats, body_up)).max() <= 1e-15
+
+    @pytest.mark.parametrize("body_up, index", [
+        (None, 1), (None, 2), (None, slice(None)), ((0.3, -0.9, 0.1), 0),
+        ((0.3, -0.9, 0.1), 3)], ids=["x", "y", "all", "oblique_w",
+                                     "oblique_z"])
+    def test_nan_quaternion_gives_nan(self, body_up, index):
+        # the default tilt reads x and y only; an oblique one all four
+        q = IDENTITY.copy()
+        q[index] = math.nan
+        assert np.isnan(tilt_angles(q[None, :], body_up)[0])
+
+    def test_cosine_rounded_past_one_clamps_exactly(self):
+        s = 0.7071067811865476          # 1/sqrt(2) rounded up
+        assert 2 * (s * s) > 1.0
+        half_turn = np.array([[s, s, 0.0, 0.0]])
+        assert tilt_angles(half_turn, (0.0, 1.0, 0.0))[0] == 0.0
+        assert tilt_angles(half_turn, (0.0, -1.0, 0.0))[0] == math.pi
+        flipped = np.array([[0.0, 1.0000000000000002, 0.0, 0.0]])
+        assert tilt_angles(flipped)[0] == math.pi
+
     def test_identity_is_zero(self):
-        assert _tilt(IDENTITY) == 0.0
+        assert tilt(IDENTITY) == 0.0
 
     def test_quarter_turn_about_x(self):
         q = quat_from_rotvec(np.array([math.pi / 2, 0, 0]))
-        assert _tilt(q) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert tilt(q) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_sign_symmetry(self):
         q = quat_from_rotvec(np.array([0.3, -0.2, 0.9]))
-        assert _tilt(q) == pytest.approx(_tilt(-q))
+        assert tilt(q) == pytest.approx(tilt(-q))
 
     def test_batch_matches_scalar(self):
         # The angle between R(q) u and the world up: acos((R(q) u)_z), for

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from fallsense import fdnn as fdnn_mod
 from fallsense import kan as kan_mod
-from fallsense.features import feature_indices
+from fallsense.features import apply_standardizer, feature_indices
 from fallsense.kan import KanConfig
 from fallsense.pipeline import (
     collect_fall_segments,
@@ -90,6 +91,40 @@ class TestStreamTrial:
                                            example.sequence)
             streamed = np.array([e.p_falling for e in events])
             assert np.array_equal(streamed, trace.p_falling)
+
+    @pytest.mark.parametrize(
+        "body_up", [None, (0.0, -1.0, 0.0), (0.3, -0.9, 0.1)],
+        ids=["None", "minus_y", "oblique"])
+    def test_streamed_detector_inputs_equal_batch_rows(
+            self, trained, subject, monkeypatch, body_up):
+        # not only the outputs: every standardized row the stream feeds
+        # the detector is the batch row, so the frames agree bit for bit
+        fdnn_path, kan_path, pairs, params, cfg, stats = trained
+        real_step = FdnnStream.step
+        for annotated, _ in (pairs[0], pairs[-1]):       # a fall, a walk
+            rows = []
+
+            def captured(self, x):
+                rows.append(x.copy())
+                return real_step(self, x)
+
+            monkeypatch.setattr(FdnnStream, "step", captured)
+            stream_trial(fdnn_path, kan_path, annotated.trial, subject,
+                         body_up=body_up)
+            frames = orient_and_frame(annotated, subject, body_up=body_up)
+            want = apply_standardizer(stats, frames.fdnn_matrix())
+            assert np.array_equal(np.array(rows), want)
+
+    @pytest.mark.parametrize("body_up", [
+        (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (1.0, 2.0)])
+    def test_body_up_without_a_tilt_refused_up_front(self, subject, tmp_path,
+                                                     body_up):
+        # refused before the checkpoints are even read
+        annotated, _ = generate_synthetic_trial(
+            SyntheticSpec(kind="walk", duration_s=1.0), seed=6)
+        with pytest.raises(StreamError, match="body_up"):
+            stream_trial(tmp_path / "missing.ckpt", tmp_path / "missing.kan",
+                         annotated.trial, subject, body_up=body_up)
 
     def test_fast_and_realtime_identical(self, trained, subject):
         fdnn_path, kan_path, *_ = trained
