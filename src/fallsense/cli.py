@@ -1,8 +1,10 @@
 """Command-line interface: the pipeline as subcommands over a JSON config.
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.  Every
-command that produces files writes the resolved configuration next to
-them as ``resolved_config.json``.
+command that produces files takes ``--config``, ``--seed`` and ``--out``;
+``dispatch`` resolves the configuration, creates the output directory and,
+when the command succeeds, writes the configuration next to its outputs
+as ``resolved_config.json``.
 """
 
 from __future__ import annotations
@@ -64,23 +66,6 @@ class CliError(ValueError):
     pass
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _resolve_config(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return load_config(getattr(args, "config", None), overrides)
-
-
-def _write_resolved(config: RunConfig, out: Path) -> None:
-    dump_config(config, out / "resolved_config.json")
-
-
 def _trial_files(root: Path) -> list[Path]:
     if not root.is_dir():
         raise CliError(f"corpus root {root} is not a directory")
@@ -114,12 +99,12 @@ def _cmd_verify(args) -> int:
 
 def _feature_worker(task):
     path_str, span, profile, config = task
-    trial = load_trial(path_str, config.calibration.to_spec())
+    trial = load_trial(path_str, config.calibration)
     annotated = annotate_trial(trial, span)
     frames = pipeline.orient_and_frame(
         annotated, profile,
-        filter_config=config.orientation.filter_config(),
-        body_up=config.orientation.body_up_vector(),
+        filter_config=config.orientation,
+        body_up=config.orientation.body_up,
         deriv_order=config.orientation.deriv_order)
     segment = None
     if annotated.fall_span() is not None:
@@ -131,9 +116,7 @@ def _feature_worker(task):
     return frames, segment
 
 
-def _cmd_features(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_features(args, config: RunConfig, out: Path) -> int:
     root = Path(args.root)
     profiles = load_subjects(args.subjects)
     spans = read_annotation_spans(args.annotations) if args.annotations else {}
@@ -165,7 +148,6 @@ def _cmd_features(args) -> int:
         if segment is not None:
             save_segment(segments_dir / f"{tid}.json", segment)
     (out / "index.csv").write_text("\n".join(index_rows) + "\n")
-    _write_resolved(config, out)
     print(f"wrote {len(results)} trials to {out}")
     return 0
 
@@ -193,9 +175,7 @@ def _load_all_segments(features_dir: Path) -> list:
 # select
 # ---------------------------------------------------------------------------
 
-def _cmd_select(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_select(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
     from .features import FEATURE_NAMES, fit_standardizer
 
@@ -217,7 +197,6 @@ def _cmd_select(args) -> int:
         bins=config.selection.bins,
         chosen=tuple(config.selection.kan_features))
     report.to_csv(out / "selection.csv")
-    _write_resolved(config, out)
     print(f"correlation-selected: {report.correlation_selected}")
     print(f"mrmr ranking: {[s.name for s in report.mrmr]}")
     print(f"chosen set: {list(report.chosen)}")
@@ -233,9 +212,7 @@ def _load_frame_sets(features_dir: Path, ids) -> list:
             for tid in ids]
 
 
-def _cmd_train_fdnn(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
     index = _read_index(features_dir)
 
@@ -258,16 +235,13 @@ def _cmd_train_fdnn(args) -> int:
         "validation": [str(t) for t in split.validation],
         "test": [str(t) for t in split.test],
     }, indent=2) + "\n")
-    _write_resolved(config, out)
     best = max(l.val_accuracy for l in log)
     print(f"trained {config.fdnn.epochs} epochs; "
           f"best validation accuracy {best:.4f}")
     return 0
 
 
-def _cmd_eval_fdnn(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_eval_fdnn(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
     params, fcfg, stats, _ = fdnn_mod.load_checkpoint(args.checkpoint)
     index = _read_index(features_dir)
@@ -311,7 +285,6 @@ def _cmd_eval_fdnn(args) -> int:
         "n_adl_trials": len(adl_scores),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
-    _write_resolved(config, out)
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -329,9 +302,7 @@ def _plan_and_segments(features_dir: Path, config: RunConfig):
     return plan, segments
 
 
-def _cmd_train_kan(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_train_kan(args, config: RunConfig, out: Path) -> int:
     plan, segments = _plan_and_segments(Path(args.features), config)
     train_segs = [s for s in segments
                   if plan.role_of(s.trial_id) == "train"]
@@ -343,30 +314,24 @@ def _cmd_train_kan(args) -> int:
     (out / "plan.json").write_text(json.dumps({
         f"{s}_{a}": roles for (s, a), roles in plan.assignments.items()
     }, indent=2, sort_keys=True) + "\n")
-    _write_resolved(config, out)
     print(f"fit {config.kan.epochs} epochs; "
           f"best validation RMSE {min(l.val_rmse for l in log):.2f} ms")
     return 0
 
 
-def _cmd_cv_kan(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_cv_kan(args, config: RunConfig, out: Path) -> int:
     plan, segments = _plan_and_segments(Path(args.features), config)
     grid = kan_grid_configs(config)
     best, results = kan_mod.cross_validate(grid, plan, segments)
     kan_mod.write_cv_table(out / "cv_table.csv", results)
     (out / "best_config.json").write_text(
         json.dumps(dataclasses.asdict(best), indent=2) + "\n")
-    _write_resolved(config, out)
     print(f"best: n={best.n_inner_nodes} q={best.q_outer_nodes} "
           f"mu={best.mu} w={best.window_ms} ms")
     return 0
 
 
-def _cmd_eval_kan(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_eval_kan(args, config: RunConfig, out: Path) -> int:
     plan, segments = _plan_and_segments(Path(args.features), config)
     model = kan_mod.load_checkpoint(args.checkpoint)
     test_segs = [s for s in segments if plan.role_of(s.trial_id) == "test"]
@@ -378,14 +343,11 @@ def _cmd_eval_kan(args) -> int:
     metrics = {"tti_rmse_ms": heatmap.global_rmse,
                "n_segments": len(test_segs)}
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
-    _write_resolved(config, out)
     print(json.dumps(metrics, indent=2))
     return 0
 
 
-def _cmd_trace(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_trace(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
     model = kan_mod.load_checkpoint(args.checkpoint)
     tid = TrialId.parse(args.trial)
@@ -397,7 +359,6 @@ def _cmd_trace(args) -> int:
     trace.to_csv(out / f"trajectory_{tid}.csv")
     (out / f"trajectory_{tid}.svg").write_text(
         eval_mod.svg_trajectory(trace, f"Time of impact: {tid}"))
-    _write_resolved(config, out)
     print(f"trace over {len(trace.t_s)} samples; "
           f"truth starts at {trace.truth_ms[0]:.0f} ms")
     return 0
@@ -407,18 +368,16 @@ def _cmd_trace(args) -> int:
 # stream
 # ---------------------------------------------------------------------------
 
-def _cmd_stream(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_stream(args, config: RunConfig, out: Path) -> int:
     profiles = load_subjects(args.subjects)
     trial_path = Path(args.trial)
-    trial = load_trial(trial_path, config.calibration.to_spec())
+    trial = load_trial(trial_path, config.calibration)
     subject = require_profile(profiles, trial.trial_id)
     events, report = stream_trial(
         args.fdnn, args.kan, trial, subject,
         mode=args.mode,
-        filter_config=config.orientation.filter_config(),
-        body_up=config.orientation.body_up_vector(),
+        filter_config=config.orientation,
+        body_up=config.orientation.body_up,
         deriv_order=config.orientation.deriv_order,
         deadline_us=config.stream.deadline_us,
         kan_gating=config.stream.kan_gating)
@@ -428,7 +387,6 @@ def _cmd_stream(args) -> int:
         "max_us": report.max_us, "deadline_misses": report.deadline_misses,
         "deadline_us": report.deadline_us, "samples": report.count,
     }, indent=2) + "\n")
-    _write_resolved(config, out)
     falling = sum(1 for e in events if e.decision)
     print(f"{report.count} samples, {falling} flagged falling, "
           f"latency mean {report.mean_us:.0f} us / p99 {report.p99_us:.0f} us")
@@ -439,9 +397,7 @@ def _cmd_stream(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_synth(args, config: RunConfig, out: Path) -> int:
     corpus = write_synthetic_corpus(
         out,
         subjects=config.synth.subjects,
@@ -451,8 +407,7 @@ def _cmd_synth(args) -> int:
         duration_s=config.synth.duration_s,
         noise_g=config.synth.noise_g,
         seed=config.seed,
-        calibration=config.calibration.to_spec())
-    _write_resolved(config, out)
+        calibration=config.calibration)
     summary = verify_corpus(corpus)
     print(f"synthetic corpus at {corpus}: {summary.fall_trials} falls, "
           f"{summary.adl_trials} ADLs")
@@ -467,9 +422,7 @@ def _load_table(path: Path) -> MetricTable | None:
     return MetricTable.from_csv(path) if path.is_file() else None
 
 
-def _cmd_report(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_report(args, config: RunConfig, out: Path) -> int:
     bundle = ReportBundle()
     if args.fdnn_eval:
         d = Path(args.fdnn_eval)
@@ -494,7 +447,6 @@ def _cmd_report(args) -> int:
             trial_id=tid, t_s=rows[:, 0], truth_ms=rows[:, 1],
             predicted_ms=rows[:, 2]))
     files = eval_mod.render_report(bundle, out)
-    _write_resolved(config, out)
     print(f"wrote {len(files)} report files to {out}")
     return 0
 
@@ -509,11 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Waist-IMU fall detection and impact-time estimation")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the global seed")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("verify", help="count and sanity-check a corpus")
     p.add_argument("root")
@@ -611,7 +562,17 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage()
         return 1
     try:
-        return args.func(args)
+        if not hasattr(args, "out"):        # verify: reads, writes nothing
+            return args.func(args)
+        # The one place a run's config is resolved and recorded; a failed
+        # command leaves no resolved_config.json.
+        config = load_config(args.config, {"seed": args.seed})
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        rc = args.func(args, config, out)
+        if rc == 0:
+            dump_config(config, out / "resolved_config.json")
+        return rc
     except (CliError, ConfigError, IngestError, FeatureError,
             fdnn_mod.FdnnError, kan_mod.KanError, StreamError,
             CheckpointError, eval_mod.EvaluationError, ValueError) as exc:

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .fdnn import FdnnConfig
+from .features import KAN_DEFAULT_FEATURES
 from .kan import KanConfig
 from .orientation import FilterConfig, unit_body_up
-from .sisfall import CalibrationSpec, SensorSpec
+from .sisfall import CalibrationSpec
 
 
 class ConfigError(ValueError):
@@ -25,39 +25,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
-    adxl345_range_g: float = 16.0
-    adxl345_bits: int = 13
-    itg3200_range_dps: float = 2000.0
-    itg3200_bits: int = 16
-    mma8451q_range_g: float = 8.0
-    mma8451q_bits: int = 14
+class OrientationConfig(FilterConfig):
+    """The filter settings, plus how the tilt is read from its attitude."""
 
-    def __post_init__(self):
-        self.to_spec()          # a sensor that cannot calibrate fails at load
-
-    def to_spec(self) -> CalibrationSpec:
-        return CalibrationSpec(
-            adxl345=SensorSpec(self.adxl345_range_g, self.adxl345_bits),
-            itg3200=SensorSpec(self.itg3200_range_dps, self.itg3200_bits),
-            mma8451q=SensorSpec(self.mma8451q_range_g, self.mma8451q_bits),
-        )
-
-
-@dataclass(frozen=True)
-class OrientationConfig:
-    gyro_noise: float = 0.01
-    accel_noise: float = 0.05
-    gate_low_g: float = 0.7
-    gate_high_g: float = 1.3
-    init_window_s: float = 0.5
     # Device mounting: the body-frame axis pointing up when the subject
     # stands.  The corpus wears the unit at the waist with -y up.
     body_up: tuple[float, float, float] = (0.0, -1.0, 0.0)
     deriv_order: int = 2
 
     def __post_init__(self):
-        self.filter_config()    # a filter that cannot run fails at load
+        super().__post_init__()     # a filter that cannot run fails at load
         unit_body_up(self.body_up)          # as does a tilt that cannot
         if (not isinstance(self.deriv_order, int)
                 or isinstance(self.deriv_order, bool)
@@ -65,23 +42,13 @@ class OrientationConfig:
             raise ConfigError(
                 f"deriv_order must be 1 or 2, got {self.deriv_order!r}")
 
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            gyro_noise=self.gyro_noise, accel_noise=self.accel_noise,
-            gate_low_g=self.gate_low_g, gate_high_g=self.gate_high_g,
-            init_window_s=self.init_window_s)
-
-    def body_up_vector(self) -> np.ndarray:
-        return np.asarray(self.body_up, dtype=float)
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
     corr_threshold: float = 0.3
     mrmr_k: int = 2
     bins: int = 32
-    kan_features: tuple[str, ...] = (
-        "ay_adxl345", "ay_mma8451q", "wy_itg3200", "theta", "theta_deriv")
+    kan_features: tuple[str, ...] = KAN_DEFAULT_FEATURES
 
 
 @dataclass(frozen=True)
@@ -121,7 +88,7 @@ class SynthConfig:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+    calibration: CalibrationSpec = field(default_factory=CalibrationSpec)
     orientation: OrientationConfig = field(default_factory=OrientationConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     segment: SegmentConfig = field(default_factory=SegmentConfig)
@@ -133,17 +100,10 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
-_SECTION_TYPES = {
-    "calibration": CalibrationConfig,
-    "orientation": OrientationConfig,
-    "selection": SelectionConfig,
-    "segment": SegmentConfig,
-    "split": SplitConfig,
-    "fdnn": FdnnConfig,
-    "kan": KanConfig,
-    "stream": StreamSettings,
-    "synth": SynthConfig,
-}
+# The object-valued keys of a run config, each its own dataclass.
+_SECTION_TYPES = {name: kind for name, kind in
+                  typing.get_type_hints(RunConfig).items()
+                  if dataclasses.is_dataclass(kind)}
 
 
 def _build_section(cls, data: dict, path: str):

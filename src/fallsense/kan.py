@@ -642,8 +642,9 @@ def cross_validate(
 ) -> tuple[KanConfig, list[CvResult]]:
     """Fit every candidate on the train repetitions, score on validation.
 
-    The test repetition never participates.  Best candidate = lowest
-    validation RMSE.
+    The test repetition never participates.  A candidate's score is the
+    lowest validation RMSE of its fit log, that of the epoch ``fit``
+    returns; best candidate = lowest score.
     """
     if not grid:
         raise KanError("empty hyperparameter grid")
@@ -655,11 +656,9 @@ def cross_validate(
 
     results: list[CvResult] = []
     for candidate in grid:
-        model, _ = fit(candidate, train_segs, val_segs)
-        val_x, val_y = segment_records(val_segs, candidate.window_samples)
-        score = rmse(kan_eval_batch(
-            model, apply_standardizer(model.stats, val_x)), val_y)
-        results.append(CvResult(config=candidate, val_rmse=score))
+        _, log = fit(candidate, train_segs, val_segs)
+        results.append(CvResult(config=candidate,
+                                val_rmse=min(l.val_rmse for l in log)))
     best = min(results, key=lambda r: r.val_rmse)
     return best.config, results
 

@@ -20,6 +20,10 @@ import numpy as np
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 DEG = math.pi / 180.0
+# Initial attitude-error standard deviation: from a resting accelerometer
+# mean, and the fallback when the trial starts moving.
+INIT_ATT_STD_RAD = 5.0 * DEG
+DYNAMIC_INIT_STD_RAD = 1.0
 
 
 class OrientationError(ValueError):
@@ -145,8 +149,6 @@ class FilterConfig:
     gate_low_g: float = 0.7         # accelerometer trust band
     gate_high_g: float = 1.3
     init_window_s: float = 0.5      # accelerometer mean used to initialize
-    init_att_std_rad: float = 5.0 * DEG
-    dynamic_init_std_rad: float = 1.0  # fallback when the trial starts moving
 
     def __post_init__(self):
         # Written as "not (valid)" so that NaN is rejected too.  A zero
@@ -165,10 +167,6 @@ class FilterConfig:
         if not self.init_window_s > 0:
             raise OrientationError(
                 f"init_window_s must be > 0, got {self.init_window_s}")
-        if not (self.init_att_std_rad > 0 and self.dynamic_init_std_rad > 0):
-            raise OrientationError(
-                "initial attitude standard deviations must be > 0, got "
-                f"{self.init_att_std_rad} and {self.dynamic_init_std_rad}")
 
 
 @dataclass
@@ -330,7 +328,7 @@ def init_state(accel_mean_g: np.ndarray,
     norm = float(np.linalg.norm(a))
     if not np.all(np.isfinite(a)) or not (0.5 <= norm <= 1.5):
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        P = config.dynamic_init_std_rad ** 2 * np.eye(3)
+        P = DYNAMIC_INIT_STD_RAD ** 2 * np.eye(3)
         return FilterState(q=q, P=P, config=config)
 
     a_hat = a / norm
@@ -348,7 +346,7 @@ def init_state(accel_mean_g: np.ndarray,
         q = quat_from_rotvec(axis / s * angle)
     # World-frame rotation applied on the left: v_w = R(q_rot) a_hat = e_z.
     q = np.array(quat_normalize(q))
-    P = config.init_att_std_rad ** 2 * np.eye(3)
+    P = INIT_ATT_STD_RAD ** 2 * np.eye(3)
     return FilterState(q=q, P=P, config=config)
 
 

@@ -145,11 +145,31 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    """Corpus defaults; all overridable through the run config."""
+    """Each sensor's full-scale range and bit depth, flat as the run
+    config's ``calibration`` section holds them; the corpus defaults."""
 
-    adxl345: SensorSpec = field(default_factory=lambda: SensorSpec(16.0, 13))
-    itg3200: SensorSpec = field(default_factory=lambda: SensorSpec(2000.0, 16))
-    mma8451q: SensorSpec = field(default_factory=lambda: SensorSpec(8.0, 14))
+    adxl345_range_g: float = 16.0
+    adxl345_bits: int = 13
+    itg3200_range_dps: float = 2000.0
+    itg3200_bits: int = 16
+    mma8451q_range_g: float = 8.0
+    mma8451q_bits: int = 14
+
+    def __post_init__(self):
+        # a sensor that cannot calibrate fails here, not at the first trial
+        self.adxl345, self.itg3200, self.mma8451q
+
+    @property
+    def adxl345(self) -> SensorSpec:
+        return SensorSpec(self.adxl345_range_g, self.adxl345_bits)
+
+    @property
+    def itg3200(self) -> SensorSpec:
+        return SensorSpec(self.itg3200_range_dps, self.itg3200_bits)
+
+    @property
+    def mma8451q(self) -> SensorSpec:
+        return SensorSpec(self.mma8451q_range_g, self.mma8451q_bits)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fallsense.cli import dispatch
+from fallsense.config import dump_config, load_config
 
 FAST_CONFIG = {
     "fdnn": {"epochs": 6, "batch_size": 4, "dropout_rate": 0.0,
@@ -308,6 +309,74 @@ class TestStreamAndReport:
                                 "adl_tnr_avg", "tti_rmse_ms"}
         assert summary["fall_tpr_avg"] is not None
         assert (root / "report" / "rmse_heatmap.svg").is_file()
+
+
+# Every command that writes files, with the inputs it reads from the
+# module's pipeline; each also gets --config, --seed 3 and --out.
+def _command_inputs(command, synth, features, fdnn, kan):
+    ckpt_kan = ["--checkpoint", str(kan / "kan.ckpt")]
+    return {
+        "synth": [],
+        "features": ["--root", str(synth / "corpus"),
+                     "--subjects", str(synth / "subjects.csv"),
+                     "--annotations", str(synth / "annotations.csv"),
+                     "--jobs", "1"],
+        "select": ["--features", str(features)],
+        "train-fdnn": ["--features", str(features)],
+        "eval-fdnn": ["--features", str(features),
+                      "--checkpoint", str(fdnn / "fdnn.ckpt")],
+        "train-kan": ["--features", str(features)],
+        "cv-kan": ["--features", str(features)],
+        "eval-kan": ["--features", str(features), *ckpt_kan],
+        "trace": ["--features", str(features), *ckpt_kan, "--trial",
+                  sorted((features / "segments").glob("*.json"))[0].stem],
+        "stream": ["--fdnn", str(fdnn / "fdnn.ckpt"),
+                   "--kan", str(kan / "kan.ckpt"),
+                   "--trial", str(sorted(
+                       (synth / "corpus" / "SA01").glob("F*.txt"))[0]),
+                   "--subjects", str(synth / "subjects.csv")],
+        "report": [],
+    }[command]
+
+
+class TestResolvedConfigRecorded:
+    @pytest.mark.parametrize("command", [
+        "synth", "features", "select", "train-fdnn", "eval-fdnn",
+        "train-kan", "cv-kan", "eval-kan", "trace", "stream", "report"])
+    def test_written_on_success(self, workspace, synth_dir, features_dir,
+                                fdnn_dir, kan_dir, tmp_path, command):
+        _, config = workspace
+        out = tmp_path / "out"
+        rc = dispatch([command, "--config", str(config), "--seed", "3",
+                       "--out", str(out),
+                       *_command_inputs(command, synth_dir, features_dir,
+                                        fdnn_dir, kan_dir)])
+        assert rc == 0
+        want = tmp_path / "want.json"
+        dump_config(load_config(config, {"seed": 3}), want)
+        assert (out / "resolved_config.json").read_text() == \
+            want.read_text()
+
+    def test_none_on_failure(self, workspace, features_dir, kan_dir,
+                             tmp_path):
+        # A features dir with one fall segment: its only repetition is a
+        # train one, so eval-kan finds no test fold, and trace is asked for
+        # a trial it does not hold.
+        _, config = workspace
+        lone = tmp_path / "features"
+        (lone / "segments").mkdir(parents=True)
+        seg = sorted((features_dir / "segments").glob("*.json"))[0]
+        (lone / "segments" / seg.name).write_bytes(seg.read_bytes())
+        for command, extra in (
+                ("eval-kan", []),
+                ("trace", ["--trial", "F15_SE15_R01"])):
+            out = tmp_path / command
+            rc = dispatch([command, "--config", str(config),
+                           "--features", str(lone),
+                           "--checkpoint", str(kan_dir / "kan.ckpt"),
+                           "--out", str(out), *extra])
+            assert rc == 1, command
+            assert out.is_dir() and not any(out.iterdir()), command
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,10 @@ from fallsense.config import (
     kan_grid_configs,
     load_config,
 )
+from fallsense.orientation import FilterConfig
+from fallsense.sisfall import CalibrationSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestLoadConfig:
@@ -127,9 +134,160 @@ class TestLoadConfig:
         assert again == cfg
 
     def test_calibration_spec(self):
-        spec = load_config(None).calibration.to_spec()
+        spec = load_config(None).calibration
         assert spec.adxl345.scale == pytest.approx(2 * 16 / 2 ** 13)
+        assert spec.itg3200.scale == pytest.approx(2 * 2000 / 2 ** 16)
         assert spec.mma8451q.scale == pytest.approx(2 * 8 / 2 ** 14)
+
+
+# resolved_config.json with every default, byte for byte as written before
+# the calibration and orientation sections became the library's own types.
+DEFAULT_RESOLVED = """\
+{
+  "calibration": {
+    "adxl345_bits": 13,
+    "adxl345_range_g": 16.0,
+    "itg3200_bits": 16,
+    "itg3200_range_dps": 2000.0,
+    "mma8451q_bits": 14,
+    "mma8451q_range_g": 8.0
+  },
+  "fdnn": {
+    "adam_eps": 1e-08,
+    "batch_size": 128,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "bn_eps": 1e-05,
+    "bn_momentum": 0.9,
+    "classes": 2,
+    "dropout_rate": 0.5,
+    "epochs": 64,
+    "fc1_units": 16,
+    "grad_clip": 5.0,
+    "inner_dim": 16,
+    "input_dim": 18,
+    "learning_rate": 0.001,
+    "seed": 0,
+    "static_dim": 4,
+    "threshold": 0.5
+  },
+  "kan": {
+    "damping": 1e-12,
+    "epochs": 10,
+    "init_scale": 0.01,
+    "inner_span": 3.0,
+    "mu": 0.0625,
+    "n_inner_nodes": 4,
+    "q_outer_nodes": 64,
+    "seed": 0,
+    "shuffle": true,
+    "standardize_targets": true,
+    "warmup": "epoch",
+    "window_ms": 50.0
+  },
+  "kan_grid": [],
+  "orientation": {
+    "accel_noise": 0.05,
+    "body_up": [
+      0.0,
+      -1.0,
+      0.0
+    ],
+    "deriv_order": 2,
+    "gate_high_g": 1.3,
+    "gate_low_g": 0.7,
+    "gyro_noise": 0.01,
+    "init_window_s": 0.5
+  },
+  "seed": 0,
+  "segment": {
+    "stillness_threshold_g": 0.05,
+    "stillness_window_ms": 200.0
+  },
+  "selection": {
+    "bins": 32,
+    "corr_threshold": 0.3,
+    "kan_features": [
+      "ay_adxl345",
+      "ay_mma8451q",
+      "wy_itg3200",
+      "theta",
+      "theta_deriv"
+    ],
+    "mrmr_k": 2
+  },
+  "split": {
+    "seed": 0,
+    "test": 0.2,
+    "train": 0.6,
+    "validation": 0.2
+  },
+  "stream": {
+    "deadline_us": 5000.0,
+    "kan_gating": true
+  },
+  "synth": {
+    "adls_per_subject": 2,
+    "duration_s": 8.0,
+    "falls_per_subject": 3,
+    "noise_g": 0.005,
+    "repetitions": 2,
+    "subjects": 2
+  }
+}
+"""
+
+
+def _flatten(tree: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+class TestFormatUnchanged:
+    def test_default_file_round_trips_byte_identical(self, tmp_path):
+        p = tmp_path / "resolved_config.json"
+        p.write_text(DEFAULT_RESOLVED)
+        cfg = load_config(p)
+        assert cfg == load_config(None)
+        again = tmp_path / "again.json"
+        dump_config(cfg, again)
+        assert again.read_text() == DEFAULT_RESOLVED
+
+    def test_settable_values_and_defaults(self):
+        want = _flatten(json.loads(DEFAULT_RESOLVED))
+        got = _flatten(json.loads(json.dumps(
+            dataclasses.asdict(load_config(None)))))
+        assert len(want) == 62
+        assert got == want
+
+    def test_sections_are_the_library_types(self):
+        cfg = load_config(None)
+        assert type(cfg.calibration) is CalibrationSpec
+        assert isinstance(cfg.orientation, FilterConfig)
+        own = ({f.name for f in dataclasses.fields(cfg.orientation)}
+               - {f.name for f in dataclasses.fields(FilterConfig)})
+        assert own == {"body_up", "deriv_order"}
+
+    def test_benchmark_config_loads(self, tmp_path):
+        # the train-eval workload's CONFIG literal, read without importing
+        # the benchmark harness
+        tree = ast.parse((ROOT / "perfbench" / "train_eval.py").read_text())
+        config = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)]
+            == ["CONFIG"])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(config))
+        cfg = load_config(p)
+        assert cfg.orientation.body_up == (0.0, 0.0, 1.0)
+        assert cfg.kan.standardize_targets is True
+        assert len(kan_grid_configs(cfg)) == len(config["kan_grid"])
 
 
 class TestKanGrid:

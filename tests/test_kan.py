@@ -29,7 +29,9 @@ from fallsense.kan import (
     load_checkpoint,
     predict_segment,
     predict_smoothed_row,
+    rmse,
     save_checkpoint,
+    segment_records,
     smooth_rows,
 )
 from fallsense.pipeline import collect_fall_segments, orient_and_frame
@@ -518,6 +520,26 @@ class TestCrossValidation:
         assert len(table) == 2
         assert best in grid
         assert min(table, key=lambda r: r.val_rmse).config == best
+
+    @pytest.mark.parametrize("overrides", [
+        {"q_outer_nodes": 32}, {"q_outer_nodes": 64}, {"window_ms": 100.0},
+        {"mu": 1.0},                # overshoots: its best epoch is not the last
+    ], ids=["q32", "q64", "w100", "mu1"])
+    def test_score_equals_refit_model_on_validation(self, overrides):
+        # Reference: the returned model re-evaluated on the validation
+        # records, smoothed again.  The fit log's lowest val_rmse is that
+        # model's score, to the bit.
+        segs = self._segments()
+        plan = build_cv_plan([s.trial_id for s in segs], seed=1)
+        cfg = KanConfig(epochs=4, seed=0, **overrides)
+        _, (result,) = cross_validate([cfg], plan, segs)
+        train = [s for s in segs if plan.role_of(s.trial_id) == "train"]
+        val = [s for s in segs if plan.role_of(s.trial_id) == "validation"]
+        model, _ = fit(cfg, train, val)
+        val_x, val_y = segment_records(val, cfg.window_samples)
+        want = rmse(kan_eval_batch(
+            model, apply_standardizer(model.stats, val_x)), val_y)
+        assert result.val_rmse == want
 
     def test_paper_optimum_expressible(self):
         cfg = KanConfig(n_inner_nodes=4, q_outer_nodes=64, mu=0.0625,

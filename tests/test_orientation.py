@@ -152,9 +152,6 @@ class TestFilterConfig:
         {"gate_high_g": math.nan},
         {"init_window_s": 0.0},
         {"init_window_s": -1.0},
-        {"init_att_std_rad": 0.0},
-        {"dynamic_init_std_rad": 0.0},
-        {"dynamic_init_std_rad": math.nan},
     ])
     def test_rejects_unrunnable(self, bad):
         with pytest.raises(OrientationError):
