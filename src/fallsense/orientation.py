@@ -6,6 +6,13 @@ measured gravity direction whenever its magnitude is close enough to 1 g
 to be trusted.  No magnetometer, so yaw is unobservable and drifts; the
 tilt angle does not depend on yaw.
 
+The filter has one step pair, ``predict_step`` and ``update_step``, on a
+``FilterState`` that carries the attitude and the covariance as tuples
+of Python floats: at one 3-vector per call, NumPy's per-call overhead
+would dwarf the arithmetic.  The stream takes the two steps once per
+sample, and ``estimate_orientation`` scans them over a trial's rows, so
+batch frames and streamed frames share one filter definition.
+
 Quaternions are scalar-first [w, x, y, z], unit norm, canonical sign
 (w >= 0), and rotate body-frame vectors into the world frame.  The world
 z axis points up (opposite gravity).
@@ -14,7 +21,7 @@ z axis points up (opposite gravity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +45,12 @@ class OrientationError(ValueError):
 # floats: ``quat_normalize`` and ``quat_multiply`` take any 4-sequence and
 # return a 4-tuple, and ``quat_from_rotvec``/``quat_to_matrix`` wrap the
 # scalar ``_rotvec_quat``/``_rotation`` in arrays for other callers.
+
+def _floats(values):
+    """An array's entries as (nested lists of) Python floats; any other
+    sequence as it is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
 
 def quat_normalize(q) -> tuple[float, float, float, float]:
     """Unit norm and canonical sign (scalar component >= 0)."""
@@ -95,9 +108,8 @@ def unit_body_up(body_up) -> tuple[float, float, float]:
     """The body-up axis scaled to unit length.  Raises OrientationError
     unless it has 3 finite entries and a non-zero (finite) norm: any other
     axis gives no tilt."""
-    values = body_up.tolist() if isinstance(body_up, np.ndarray) else body_up
     try:
-        ux, uy, uz = map(float, values)
+        ux, uy, uz = map(float, _floats(body_up))
     except (TypeError, ValueError):
         ux = uy = uz = math.nan
     norm = math.hypot(ux, uy, uz)
@@ -130,12 +142,12 @@ def tilt(q, up: tuple[float, float, float] | None = None) -> float:
     return math.acos(c)
 
 
-def tilt_angles(quats: np.ndarray, body_up: np.ndarray | None = None) -> np.ndarray:
-    """``tilt`` per row of an (N, 4) quaternion series, with ``body_up``
-    scaled to unit length once."""
+def tilt_angles(quats, body_up: np.ndarray | None = None) -> np.ndarray:
+    """``tilt`` per row of an (N, 4) quaternion series (an array or a
+    sequence of 4-sequences), with ``body_up`` scaled to unit length
+    once."""
     up = None if body_up is None else unit_body_up(body_up)
-    rows = np.asarray(quats, dtype=float).tolist()
-    return np.array([tilt(q, up) for q in rows], dtype=float)
+    return np.array([tilt(q, up) for q in _floats(quats)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +181,58 @@ class FilterConfig:
                 f"init_window_s must be > 0, got {self.init_window_s}")
 
 
-@dataclass
 class FilterState:
-    q: np.ndarray               # (4,) unit quaternion, body -> world
-    P: np.ndarray               # (3, 3) attitude-error covariance, rad^2
-    config: FilterConfig = field(default_factory=FilterConfig)
+    """Attitude and covariance carried as Python floats.
+
+    ``quat`` is the attitude [w, x, y, z] (unit, body -> world) as a
+    4-tuple, ``cov`` the attitude-error covariance (rad^2) as the six
+    entries (P00, P01, P02, P11, P12, P22) of its upper triangle, so the
+    matrix stays exactly symmetric.  Built from a (4,) quaternion and a
+    (3, 3) covariance, of which the upper triangle is read; ``q`` and
+    ``P`` give them back as arrays.
+    """
+
+    __slots__ = ("quat", "cov", "config")
+
+    def __init__(self, q: np.ndarray, P: np.ndarray,
+                 config: FilterConfig | None = None):
+        w, x, y, z = np.asarray(q, dtype=float).tolist()
+        (p00, p01, p02), (_, p11, p12), (_, _, p22) = np.asarray(
+            P, dtype=float).tolist()
+        self.quat = (w, x, y, z)
+        self.cov = (p00, p01, p02, p11, p12, p22)
+        self.config = FilterConfig() if config is None else config
+
+    @classmethod
+    def _of(cls, quat: tuple[float, ...], cov: tuple[float, ...],
+            config: FilterConfig) -> FilterState:
+        """A state from float tuples as they are: the steps' constructor."""
+        state = object.__new__(cls)
+        state.quat = quat
+        state.cov = cov
+        state.config = config
+        return state
+
+    def __repr__(self) -> str:
+        return (f"FilterState(quat={self.quat}, cov={self.cov}, "
+                f"config={self.config})")
+
+    @property
+    def q(self) -> np.ndarray:
+        """(4,) unit quaternion, body -> world."""
+        return np.array(self.quat)
+
+    @property
+    def P(self) -> np.ndarray:
+        """(3, 3) attitude-error covariance, rad^2."""
+        p00, p01, p02, p11, p12, p22 = self.cov
+        return np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
 
 
-# The covariance is handled as its upper triangle (P00, P01, P02, P11,
-# P12, P22) and rebuilt from those six entries, so it stays exactly
-# symmetric.
-
-def _upper(P: np.ndarray) -> tuple[float, ...]:
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = P.tolist()
-    return (p00, p01, p02, p11, p12, p22)
-
-
-def _symmetric(p00, p01, p02, p11, p12, p22) -> np.ndarray:
-    return np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
+def _check_dt(dt: float) -> None:
+    # Written as "not (valid)" so that NaN is rejected too.
+    if not 0.0 < dt < math.inf:
+        raise OrientationError(f"dt must be positive and finite, got {dt}")
 
 
 def _congruence(m, p) -> tuple[float, ...]:
@@ -211,35 +257,36 @@ def _congruence(m, p) -> tuple[float, ...]:
             a20 * m20 + a21 * m21 + a22 * m22)
 
 
-def predict_step(state: FilterState, omega_dps: np.ndarray,
+def predict_step(state: FilterState, omega_dps,
                  dt: float) -> FilterState:
-    """Advance the attitude by the exact exponential of the body rates."""
-    if dt <= 0:
-        raise OrientationError(f"dt must be positive, got {dt}")
-    wx, wy, wz = np.asarray(omega_dps, dtype=float).tolist()
+    """Advance the attitude by the exact exponential of the body rates
+    (deg/s, an array row or a 3-sequence of floats)."""
+    _check_dt(dt)
+    wx, wy, wz = _floats(omega_dps)
     if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
         raise OrientationError("non-finite gyro sample")
     scale = DEG * dt
     dq = _rotvec_quat(wx * scale, wy * scale, wz * scale)
-    q = quat_normalize(quat_multiply(state.q.tolist(), dq))
+    q = quat_normalize(quat_multiply(state.quat, dq))
     # Body-side error state: delta_next = R(dq)^T delta + noise, so
     # P <- F P F^T + Q with F = R(dq)^T and Q = gyro_noise dt I.
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(dq)
     p00, p01, p02, p11, p12, p22 = _congruence(
-        (r00, r10, r20, r01, r11, r21, r02, r12, r22), _upper(state.P))
+        (r00, r10, r20, r01, r11, r21, r02, r12, r22), state.cov)
     qn = state.config.gyro_noise * dt
-    P = _symmetric(p00 + qn, p01, p02, p11 + qn, p12, p22 + qn)
-    return FilterState(q=np.array(q), P=P, config=state.config)
+    return FilterState._of(q, (p00 + qn, p01, p02, p11 + qn, p12, p22 + qn),
+                           state.config)
 
 
-def update_step(state: FilterState, accel_g: np.ndarray) -> FilterState:
-    """Correct toward the measured gravity direction, if trustworthy.
+def update_step(state: FilterState, accel_g) -> FilterState:
+    """Correct toward the measured gravity direction (g, an array row or a
+    3-sequence of floats), if trustworthy.
 
     Samples whose magnitude falls outside the gating band around 1 g are
     dynamic motion and leave the state untouched (the same object is
     returned).
     """
-    ax, ay, az = np.asarray(accel_g, dtype=float).tolist()
+    ax, ay, az = _floats(accel_g)
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
         raise OrientationError("non-finite accelerometer sample")
     norm = math.sqrt(ax * ax + ay * ay + az * az)
@@ -247,13 +294,13 @@ def update_step(state: FilterState, accel_g: np.ndarray) -> FilterState:
     if not (cfg.gate_low_g <= norm <= cfg.gate_high_g):
         return state
 
-    q = state.q.tolist()
+    q = state.quat
     # Predicted up in the body frame: R(q)^T e_z, the third row of R(q).
     vx, vy, vz = _rotation(q)[6:]
     ex, ey, ez = ax / norm - vx, ay / norm - vy, az / norm - vz  # innovation
     # h(dtheta) ~ v + [v]_x dtheta, so H = [v]_x = [[0, -vz, vy],
     # [vz, 0, -vx], [-vy, vx, 0]] and R = accel_noise I.
-    p00, p01, p02, p11, p12, p22 = p = _upper(state.P)
+    p00, p01, p02, p11, p12, p22 = p = state.cov
     b00 = p02 * vy - p01 * vz                   # B = P H^T
     b01 = p00 * vz - p02 * vx
     b02 = p01 * vx - p00 * vy
@@ -306,14 +353,13 @@ def update_step(state: FilterState, accel_g: np.ndarray) -> FilterState:
          k12 * vy - k11 * vz, 1.0 + k10 * vz - k12 * vx, k11 * vx - k10 * vy,
          k22 * vy - k21 * vz, k20 * vz - k22 * vx, 1.0 + k21 * vx - k20 * vy),
         p)
-    P = _symmetric(
+    return FilterState._of(q, (
         j00 + r * (k00 * k00 + k01 * k01 + k02 * k02),
         j01 + r * (k00 * k10 + k01 * k11 + k02 * k12),
         j02 + r * (k00 * k20 + k01 * k21 + k02 * k22),
         j11 + r * (k10 * k10 + k11 * k11 + k12 * k12),
         j12 + r * (k10 * k20 + k11 * k21 + k12 * k22),
-        j22 + r * (k20 * k20 + k21 * k21 + k22 * k22))
-    return FilterState(q=np.array(q), P=P, config=cfg)
+        j22 + r * (k20 * k20 + k21 * k21 + k22 * k22)), cfg)
 
 
 def init_state(accel_mean_g: np.ndarray,
@@ -357,9 +403,11 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
 
     Initializes from the accelerometer mean over the first
     ``config.init_window_s`` seconds, then runs predict (gyro) + update
-    (accelerometer) for every sample.  Returns an (N, 4) array.
+    (accelerometer) for every sample: the two steps the stream takes, on
+    the same float rows.  Returns an (N, 4) array.
     """
     config = config or FilterConfig()
+    _check_dt(dt)
     accel = np.atleast_2d(np.asarray(accel_g, dtype=float))
     gyro = np.atleast_2d(np.asarray(gyro_dps, dtype=float))
     n = accel.shape[0]
@@ -371,14 +419,14 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
     window = max(1, min(n, int(round(config.init_window_s / dt))))
     state = init_state(accel[:window].mean(axis=0), config)
 
-    out = np.empty((n, 4))
-    state = update_step(state, accel[0])
-    out[0] = state.q
+    accel_rows, gyro_rows = accel.tolist(), gyro.tolist()
+    state = update_step(state, accel_rows[0])
+    quats = [state.quat]
     for k in range(1, n):
-        state = predict_step(state, gyro[k], dt)
-        state = update_step(state, accel[k])
-        out[k] = state.q
-    return out
+        state = predict_step(state, gyro_rows[k], dt)
+        state = update_step(state, accel_rows[k])
+        quats.append(state.quat)
+    return np.array(quats)
 
 
 # ---------------------------------------------------------------------------

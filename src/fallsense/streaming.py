@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -122,7 +123,6 @@ def stream_trial(
     if unknown:
         raise StreamError(f"impact-model features not in the frame: {unknown}")
 
-    kan_idx = feature_indices(kan_model.feature_names)
     filter_config = filter_config or FilterConfig()
     n = len(trial)
     if n == 0:
@@ -136,21 +136,26 @@ def stream_trial(
                               f"{int(bad.argmax())}")
 
     detector = FdnnStream(params, fcfg)
-    static = subject.static_vector()
     window = max(1, min(n, int(round(
         filter_config.init_window_s / SAMPLE_PERIOD_S))))
     kernel = kan_mod.KanKernel(kan_model)
-    kan_window = kan_model.config.window_samples
-    kan_rows: list[list[float]] = []     # trailing window, oldest first
+    kan_idx = feature_indices(kan_model.feature_names).tolist()
+    kan_rows: deque[list[float]] = deque(     # trailing window, oldest first
+        maxlen=kan_model.config.window_samples)
 
-    accel = trial.accel_adxl345
-    gyro = trial.gyro_itg3200
+    # Each sample's 19-entry frame is one list of Python floats, built from
+    # these rows and the filter's quaternion; the detector reads its first
+    # 18 entries, standardized in place in ``inputs``.
+    static = subject.static_vector().tolist()
+    accel = trial.accel_adxl345.tolist()
+    accel2 = trial.accel_mma8451q.tolist()
+    gyro = trial.gyro_itg3200.tolist()
+    n_fdnn = len(FDNN_FEATURES)
+    inputs = np.empty(n_fdnn)
     state = None
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     events: list[StreamEvent] = []
     latencies = np.empty(n)
-    frame = np.empty(len(FEATURE_NAMES))
-    frame[0:4] = static
 
     def process(k: int) -> StreamEvent:
         nonlocal state, prev, prev2
@@ -160,24 +165,21 @@ def stream_trial(
         else:
             state = predict_step(state, gyro[k], SAMPLE_PERIOD_S)
             state = update_step(state, accel[k])
-        theta = float(tilt_angles(state.q[None, :], body_up)[0])
-        frame[4:7] = accel[k]
-        frame[7:10] = trial.accel_mma8451q[k]
-        frame[10:13] = gyro[k]
-        frame[13:17] = state.q
-        frame[17] = theta
-        frame[18] = (backward_difference(theta, prev, prev2, SAMPLE_PERIOD_S,
-                                         deriv_order)
-                     if k >= deriv_order else 0.0)
+        theta = float(tilt_angles((state.quat,), body_up)[0])
+        deriv = (backward_difference(theta, prev, prev2, SAMPLE_PERIOD_S,
+                                     deriv_order)
+                 if k >= deriv_order else 0.0)
         prev, prev2 = theta, prev
+        frame = [*static, *accel[k], *accel2[k], *gyro[k], *state.quat,
+                 theta, deriv]
 
-        x = (frame[:18] - fstats.mean) / fstats.std
-        p_fall = detector.step(x)
+        inputs[:] = frame[:n_fdnn]
+        np.subtract(inputs, fstats.mean, out=inputs)
+        np.divide(inputs, fstats.std, out=inputs)
+        p_fall = detector.step(inputs)
         decision = bool(p_fall > fcfg.threshold)
 
-        kan_rows.append(frame[kan_idx].tolist())
-        if len(kan_rows) > kan_window:
-            kan_rows.pop(0)
+        kan_rows.append([frame[i] for i in kan_idx])
         tti = None
         if decision or not kan_gating:
             # Column means, each summed from 0.0 oldest row first, as
@@ -203,7 +205,8 @@ def stream_trial(
         if k == window - 1:
             # Warm-up window full: initialize the filter exactly like the
             # batch estimator and emit the deferred events.
-            state = init_state(accel[:window].mean(axis=0), filter_config)
+            state = init_state(trial.accel_adxl345[:window].mean(axis=0),
+                               filter_config)
             for j in range(window):
                 events.append(process(j))
         elif k >= window:

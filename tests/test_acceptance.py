@@ -286,21 +286,53 @@ def test_a9_metrics_oracle():
     _ok("A9", "(1000 random prediction/label vectors)")
 
 
+def _load_perfbench(name: str):
+    """perfbench/<name>.py of this checkout, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.tier_a
 def test_a10_benchmark_trace_targets_resolve():
     """Every function the benchmark's tracer patches still exists where
     the tracer looks it up, so a refactor cannot silently break a traced
     benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     targets = [entry[:2] for entry in spans.LAYERS] + [spans.FORWARD[:2]]
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in targets
                if not callable(getattr(owner, attr, None))]
     assert not missing, f"unresolved trace targets: {missing}"
     _ok("A10", f"({len(targets)} trace targets resolve)")
+
+
+@pytest.mark.tier_a
+def test_a13_stream_trace_targets_are_called():
+    """Every stream-side span of the benchmark's tracer records at least
+    one call on a short ungated stream, so a refactor cannot leave a trace
+    target that resolves but that the stream no longer calls."""
+    spans = _load_perfbench("spans")
+    models = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+    annotated, _ = generate_synthetic_trial(
+        SyntheticSpec(duration_s=1.0, fall_onset_s=0.6, impact_s=0.9),
+        seed=5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        stream_trial(models / "detector.ckpt", models / "impact.ckpt",
+                     annotated.trial, SUBJECT, kan_gating=False)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    want = ("orientation.predict_step", "orientation.update_step",
+            "orientation.tilt", "fdnn.stream_step", "kan.eval",
+            "checkpoint.load_detector", "checkpoint.load_impact")
+    silent = [name for name in want if calls.get(name, 0) < 1]
+    assert not silent, f"trace targets the stream never called: {silent}"
+    _ok("A13", f"({len(want)} stream spans called)")
 
 
 def _run_demo(name: str) -> str:
@@ -338,6 +370,25 @@ def test_a12_impact_countdown_demo_runs():
                  "iteration 200: residual    0.000109"):
         assert line in stdout
     _ok("A12", "(demo 03 exits 0, one-record residuals unchanged)")
+
+
+@pytest.mark.tier_b
+def test_b13_realtime_stream_demo_runs():
+    """demos/04_realtime_stream.py, the one caller of stream_trial in
+    real-time mode, runs, and the P(falling) and countdown lines it prints
+    are the ones pinned here."""
+    stdout = _run_demo("04_realtime_stream.py")
+    for line in ("  t=    0 ms  P(falling)=0.430",
+                 "  t= 1500 ms  P(falling)=0.022  <- fall starts",
+                 "  t= 1600 ms  P(falling)=0.778  countdown  635.4 ms",
+                 "  t= 1800 ms  P(falling)=0.785  countdown  416.1 ms",
+                 "  t= 2000 ms  P(falling)=0.801  countdown   84.2 ms",
+                 "  t= 2100 ms  P(falling)=0.825  countdown   43.5 ms"
+                 "  <- impact",
+                 "  t= 2200 ms  P(falling)=0.010",
+                 "  t= 3800 ms  P(falling)=0.011"):
+        assert line in stdout.splitlines()
+    _ok("B13", "(demo 04 exits 0, P(falling) and countdown unchanged)")
 
 
 # ===========================================================================

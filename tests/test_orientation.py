@@ -187,6 +187,11 @@ class TestPredict:
         with pytest.raises(OrientationError):
             predict_step(_state(), np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("dt", [-0.005, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_dt(self, dt):
+        with pytest.raises(OrientationError, match="dt must be"):
+            predict_step(_state(), np.zeros(3), dt)
+
     def test_rejects_non_finite(self):
         with pytest.raises(OrientationError):
             predict_step(_state(), np.array([np.nan, 0, 0]), 0.005)
@@ -276,6 +281,28 @@ class TestEstimateOrientation:
     def test_empty_trial_rejected(self):
         with pytest.raises(OrientationError):
             estimate_orientation(np.empty((0, 3)), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.005, math.nan, math.inf])
+    def test_bad_dt_rejected_up_front(self, dt):
+        accel = np.tile([0.0, 0.0, 1.0], (10, 1))
+        with pytest.raises(OrientationError, match="dt must be"):
+            estimate_orientation(accel, np.zeros((10, 3)), dt=dt)
+
+    def test_is_the_two_steps_scanned_over_array_rows(self):
+        rng = np.random.default_rng(7)
+        n = 300
+        accel = rng.normal(0.0, 0.4, (n, 3)) + [0.0, 0.0, 1.0]
+        gyro = rng.uniform(-200.0, 200.0, (n, 3))
+        config = FilterConfig(init_window_s=0.1)
+        state = init_state(accel[:20].mean(axis=0), config)
+        state = update_step(state, accel[0])
+        want = [state.q]
+        for k in range(1, n):
+            state = predict_step(state, gyro[k], 0.005)
+            state = update_step(state, accel[k])
+            want.append(state.q)
+        got = estimate_orientation(accel, gyro, config, dt=0.005)
+        assert np.array_equal(got, np.array(want))
 
 
 def ref_tilt_angles(quats, body_up=None):
@@ -397,3 +424,60 @@ class TestAngularDerivative:
             angular_derivative(np.array([1.0, 2.0]), 0.005, 2)
         with pytest.raises(OrientationError):
             angular_derivative(np.array([1.0]), 0.005, 1)
+
+
+def _is_float_tuple(values, size):
+    return (type(values) is tuple and len(values) == size
+            and all(type(v) is float for v in values))
+
+
+class TestFloatState:
+    def test_arrays_round_trip_exactly(self):
+        rng = np.random.default_rng(1)
+        q = quat_from_rotvec(rng.uniform(-1.0, 1.0, 3))
+        A = rng.normal(size=(3, 3))
+        P = A @ A.T
+        P = np.triu(P) + np.triu(P, 1).T        # exactly symmetric
+        state = FilterState(q, P)
+        assert np.array_equal(state.q, q) and np.array_equal(state.P, P)
+        assert state.config == FilterConfig()
+        assert _is_float_tuple(state.quat, 4) and _is_float_tuple(state.cov, 6)
+
+    def test_array_properties_are_read_only(self):
+        state = _state()
+        with pytest.raises(AttributeError):
+            state.q = IDENTITY
+        with pytest.raises(AttributeError):
+            state.P = np.eye(3)
+
+    @given(filter_states(), _vec3, _vec3, st.floats(0.71, 1.29))
+    @settings(max_examples=100, deadline=None)
+    def test_array_and_list_rows_give_identical_bits(self, state, rate,
+                                                     direction, magnitude):
+        omega = np.array(rate) * 2000.0
+        accel = _accel(direction, magnitude)
+        from_array = predict_step(state, omega, 0.005)
+        from_list = predict_step(state, omega.tolist(), 0.005)
+        assert from_array.quat == from_list.quat
+        assert from_array.cov == from_list.cov
+        from_array = update_step(from_array, accel)
+        from_list = update_step(from_list, accel.tolist())
+        assert from_array.quat == from_list.quat
+        assert from_array.cov == from_list.cov
+
+    def test_steps_keep_python_float_tuples(self):
+        rng = np.random.default_rng(5)
+        s = _state(P_scale=0.5)
+        for k in range(200):
+            omega = rng.uniform(-300, 300, 3)
+            accel = rng.normal(0, 0.3, 3) + [0, 0, 1.0]
+            if k % 2:                       # list rows as the stream feeds
+                omega, accel = omega.tolist(), accel.tolist()
+            s = predict_step(s, omega, 0.005)
+            assert _is_float_tuple(s.quat, 4) and _is_float_tuple(s.cov, 6)
+            s = update_step(s, accel)
+            assert _is_float_tuple(s.quat, 4) and _is_float_tuple(s.cov, 6)
+
+    def test_gated_update_returns_same_object_for_list_row(self):
+        s = _state()
+        assert update_step(s, [0.0, 0.0, 3.0]) is s
