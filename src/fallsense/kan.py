@@ -17,8 +17,13 @@ and ``fit_records``' Kaczmarz writes both run on it; the sweeps write the
 node values back to the model's arrays once per pass.  Its arithmetic
 keeps a fixed order (inner sums as s_j + (u*a + t*b), gradient norms in
 NumPy's pairwise summation order), so reads and writes are bit-identical
-to the per-scalar NumPy form the tests keep as a reference.  Whole
-matrices (``kan_eval_batch``) stay vectorised with ``np.interp``.
+to the per-scalar NumPy form the tests keep as a reference.
+
+Reads have one arithmetic in two layouts: ``kan_eval_batch`` runs the
+kernel's bracket, inner-sum order and outer form over whole columns, so a
+streamed impact time equals what evaluation scores bit for bit.  Each
+layout is the fast one for its shape (one row on the kernel takes about
+a fifth of a one-row batch call), so both stay.
 
 Inputs are the five selected signals, smoothed by a trailing moving
 average and standardized; targets stay in milliseconds.
@@ -300,29 +305,44 @@ class KanKernel:
         return UpdateInfo(residual=r, gram=gram, degenerate=False)
 
 
+def _brackets(grid: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_bracket`` over an array: left node indices k and weights t,
+    with t = 0 or 1 at clamped ends and a NaN t for a NaN x.
+
+    Searching the interior nodes gives ``searchsorted(grid, x,
+    side="right") - 1`` already clamped to the grid's intervals.
+    """
+    k = np.searchsorted(grid[1:-1], x, side="right")
+    left = grid[k]
+    t = (x - left) / (grid[k + 1] - left)
+    return k, np.minimum(np.maximum(t, 0.0), 1.0)
+
+
 def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
-    """(M, 2d+1) inner sums for an (M, d) standardized matrix."""
-    grid = model.inner_grid
-    n = grid.shape[0]
-    ks = np.clip(np.searchsorted(grid, xs, side="right") - 1, 0, n - 2)
-    ts = (xs - grid[ks]) / (grid[ks + 1] - grid[ks])
-    ts = np.clip(ts, 0.0, 1.0)
+    """(M, 2d+1) inner sums for an (M, d) standardized matrix, added per
+    input from 0.0 in ``KanKernel.inner_sums``' order."""
+    ks, ts = _brackets(model.inner_grid, xs)
     out = np.zeros((xs.shape[0], model.branches))
     for i in range(model.d):
-        left = model.inner_values[i][:, ks[:, i]]   # (2d+1, M)
-        right = model.inner_values[i][:, ks[:, i] + 1]
-        out += ((1.0 - ts[:, i]) * left + ts[:, i] * right).T
+        nodes = model.inner_values[i].T              # (n, 2d+1)
+        t = ts[:, i, None]
+        out += (1.0 - t) * nodes[ks[:, i]] + t * nodes[ks[:, i] + 1]
     return out
 
 
 def kan_eval_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
+    """``KanKernel.eval`` over the rows of an (M, d) standardized matrix,
+    bit for bit."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.d:
         raise KanError(f"expected (M, {model.d}) inputs, got {xs.shape}")
     s = _inner_sums_batch(model, xs)
     y = np.zeros(xs.shape[0])
     for j in range(model.branches):
-        y += np.interp(s[:, j], model.outer_grids[j], model.outer_values[j])
+        k, t = _brackets(model.outer_grids[j], s[:, j])
+        ov = model.outer_values[j]
+        y += (1.0 - t) * ov[k] + t * ov[k + 1]
     return y
 
 
@@ -415,6 +435,9 @@ def _respan_outer(model: KanModel, xs: np.ndarray,
             lo, hi = lo - 1.0, hi + 1.0
         new_grid = np.linspace(lo, hi, q)
         if ramp_scale is None:
+            # A fit-time resample, not a read, so it keeps np.interp's
+            # formula: the Kaczmarz epochs that follow amplify ulp-level
+            # changes here into tens of ms of the trained countdown.
             model.outer_values[j] = np.interp(
                 new_grid, model.outer_grids[j], model.outer_values[j])
         else:

@@ -475,11 +475,10 @@ def test_b11_streaming_latency(overfit_pipeline):
 @pytest.mark.tier_b
 def test_b12_streamed_impact_time_is_what_eval_scores(overfit_pipeline):
     """With the impact model on every sample, the streamed time of impact
-    over each fall segment equals kan.predict_segment on the batch segment
-    (within 1e-6 ms), and P(falling) stays bit-identical to batch."""
+    over each fall segment equals kan.predict_segment on the batch segment,
+    and P(falling) equals the batch trace, both bit for bit."""
     (pairs, _, params, cfg, stats, fdnn_path, kan_path) = overfit_pipeline
     model = kan_mod.load_checkpoint(kan_path)
-    worst = 0.0
     falls = 0
     for annotated, frames in pairs:
         if annotated.fall_span() is None:
@@ -494,15 +493,12 @@ def test_b12_streamed_impact_time_is_what_eval_scores(overfit_pipeline):
         seg = extract_fall_segment(annotated, frames,
                                    feature_names=model.feature_names)
         streamed = np.array([e.tti_ms for e in events])
-        diff = np.abs(streamed[seg.start_index:seg.end_index + 1]
-                      - kan_mod.predict_segment(model, seg))
-        assert diff.max() <= 1e-6, \
-            f"{annotated.trial_id}: streamed vs batch tti max {diff.max()} ms"
-        worst = max(worst, float(diff.max()))
+        assert np.array_equal(streamed[seg.start_index:seg.end_index + 1],
+                              kan_mod.predict_segment(model, seg)), \
+            f"{annotated.trial_id}: streamed tti differs from batch"
         falls += 1
     assert falls == 5
-    _ok("B12", f"({falls} falls; worst streamed-vs-batch tti "
-               f"{worst:.1e} ms)")
+    _ok("B12", f"({falls} falls; streamed tti equals batch bit for bit)")
 
 
 # ===========================================================================

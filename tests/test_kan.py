@@ -58,6 +58,27 @@ def training_style_model(y_scale=400.0, seed=0, config=None):
     return model, xs
 
 
+def random_grid_model(model, xs, seed=7):
+    """The model with strictly increasing, unevenly spaced inner and outer
+    grids (each outer grid spanning its observed inner sums) and random
+    node values."""
+    rng = np.random.default_rng(seed)
+
+    def uneven(lo, hi, n):
+        steps = np.cumsum(rng.uniform(0.2, 1.0, n - 1))
+        return np.r_[lo, lo + (hi - lo) * steps / steps[-1]]
+
+    out = model.copy()
+    out.inner_grid = uneven(-2.5, 3.5, out.inner_grid.size)
+    out.inner_values[...] = rng.normal(0.0, 1.0, out.inner_values.shape)
+    s = kan._inner_sums_batch(out, xs)
+    q = out.outer_grids.shape[1]
+    out.outer_grids = np.array([uneven(lo, hi, q)
+                                for lo, hi in zip(s.min(0), s.max(0))])
+    out.outer_values[...] = rng.normal(0.0, 100.0, out.outer_values.shape)
+    return out
+
+
 def pwl(grid, values, x):
     """Value, node indices and node weights of the piecewise-linear
     function (grid, values) at x, through the kernel's bracket."""
@@ -161,10 +182,39 @@ class TestEval:
         assert KanKernel(model2).eval(x_left) != KanKernel(model).eval(x_left)
 
     def test_batch_matches_scalar(self):
+        # one arithmetic in two layouts: the batch reader is the kernel
+        # bit for bit, on random rows, every inner node, both grid ends
+        # +/-1e-12, +/-1e12, +/-inf and NaN, in each column, for evenly
+        # and unevenly spaced grids
         model, xs = training_style_model()
-        batch = kan_eval_batch(model, xs[:50])
-        single = [KanKernel(model).eval(x.tolist()) for x in xs[:50]]
-        assert np.allclose(batch, single, atol=1e-12)
+        for m in (model, random_grid_model(model, xs)):
+            g = m.inner_grid
+            probes = [*g, g[0] - 1e-12, g[0] + 1e-12, g[-1] - 1e-12,
+                      g[-1] + 1e-12, 1e12, -1e12, math.inf, -math.inf,
+                      math.nan]
+            rows = xs[:50].tolist()
+            for p in probes:
+                for i in range(D):
+                    row = xs[50 + i].tolist()
+                    row[i] = p
+                    rows.append(row)
+            single = [KanKernel(m).eval(row) for row in rows]
+            assert sum(map(math.isnan, single)) == D
+            # exact, with NaN required at the same positions
+            np.testing.assert_array_equal(
+                kan_eval_batch(m, np.array(rows)), single)
+
+    def test_brackets_match_scalar_bracket(self):
+        model, xs = training_style_model()
+        model = random_grid_model(model, xs)
+        for grid in [model.inner_grid, *model.outer_grids]:
+            spec = kan._grid_spec(grid.tolist())
+            probes = np.r_[grid, grid[[0, -1]] - 1e-12, grid[[0, -1]] + 1e-12,
+                           1e12, -1e12, math.inf, -math.inf, math.nan]
+            k, t = kan._brackets(grid, probes)
+            want = [kan._bracket(spec, x) for x in probes.tolist()]
+            assert k.tolist() == [kw for kw, _ in want]
+            assert np.array_equal(t, [tw for _, tw in want], equal_nan=True)
 
     def test_clamp_totality(self):
         model, _ = training_style_model()
@@ -435,13 +485,12 @@ class TestPredict:
         want = [predict_smoothed_row(
                     kernel, trial_rows[k - w + 1:k + 1].mean(axis=0))
                 for k in range(start, 60)]
-        assert np.allclose(predict_segment(model, seg), want,
-                           rtol=0, atol=1e-9)
+        assert predict_segment(model, seg).tolist() == want
         # without context the window restarts at the onset
         bare = FallSegment(seg.trial_id, start, 59, NAMES, seg.rows,
                            seg.tti_ms)
-        assert predict_segment(model, bare)[0] == pytest.approx(
-            predict_smoothed_row(kernel, seg.rows[0]))
+        assert predict_segment(model, bare)[0] == predict_smoothed_row(
+            kernel, seg.rows[0])
 
     def test_negative_clamped_to_zero(self):
         model = self._model()
