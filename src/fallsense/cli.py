@@ -37,6 +37,7 @@ from .features import (
     FeatureError,
     apply_standardizer,
     build_selection_report,
+    extract_fall_segment,
     load_frames,
     load_segment,
     save_frames,
@@ -108,11 +109,9 @@ def _feature_worker(task):
         deriv_order=config.orientation.deriv_order)
     segment = None
     if annotated.fall_span() is not None:
-        segment = pipeline.collect_fall_segments(
-            [(annotated, frames)],
-            stillness_window_ms=config.segment.stillness_window_ms,
-            stillness_threshold_g=config.segment.stillness_threshold_g,
-            feature_names=tuple(config.selection.kan_features))[0]
+        segment = extract_fall_segment(
+            annotated, frames, config.segment,
+            feature_names=config.selection.kan_features)
     return frames, segment
 
 
@@ -190,12 +189,8 @@ def _cmd_select(args, config: RunConfig, out: Path) -> int:
     target = np.concatenate(targets)
     matrix = apply_standardizer(fit_standardizer(matrix), matrix)
 
-    report = build_selection_report(
-        matrix, target, FEATURE_NAMES,
-        corr_threshold=config.selection.corr_threshold,
-        mrmr_k=config.selection.mrmr_k,
-        bins=config.selection.bins,
-        chosen=tuple(config.selection.kan_features))
+    report = build_selection_report(matrix, target, FEATURE_NAMES,
+                                    config.selection)
     report.to_csv(out / "selection.csv")
     print(f"correlation-selected: {report.correlation_selected}")
     print(f"mrmr ranking: {[s.name for s in report.mrmr]}")
@@ -219,7 +214,7 @@ def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
     fall_ids = [r["trial_id"] for r in index if r["has_fall"]]
     if not fall_ids:
         raise CliError("no fall trials in the feature set")
-    split = split_sequences(fall_ids, config.split.ratios, config.split.seed)
+    split = split_sequences(fall_ids, config.split)
 
     train_frames = _load_frame_sets(features_dir, split.train)
     val_frames = _load_frame_sets(features_dir, split.validation)
@@ -398,16 +393,8 @@ def _cmd_stream(args, config: RunConfig, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args, config: RunConfig, out: Path) -> int:
-    corpus = write_synthetic_corpus(
-        out,
-        subjects=config.synth.subjects,
-        falls_per_subject=config.synth.falls_per_subject,
-        adls_per_subject=config.synth.adls_per_subject,
-        repetitions=config.synth.repetitions,
-        duration_s=config.synth.duration_s,
-        noise_g=config.synth.noise_g,
-        seed=config.seed,
-        calibration=config.calibration)
+    corpus = write_synthetic_corpus(out, config.synth, seed=config.seed,
+                                    calibration=config.calibration)
     summary = verify_corpus(corpus)
     print(f"synthetic corpus at {corpus}: {summary.fall_trials} falls, "
           f"{summary.adl_trials} ADLs")

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .fdnn import FdnnConfig
-from .features import KAN_DEFAULT_FEATURES
+from .features import SegmentConfig, SelectionConfig, SplitConfig
 from .kan import KanConfig
 from .orientation import FilterConfig, unit_body_up
 from .sisfall import CalibrationSpec
+from .streaming import StreamSettings
+from .synthetic import SynthConfig
 
 
 class ConfigError(ValueError):
@@ -41,48 +43,6 @@ class OrientationConfig(FilterConfig):
                 or self.deriv_order not in (1, 2)):
             raise ConfigError(
                 f"deriv_order must be 1 or 2, got {self.deriv_order!r}")
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    corr_threshold: float = 0.3
-    mrmr_k: int = 2
-    bins: int = 32
-    kan_features: tuple[str, ...] = KAN_DEFAULT_FEATURES
-
-
-@dataclass(frozen=True)
-class SegmentConfig:
-    stillness_window_ms: float = 200.0
-    stillness_threshold_g: float = 0.05
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    train: float = 0.6
-    validation: float = 0.2
-    test: float = 0.2
-    seed: int = 0
-
-    @property
-    def ratios(self) -> tuple[float, float, float]:
-        return (self.train, self.validation, self.test)
-
-
-@dataclass(frozen=True)
-class StreamSettings:
-    deadline_us: float = 5000.0
-    kan_gating: bool = True
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    subjects: int = 2
-    falls_per_subject: int = 3
-    adls_per_subject: int = 2
-    repetitions: int = 2
-    duration_s: float = 8.0
-    noise_g: float = 0.005
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FallSegment
 from .kan import KanModel, predict_segment
-from .sisfall import FALL, TrialId
+from .sisfall import FALL, SAMPLE_PERIOD_S, TrialId
 
 __all__ = [
     "ConfusionCounts", "confusion", "rates", "TrialMetric", "MetricTable",
@@ -227,7 +227,7 @@ def trajectory(model: KanModel, segment: FallSegment) -> TrajectoryTrace:
     n = len(segment)
     return TrajectoryTrace(
         trial_id=segment.trial_id,
-        t_s=np.arange(n) * 0.005,
+        t_s=np.arange(n) * SAMPLE_PERIOD_S,
         truth_ms=segment.tti_ms.copy(),
         predicted_ms=preds,
     )

@@ -164,6 +164,17 @@ def apply_standardizer(stats: StandardizationStats,
 # Feature selection
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SelectionConfig:
+    """The selection audit: the correlation cut, the mRMR ranking depth and
+    discretization bins, and the impact model's chosen inputs."""
+
+    corr_threshold: float = 0.3
+    mrmr_k: int = 2
+    bins: int = 32
+    kan_features: tuple[str, ...] = KAN_DEFAULT_FEATURES
+
+
 def pearson_scores(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Absolute Pearson correlation per column; 0 for constant columns."""
     x = np.asarray(matrix, dtype=float)
@@ -185,7 +196,7 @@ def correlation_select(
     matrix: np.ndarray,
     target: np.ndarray,
     names: tuple[str, ...] | list[str],
-    threshold: float = 0.3,
+    threshold: float = SelectionConfig.corr_threshold,
 ) -> list[tuple[str, float]]:
     """Features with |Pearson r| >= threshold, ranked descending."""
     scores = pearson_scores(matrix, target)
@@ -194,7 +205,8 @@ def correlation_select(
             if scores[i] >= threshold]
 
 
-def discretize(column: np.ndarray, bins: int = 32) -> np.ndarray:
+def discretize(column: np.ndarray,
+               bins: int = SelectionConfig.bins) -> np.ndarray:
     """Equal-width binning into integer codes 0..bins-1."""
     col = np.asarray(column, dtype=float)
     lo, hi = col.min(), col.max()
@@ -205,7 +217,7 @@ def discretize(column: np.ndarray, bins: int = 32) -> np.ndarray:
 
 
 def mutual_information_bits(a: np.ndarray, b: np.ndarray,
-                            bins: int = 32) -> float:
+                            bins: int = SelectionConfig.bins) -> float:
     """MI between two discretized code vectors, in bits."""
     n = a.shape[0]
     joint = np.bincount(a * bins + b, minlength=bins * bins).astype(float)
@@ -233,7 +245,7 @@ def mrmr_select(
     target: np.ndarray,
     names: tuple[str, ...] | list[str],
     k: int,
-    bins: int = 32,
+    bins: int = SelectionConfig.bins,
 ) -> list[MrmrStep]:
     """Greedy forward selection: max relevance minus mean redundancy.
 
@@ -313,19 +325,17 @@ def build_selection_report(
     matrix: np.ndarray,
     target: np.ndarray,
     names: tuple[str, ...] | list[str],
-    corr_threshold: float = 0.3,
-    mrmr_k: int = 2,
-    bins: int = 32,
-    chosen: tuple[str, ...] = KAN_DEFAULT_FEATURES,
+    selection: SelectionConfig = SelectionConfig(),
 ) -> SelectionReport:
     scores = pearson_scores(matrix, target)
     return SelectionReport(
         correlation={names[i]: float(scores[i]) for i in range(len(names))},
         correlation_selected=[
             n for n, _ in correlation_select(matrix, target, names,
-                                             corr_threshold)],
-        mrmr=mrmr_select(matrix, target, names, mrmr_k, bins),
-        chosen=chosen,
+                                             selection.corr_threshold)],
+        mrmr=mrmr_select(matrix, target, names, selection.mrmr_k,
+                         selection.bins),
+        chosen=tuple(selection.kan_features),
     )
 
 
@@ -385,11 +395,20 @@ def rolling_std_forward(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class SegmentConfig:
+    """The stillness rule that ends a fall segment: impact is where the
+    forward rolling std of the accelerometer magnitude, over the window,
+    first drops below the threshold."""
+
+    stillness_window_ms: float = 200.0
+    stillness_threshold_g: float = 0.05
+
+
 def extract_fall_segment(
     annotated: AnnotatedTrial,
     frames: FeatureFrames | None = None,
-    stillness_window_ms: float = 200.0,
-    stillness_threshold_g: float = 0.05,
+    segment: SegmentConfig = SegmentConfig(),
     feature_names: tuple[str, ...] = KAN_DEFAULT_FEATURES,
 ) -> FallSegment:
     """From the first FALL label to the detected impact.
@@ -405,11 +424,12 @@ def extract_fall_segment(
         raise SegmentError(f"{annotated.trial_id}: no FALL labels")
     start = span[0]
 
-    window = int(round(stillness_window_ms / 1000.0 / SAMPLE_PERIOD_S))
+    window = int(round(segment.stillness_window_ms / 1000.0
+                       / SAMPLE_PERIOD_S))
     window = max(2, window)
     mag = np.linalg.norm(annotated.trial.accel_adxl345, axis=1)
     stds = rolling_std_forward(mag[start:], window)
-    below = np.flatnonzero(stds < stillness_threshold_g)
+    below = np.flatnonzero(stds < segment.stillness_threshold_g)
     if below.size:
         end = start + int(below[0])
         flagged = False
@@ -471,6 +491,24 @@ def load_segment(path: Path | str) -> FallSegment:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SplitConfig:
+    """Whole-trial split ratios and the shuffle seed.  Ratios that are
+    negative or do not sum to 1 fail on construction."""
+
+    train: float = 0.6
+    validation: float = 0.2
+    test: float = 0.2
+    seed: int = 0
+
+    def __post_init__(self):
+        ratios = (self.train, self.validation, self.test)
+        if not (all(r >= 0 for r in ratios)
+                and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise FeatureError(
+                f"ratios must be non-negative and sum to 1: {ratios}")
+
+
+@dataclass(frozen=True)
 class SplitSets:
     train: tuple[TrialId, ...]
     validation: tuple[TrialId, ...]
@@ -479,8 +517,7 @@ class SplitSets:
 
 def split_sequences(
     trial_ids: list[TrialId] | tuple[TrialId, ...],
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    split: SplitConfig = SplitConfig(),
 ) -> SplitSets:
     """Shuffle and partition whole trials into train/validation/test.
 
@@ -490,14 +527,12 @@ def split_sequences(
     ids = list(trial_ids)
     if not ids:
         raise FeatureError("cannot split an empty trial list")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise FeatureError(f"ratios must be non-negative and sum to 1: {ratios}")
     n = len(ids)
-    n_val = int(np.floor(n * ratios[1] + 0.5))
-    n_test = int(np.floor(n * ratios[2] + 0.5))
+    n_val = int(np.floor(n * split.validation + 0.5))
+    n_test = int(np.floor(n * split.test + 0.5))
     if n_val + n_test > n:
         n_test = n - n_val
-    order = np.random.default_rng(seed).permutation(n)
+    order = np.random.default_rng(split.seed).permutation(n)
     shuffled = [ids[i] for i in order]
     test = tuple(shuffled[:n_test])
     val = tuple(shuffled[n_test:n_test + n_val])

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sisfall import SAMPLE_PERIOD_S
+
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 DEG = math.pi / 180.0
 # Initial attitude-error standard deviation: from a resting accelerometer
@@ -398,7 +400,7 @@ def init_state(accel_mean_g: np.ndarray,
 
 def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
                          config: FilterConfig | None = None,
-                         dt: float = 1.0 / 200.0) -> np.ndarray:
+                         dt: float = SAMPLE_PERIOD_S) -> np.ndarray:
     """Quaternion per sample for one trial.
 
     Initializes from the accelerometer mean over the first

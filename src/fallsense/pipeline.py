@@ -126,19 +126,8 @@ def segment_predictions(model: KanModel,
 
 def collect_fall_segments(
     annotated_frames: list[tuple[AnnotatedTrial, FeatureFrames]],
-    stillness_window_ms: float = 200.0,
-    stillness_threshold_g: float = 0.05,
-    feature_names=None,
 ) -> list[FallSegment]:
-    from .features import KAN_DEFAULT_FEATURES
-    names = feature_names or KAN_DEFAULT_FEATURES
-    segments = []
-    for annotated, frames in annotated_frames:
-        if annotated.fall_span() is None:
-            continue
-        segments.append(extract_fall_segment(
-            annotated, frames,
-            stillness_window_ms=stillness_window_ms,
-            stillness_threshold_g=stillness_threshold_g,
-            feature_names=names))
-    return segments
+    """The default-rule fall segment of each trial that has a fall."""
+    return [extract_fall_segment(annotated, frames)
+            for annotated, frames in annotated_frames
+            if annotated.fall_span() is not None]

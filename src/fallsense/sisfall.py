@@ -24,6 +24,7 @@ ACTIVITY_CODES = FALL_CODES + ADL_CODES
 
 ADULT_SUBJECTS = tuple(f"SA{i:02d}" for i in range(1, 24))
 ELDERLY_SUBJECTS = tuple(f"SE{i:02d}" for i in range(1, 16))
+MAX_REPETITION = 5
 
 # Per-sample labels.
 BACKGROUND = 0
@@ -68,8 +69,9 @@ class TrialId:
             raise IngestError(f"unknown activity code {self.activity!r}")
         if self.subject not in ADULT_SUBJECTS + ELDERLY_SUBJECTS:
             raise IngestError(f"unknown subject id {self.subject!r}")
-        if not 1 <= self.repetition <= 5:
-            raise IngestError(f"repetition {self.repetition} outside [1, 5]")
+        if not 1 <= self.repetition <= MAX_REPETITION:
+            raise IngestError(f"repetition {self.repetition} outside "
+                              f"[1, {MAX_REPETITION}]")
 
     @property
     def is_fall(self) -> bool:

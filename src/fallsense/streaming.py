@@ -44,6 +44,16 @@ class StreamError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class StreamSettings:
+    """Replay settings: the per-sample latency budget that counts as a
+    deadline miss, and whether the impact model runs only while the
+    detector reports falling."""
+
+    deadline_us: float = 5000.0
+    kan_gating: bool = True
+
+
 class StreamEvent(NamedTuple):
     index: int
     p_falling: float
@@ -90,8 +100,8 @@ def stream_trial(
     filter_config: FilterConfig | None = None,
     body_up: np.ndarray | None = None,
     deriv_order: int = 2,
-    deadline_us: float = 5000.0,
-    kan_gating: bool = True,
+    deadline_us: float = StreamSettings.deadline_us,
+    kan_gating: bool = StreamSettings.kan_gating,
 ) -> tuple[list[StreamEvent], LatencyReport]:
     """Replay one calibrated trial through both models.
 

@@ -14,17 +14,24 @@ after which the body is motionless.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .orientation import quat_from_rotvec, quat_to_matrix
 from .sisfall import (
+    ADL_CODES,
+    ADULT_SUBJECTS,
     FALL,
+    FALL_CODES,
+    MAX_REPETITION,
     SAMPLE_RATE_HZ,
     AnnotatedTrial,
     CalibratedTrial,
+    CalibrationSpec,
     SubjectProfile,
     TrialId,
 )
@@ -209,16 +216,44 @@ def _to_counts(values: np.ndarray, scale: float, bits: int) -> np.ndarray:
     return np.clip(counts, -half, half - 1).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class SynthConfig:
+    """The shape of a synthetic corpus.  One that cannot be written fails
+    on construction: the trial ids must exist in the corpus layout (adult
+    subjects, fall and ADL codes, repetitions), and fall onsets are drawn
+    from U(2 s, duration - 3 s), so a trial lasts at least 5 s."""
+
+    subjects: int = 2
+    falls_per_subject: int = 3
+    adls_per_subject: int = 2
+    repetitions: int = 2
+    duration_s: float = 8.0
+    noise_g: float = 0.005
+
+    def __post_init__(self):
+        for name, least, most in (
+                ("subjects", 1, len(ADULT_SUBJECTS)),
+                ("falls_per_subject", 0, len(FALL_CODES)),
+                ("adls_per_subject", 0, len(ADL_CODES)),
+                ("repetitions", 1, MAX_REPETITION)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or not least <= value <= most:
+                raise SyntheticSpecError(f"{name} must be an integer in "
+                                         f"[{least}, {most}], got {value!r}")
+        if not 5.0 <= self.duration_s < math.inf:
+            raise SyntheticSpecError(
+                f"duration_s must be finite and >= 5, got {self.duration_s}")
+        if not 0.0 <= self.noise_g < math.inf:
+            raise SyntheticSpecError(
+                f"noise_g must be finite and >= 0, got {self.noise_g}")
+
+
 def write_synthetic_corpus(
     out_dir,
-    subjects: int = 2,
-    falls_per_subject: int = 3,
-    adls_per_subject: int = 2,
-    repetitions: int = 2,
-    duration_s: float = 8.0,
-    noise_g: float = 0.005,
+    synth: SynthConfig = SynthConfig(),
     seed: int = 0,
-    calibration: "CalibrationSpec | None" = None,
+    calibration: CalibrationSpec | None = None,
 ):
     """Materialize a synthetic corpus in the on-disk trial-file layout.
 
@@ -226,11 +261,6 @@ def write_synthetic_corpus(
     ``subjects.csv``, ``annotations.csv``, and ``truth.json`` with the
     generator's exact fall spans.  Deterministic per seed.
     """
-    import json
-    from pathlib import Path
-
-    from .sisfall import CalibrationSpec
-
     calibration = calibration or CalibrationSpec()
     out = Path(out_dir)
     corpus = out / "corpus"
@@ -241,7 +271,7 @@ def write_synthetic_corpus(
     ann_rows = ["trial_id,start_index,end_index"]
     truth: dict[str, dict] = {}
 
-    for si in range(subjects):
+    for si in range(synth.subjects):
         sid = f"SA{si + 1:02d}"
         profile = synthetic_profile(sid, seed=seed + si)
         subject_rows.append(
@@ -251,19 +281,20 @@ def write_synthetic_corpus(
         sdir.mkdir(exist_ok=True)
 
         specs = []
-        for a in range(falls_per_subject):
-            onset = float(rng.uniform(2.0, duration_s - 3.0))
+        for a in range(synth.falls_per_subject):
+            onset = float(rng.uniform(2.0, synth.duration_s - 3.0))
             impact = onset + float(rng.uniform(0.5, 1.0))
             specs.append((f"F{a + 1:02d}", SyntheticSpec(
-                kind="fall", duration_s=duration_s, fall_onset_s=onset,
-                impact_s=impact, noise_g=noise_g)))
-        for a in range(adls_per_subject):
+                kind="fall", duration_s=synth.duration_s,
+                fall_onset_s=onset, impact_s=impact, noise_g=synth.noise_g)))
+        for a in range(synth.adls_per_subject):
             kind = "walk" if a % 2 == 0 else "sit"
             specs.append((f"D{a + 1:02d}", SyntheticSpec(
-                kind=kind, duration_s=duration_s, noise_g=noise_g)))
+                kind=kind, duration_s=synth.duration_s,
+                noise_g=synth.noise_g)))
 
         for activity, spec in specs:
-            for rep in range(1, repetitions + 1):
+            for rep in range(1, synth.repetitions + 1):
                 tid = TrialId(activity, sid, rep)
                 annotated, tr = generate_synthetic_trial(
                     spec, seed=int(rng.integers(0, 2 ** 31)), trial_id=tid)

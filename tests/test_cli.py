@@ -108,6 +108,16 @@ class TestUsage:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_unwritable_synth_config_is_validation_error(self, tmp_path):
+        # fall onsets are drawn from U(2 s, duration - 3 s): a 2 s trial
+        # has none, and fails before any corpus file is written
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"synth": {"duration_s": 2.0}}')
+        rc = dispatch(["synth", "--config", str(bad),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_outputs(self, synth_dir):

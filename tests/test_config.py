@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fallsense import features, streaming, synthetic
 from fallsense.config import (
     ConfigError,
     dump_config,
@@ -125,6 +126,34 @@ class TestLoadConfig:
         p.write_text(json.dumps({"calibration": section}))
         with pytest.raises(ConfigError, match="invalid calibration section"):
             load_config(p)
+
+    # Each would fail only when synth runs, some after writing part of
+    # the corpus (a 24th subject or 6th repetition has no trial id), or
+    # write an empty one.
+    @pytest.mark.parametrize("section", [
+        {"duration_s": 2.0},
+        {"duration_s": float("inf")},
+        {"noise_g": -0.01},
+        {"noise_g": float("nan")},
+        {"subjects": 0},
+        {"subjects": 24},
+        {"repetitions": 0},
+        {"repetitions": 6},
+        {"falls_per_subject": -1},
+        {"adls_per_subject": 1.5},
+    ])
+    def test_unwritable_synth_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid synth section"):
+            load_config(None, overrides={"synth": section})
+
+    @pytest.mark.parametrize("section", [
+        {"train": 0.5},
+        {"test": -0.2, "train": 1.0},
+        {"validation": float("nan")},
+    ])
+    def test_unsplittable_ratios_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid split section"):
+            load_config(None, overrides={"split": section})
 
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
@@ -268,6 +297,11 @@ class TestFormatUnchanged:
     def test_sections_are_the_library_types(self):
         cfg = load_config(None)
         assert type(cfg.calibration) is CalibrationSpec
+        assert type(cfg.selection) is features.SelectionConfig
+        assert type(cfg.segment) is features.SegmentConfig
+        assert type(cfg.split) is features.SplitConfig
+        assert type(cfg.stream) is streaming.StreamSettings
+        assert type(cfg.synth) is synthetic.SynthConfig
         assert isinstance(cfg.orientation, FilterConfig)
         own = ({f.name for f in dataclasses.fields(cfg.orientation)}
                - {f.name for f in dataclasses.fields(FilterConfig)})

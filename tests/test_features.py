@@ -15,6 +15,7 @@ from fallsense.features import (
     KAN_DEFAULT_FEATURES,
     FeatureError,
     SegmentError,
+    SplitConfig,
     apply_standardizer,
     build_feature_frames,
     correlation_select,
@@ -453,33 +454,33 @@ class TestSplitSequences:
 
     def test_paper_sized_split(self):
         ids = self._ids(1798)
-        split = split_sequences(ids, (0.6, 0.2, 0.2), seed=0)
+        split = split_sequences(ids, SplitConfig(0.6, 0.2, 0.2, seed=0))
         assert (len(split.train), len(split.validation), len(split.test)) == \
             (1078, 360, 360)
 
     def test_deterministic(self):
         ids = self._ids(100)
-        a = split_sequences(ids, seed=42)
-        b = split_sequences(ids, seed=42)
+        a = split_sequences(ids, SplitConfig(seed=42))
+        b = split_sequences(ids, SplitConfig(seed=42))
         assert a == b
 
     def test_all_train(self):
         ids = self._ids(50)
-        split = split_sequences(ids, (1.0, 0.0, 0.0), seed=1)
+        split = split_sequences(ids, SplitConfig(1.0, 0.0, 0.0, seed=1))
         assert len(split.train) == 50
         assert not split.validation and not split.test
 
     def test_partition_is_disjoint_cover(self):
         ids = self._ids(137)
-        split = split_sequences(ids, seed=9)
+        split = split_sequences(ids, SplitConfig(seed=9))
         all_ids = list(split.train) + list(split.validation) + list(split.test)
         assert sorted(map(str, all_ids)) == sorted(map(str, ids))
         assert len(set(map(str, all_ids))) == len(ids)
 
     def test_empty_rejected(self):
         with pytest.raises(FeatureError):
-            split_sequences([], seed=0)
+            split_sequences([])
 
     def test_bad_ratios(self):
         with pytest.raises(FeatureError):
-            split_sequences(self._ids(10), (0.5, 0.2, 0.2), seed=0)
+            split_sequences(self._ids(10), SplitConfig(0.5, 0.2, 0.2))
