@@ -8,6 +8,9 @@ The two LSTM cells carry state across the whole sequence.  Supervision is
 per time step (each sample has its own label); batches pad sequences to a
 common length and mask the padding out of stats, loss, and metrics.
 
+Training and inference share one LSTM gate layout (``gate_layout``) and
+one cell step (``_lstm_cell``).
+
 Inference runs one folded step (``InferStep``): with frozen batch-norm
 moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
@@ -153,11 +156,29 @@ def init_params(config: FdnnConfig, seed: int | None = None) -> FdnnParams:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only sees -|x|."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def gate_layout(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column order taking the stored i, f, g, o gates to g, i, f, o,
+    and each reordered column's factor: 1 for g, 1/2 for the i, f, o
+    block.  On weights so reordered and scaled, one ``tanh`` over a step's
+    slab gives g and, as sigmoid(z) = tanh(z/2)/2 + 1/2, i, f and o."""
+    order = np.r_[2 * hidden:3 * hidden, 0:2 * hidden, 3 * hidden:4 * hidden]
+    half = np.r_[np.ones(hidden), np.full(3 * hidden, 0.5)]
+    return order, half
+
+
+def _lstm_cell(z, g, i, f, o, sig, c_prev, c, tanh_c, h) -> None:
+    """One LSTM step in place.  z: (rows, 4H) pre-activations in
+    ``gate_layout``, overwritten by the activations; g, i, f, o are its
+    blocks and sig the i, f, o block.  Writes c = f*c_prev + i*g (c may be
+    c_prev), tanh_c = tanh(c), using it for i*g first, and h = o*tanh_c."""
+    np.tanh(z, out=z)
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=tanh_c)
+    c += tanh_c
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -186,17 +207,15 @@ class InferStep:
     One buffer laid out ``[x | h1 | 1 | h2]`` holds the inputs and the
     state, so layer 1 is ``[x | h1 | 1] @ W1``, layer 2
     ``[h1 | 1 | h2] @ W2`` and fc2 ``[1 | h2] @ W3``, each one matmul on a
-    view of it.  Gate columns are ordered i, f, o, g with the sigmoid
-    columns pre-halved, so one tanh covers the slab and
-    sigmoid(z) = tanh(z/2)/2 + 1/2 finishes i, f and o.  A call returns
-    ``falling_probability`` of each row's logits.
+    view of it, whose columns are in ``gate_layout``; ``_lstm_cell``
+    finishes each layer.  A call returns ``falling_probability`` of each
+    row's logits.
     """
 
     def __init__(self, params: FdnnParams, config: FdnnConfig,
                  rows: int = 1):
         d, h = config.input_dim, config.inner_dim
-        order = np.r_[0:2 * h, 3 * h:4 * h, 2 * h:3 * h]     # i, f, o, g
-        half = np.r_[np.full(3 * h, 0.5), np.ones(h)]
+        order, half = gate_layout(h)
         scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
         shift = (params.fc1_b - params.bn_mean) * scale + params.bn_beta
         w1 = np.vstack([(params.fc1_w * scale) @ params.lstm1_wx,
@@ -217,10 +236,9 @@ class InferStep:
         for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, h1),
                                     (buf[:, d:], w2, c2, h2)):
             z = np.empty((rows, 4 * h))
-            self._cells.append((
-                inputs, w[:, order] * half, z, z[:, :3 * h],
-                z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
-                c, np.empty((rows, h)), h_out))
+            self._cells.append((inputs, w[:, order] * half, z, (
+                z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
+                z[:, h:], c, c, np.empty((rows, h)), h_out)))
 
     def reset(self) -> None:
         """Zero both layers' hidden and cell state."""
@@ -230,16 +248,9 @@ class InferStep:
     def __call__(self, x: np.ndarray) -> list[float]:
         """P(falling) after one step of each row."""
         self._x[...] = x
-        for inputs, w, z, sig, i, f, o, g, c, tmp, h in self._cells:
+        for inputs, w, z, cell in self._cells:
             np.dot(inputs, w, out=z)
-            np.tanh(z, out=z)
-            sig *= 0.5
-            sig += 0.5
-            c *= f
-            np.multiply(i, g, out=tmp)
-            c += tmp
-            np.tanh(c, out=tmp)
-            np.multiply(o, tmp, out=h)
+            _lstm_cell(*cell)
         np.dot(self._fc2_in, self._w3, out=self._logits)
         return [falling_probability(z) for z in self._logits.tolist()]
 
@@ -280,27 +291,25 @@ def _concat_inputs(config: FdnnConfig, static: np.ndarray,
 
 
 def _lstm_scan(xw: np.ndarray, wh: np.ndarray):
-    """One LSTM layer over a whole sequence.  Gate order: i, f, g, o.
+    """One LSTM layer over a whole sequence, in ``gate_layout``.
 
-    xw: (T, B, 4H) input projections, bias included; the gate activations
-    overwrite it.  Returns the stacked h and c, (T+1, B, H) with row 0 the
-    zero initial state, the activations (T, B, 4H) and tanh(c) (T, B, H).
+    xw: (T, B, 4H) halved input projections, bias included; the gate
+    activations overwrite it.  wh: the halved recurrent weights.  Returns
+    the stacked h and c, (T+1, B, H) with row 0 the zero initial state,
+    the activations (T, B, 4H) and tanh(c) (T, B, H).
     """
     t, b, four_h = xw.shape
     hd = four_h // 4
     h = np.zeros((t + 1, b, hd))
     c = np.zeros((t + 1, b, hd))
     tanh_c = np.empty((t, b, hd))
-    i, f, g, o = xw.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
+    g, i, f, o = xw.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
+    sig = xw[:, :, hd:]
     for k in range(t):
-        z = h[k] @ wh + xw[k]
-        # One sigmoid over the whole slab, then tanh over the g block.
-        xw[k] = _sigmoid(z)
-        np.tanh(z[:, 2 * hd:3 * hd], out=g[k])
-        np.multiply(f[k], c[k], out=c[k + 1])
-        c[k + 1] += i[k] * g[k]
-        np.tanh(c[k + 1], out=tanh_c[k])
-        np.multiply(o[k], tanh_c[k], out=h[k + 1])
+        z = xw[k]
+        z += h[k] @ wh
+        _lstm_cell(z, g[k], i[k], f[k], o[k], sig[k],
+                   c[k], c[k + 1], tanh_c[k], h[k + 1])
     return h, c, xw, tanh_c
 
 
@@ -371,11 +380,15 @@ def forward(
     z = params.bn_gamma * xhat + params.bn_beta
     if drop[0] is not None:
         z *= drop[0]
+    # The LSTM layers scan halved copies of their weights in gate_layout;
+    # BPTT reads the reordered, unhalved ones.
+    order, half = gate_layout(h)
     layers = []         # per LSTM layer, what BPTT reads
     for wx, wh, bias, out_mask in (
             (params.lstm1_wx, params.lstm1_wh, params.lstm1_b, drop[1]),
             (params.lstm2_wx, params.lstm2_wh, params.lstm2_b, drop[2])):
-        scan = _lstm_scan(z @ wx + bias, wh)
+        wx, wh = wx[:, order], wh[:, order]
+        scan = _lstm_scan(z @ (wx * half) + bias[order] * half, wh * half)
         layers.append((z, scan, wx, wh))
         z = scan[0][1:] if out_mask is None else scan[0][1:] * out_mask
     probs = softmax_rows(z @ params.fc2_w + params.fc2_b)
@@ -404,17 +417,18 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 def _lstm_scan_backward(d_out: np.ndarray, x: np.ndarray, scan: tuple,
                         wx: np.ndarray, wh: np.ndarray):
     """BPTT through one ``_lstm_scan``.  d_out: (T, B, H) gradient reaching
-    each step's h from above; x: the layer's (T, B, in) input.  Returns
-    dx, dwx, dwh and db."""
+    each step's h from above; x: the layer's (T, B, in) input; wx, wh: the
+    unhalved weights in ``gate_layout``.  Returns dx, and dwx, dwh and db
+    in ``gate_layout``."""
     h, c, act, tanh_c = scan
     t, b, hd = tanh_c.shape
-    i, f, g, o = act.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
+    g, i, f, o = act.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
     # Every factor that does not depend on the recurrence, for all T at
-    # once; the loop scales the i, f, g blocks by dc and the o block by dh.
+    # once; the loop scales the g, i, f blocks by dc and the o block by dh.
     dgates = np.empty((t, b, 4, hd))
-    dgates[:, :, 0] = g * i * (1 - i)
-    dgates[:, :, 1] = c[:-1] * f * (1 - f)
-    dgates[:, :, 2] = i * (1 - g * g)
+    dgates[:, :, 0] = i * (1 - g * g)
+    dgates[:, :, 1] = g * i * (1 - i)
+    dgates[:, :, 2] = c[:-1] * f * (1 - f)
     dgates[:, :, 3] = tanh_c * o * (1 - o)
     to_c = o * (1 - tanh_c * tanh_c)
     flat = dgates.reshape(t, b, 4 * hd)
@@ -477,12 +491,14 @@ def loss_and_gradients(
     grads["fc2_w"] = np.tensordot(cache["z2"], dlogits, sum_tb)
     grads["fc2_b"] = dlogits.sum(axis=(0, 1))
     dz = dlogits @ params.fc2_w.T
+    # The LSTM gradients come back in gate_layout; stored order is i, f, g, o.
+    stored = np.argsort(gate_layout(config.inner_dim)[0])
     for k in (2, 1):
         if drop[k] is not None:
             dz *= drop[k]
         dz, *layer_grads = _lstm_scan_backward(dz, *cache["layers"][k - 1])
         grads.update(zip((f"lstm{k}_wx", f"lstm{k}_wh", f"lstm{k}_b"),
-                         layer_grads))
+                         (g[..., stored] for g in layer_grads)))
     if drop[0] is not None:
         dz *= drop[0]
 

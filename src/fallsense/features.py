@@ -10,6 +10,7 @@ subset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,10 +54,11 @@ class SegmentError(FeatureError):
 
 
 def feature_indices(names: tuple[str, ...] | list[str]) -> np.ndarray:
-    try:
-        return np.array([FEATURE_NAMES.index(n) for n in names])
-    except ValueError as exc:
-        raise FeatureError(f"unknown feature name: {exc}") from None
+    unknown = [n for n in names if n not in FEATURE_NAMES]
+    if unknown:
+        raise FeatureError(
+            f"unknown feature name: {', '.join(map(repr, unknown))}")
+    return np.array([FEATURE_NAMES.index(n) for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +166,37 @@ def apply_standardizer(stats: StandardizationStats,
 # Feature selection
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """The selection audit: the correlation cut, the mRMR ranking depth and
-    discretization bins, and the impact model's chosen inputs."""
+    discretization bins, and the impact model's chosen inputs.  Settings
+    that cannot run (an unknown feature, k or bins out of range, a cut
+    outside [0, 1]) fail on construction."""
 
     corr_threshold: float = 0.3
     mrmr_k: int = 2
     bins: int = 32
     kan_features: tuple[str, ...] = KAN_DEFAULT_FEATURES
+
+    def __post_init__(self):
+        if not self.kan_features:
+            raise FeatureError("kan_features must name at least one feature")
+        feature_indices(self.kan_features)
+        if not (_is_int(self.mrmr_k)
+                and 1 <= self.mrmr_k <= len(FEATURE_NAMES)):
+            raise FeatureError(
+                f"mrmr_k must be an integer in [1, {len(FEATURE_NAMES)}], "
+                f"got {self.mrmr_k!r}")
+        if not (_is_int(self.bins) and self.bins >= 2):
+            raise FeatureError(
+                f"bins must be an integer >= 2, got {self.bins!r}")
+        if not 0.0 <= self.corr_threshold <= 1.0:
+            raise FeatureError(f"corr_threshold must be in [0, 1], "
+                               f"got {self.corr_threshold}")
 
 
 def pearson_scores(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -399,10 +423,17 @@ def rolling_std_forward(values: np.ndarray, window: int) -> np.ndarray:
 class SegmentConfig:
     """The stillness rule that ends a fall segment: impact is where the
     forward rolling std of the accelerometer magnitude, over the window,
-    first drops below the threshold."""
+    first drops below the threshold.  Both must be finite and positive."""
 
     stillness_window_ms: float = 200.0
     stillness_threshold_g: float = 0.05
+
+    def __post_init__(self):
+        for name in ("stillness_window_ms", "stillness_threshold_g"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise SegmentError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 def extract_fall_segment(

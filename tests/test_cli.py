@@ -118,6 +118,18 @@ class TestUsage:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_kan_feature_is_validation_error(self, tmp_path):
+        # features would fail only at the first fall segment, after
+        # creating its frames/ and segments/ folders
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"selection": {"kan_features": ["bogus"]}}')
+        rc = dispatch(["features", "--config", str(bad),
+                       "--root", str(tmp_path / "corpus"),
+                       "--subjects", str(tmp_path / "s.csv"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_outputs(self, synth_dir):

@@ -155,6 +155,36 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid split section"):
             load_config(None, overrides={"split": section})
 
+    # Each would load and then fail only partway through a command:
+    # ``features`` after creating its output folders, ``select`` at the
+    # ranking, or the stillness window as a NaN sample count.
+    @pytest.mark.parametrize("section", [
+        {"kan_features": ["bogus"]},
+        {"kan_features": []},
+        {"mrmr_k": 0},
+        {"mrmr_k": 20},
+        {"mrmr_k": 2.0},
+        {"bins": 1},
+        {"bins": True},
+        {"corr_threshold": -0.1},
+        {"corr_threshold": 1.5},
+        {"corr_threshold": float("nan")},
+    ])
+    def test_unrunnable_selection_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid selection section"):
+            load_config(None, overrides={"selection": section})
+
+    @pytest.mark.parametrize("section", [
+        {"stillness_window_ms": float("nan")},
+        {"stillness_window_ms": 0.0},
+        {"stillness_window_ms": float("inf")},
+        {"stillness_threshold_g": -0.05},
+        {"stillness_threshold_g": float("nan")},
+    ])
+    def test_unrunnable_segment_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid segment section"):
+            load_config(None, overrides={"segment": section})
+
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
         p = tmp_path / "resolved.json"

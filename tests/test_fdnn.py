@@ -118,10 +118,22 @@ def _batch_inputs(static, seq):
                           axis=2)
 
 
+def _two_branch_sigmoid(x):
+    """The masked two-branch form: 1/(1+e^-x) for x >= 0, e^x/(1+e^x)
+    otherwise."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def ref_lstm_step(x, h, c, wx, wh, b, hidden):
-    """One LSTM cell step on a (B, in) slab.  Gate order: i, f, g, o."""
+    """One LSTM cell step on a (B, in) slab.  Gate order: i, f, g, o.  Its
+    sigmoid is the two-branch form, independent of the program's."""
     gates = x @ wx + h @ wh + b
-    act = fdnn._sigmoid(gates)
+    act = _two_branch_sigmoid(gates)
     act[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
     i = act[:, 0:hidden]
     f = act[:, hidden:2 * hidden]
@@ -382,18 +394,10 @@ class TestFoldedInference:
                     want_cache=True)
 
 
-def _two_branch_sigmoid(x):
-    """The masked two-branch form: 1/(1+e^-x) for x >= 0, e^x/(1+e^x)
-    otherwise."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+class TestLstmCell:
+    """The LSTM gate form: ``_lstm_cell``'s tanh over the halved slab,
+    then tanh/2 + 1/2 for i, f and o, against the two-branch sigmoid."""
 
-
-class TestSigmoid:
     GRID = np.concatenate([
         [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0,
          710.0, -710.0, 1e4, -1e4, np.finfo(float).max,
@@ -402,20 +406,36 @@ class TestSigmoid:
         np.random.default_rng(0).normal(0.0, 8.0, 5000),
     ])
 
-    def test_bit_identical_to_two_branch_form(self):
-        x = self.GRID.reshape(5, -1)             # a (B, 4H)-like slab
-        got = fdnn._sigmoid(x)
-        want = _two_branch_sigmoid(x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_no_floating_point_warning(self):
+    def _cell(self):
+        """One step with every gate's pre-activation the grid (H = 1), its
+        columns scaled as ``gate_layout`` scales the weights."""
+        x = self.GRID[:, None]
+        z = x * fdnn.gate_layout(1)[1]
+        c_prev = np.ones_like(x)
+        c, tanh_c, h = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="raise"):
-                out = fdnn._sigmoid(self.GRID)
-        assert np.all((out >= 0.0) & (out <= 1.0))
-        assert out[self.GRID == 1e4][0] == 1.0
-        assert out[self.GRID == -1e4][0] == 0.0
+            with np.errstate(over="raise", invalid="raise"):
+                fdnn._lstm_cell(z, z[:, :1], z[:, 1:2], z[:, 2:3], z[:, 3:],
+                                z[:, 1:], c_prev, c, tanh_c, h)
+        return z, c, tanh_c, h
+
+    def test_sigmoid_gates_match_two_branch_form(self):
+        z, c, tanh_c, h = self._cell()
+        g, i, f, o = z.T
+        want = _two_branch_sigmoid(self.GRID)
+        for gate in (i, f, o):
+            assert np.abs(gate - want).max() <= 2.0 ** -52
+        assert np.array_equal(g, np.tanh(self.GRID))
+        assert np.array_equal(c[:, 0], f + i * g)
+        assert np.array_equal(tanh_c[:, 0], np.tanh(c[:, 0]))
+        assert np.array_equal(h[:, 0], o * tanh_c[:, 0])
+
+    def test_exact_at_zero_and_saturation(self):
+        z, *_ = self._cell()
+        # GRID[0:2] are +0 and -0, GRID[10:12] are 1e4 and -1e4
+        for k, want in ((0, 0.5), (1, 0.5), (10, 1.0), (11, 0.0)):
+            assert np.all(z[k, 1:] == want), self.GRID[k]
 
 
 class TestFallingProbability:

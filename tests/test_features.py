@@ -83,6 +83,13 @@ class TestFeatureFrames:
         assert np.array_equal(loaded.labels, frames.labels)
 
 
+class TestFeatureIndices:
+    def test_unknown_name_is_named(self):
+        with pytest.raises(FeatureError,
+                           match="unknown feature name: 'bogus'"):
+            feat.feature_indices(("theta", "bogus"))
+
+
 class TestStandardizer:
     def test_two_point_column(self):
         stats = fit_standardizer(np.array([[1.0], [3.0]]))
