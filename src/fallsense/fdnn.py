@@ -17,9 +17,12 @@ one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
 with one row per sequence; each row's logits become P(falling) through
 ``falling_probability``, so a single-sequence batch reproduces the stream
-bit for bit.  Train mode runs each layer over the whole
-(time-major) sequence before the next, LSTMs as ``_lstm_scan``s, and BPTT
-runs those scans backwards with only the recurrence in the loop.
+bit for bit.  Train mode runs fc1 and batch norm over the whole
+(time-major) sequence at once, then both LSTMs as one lagged scan
+(``_lagged_scan``): one 2H-wide cell stepped T+1 times, with layer 2 one
+step behind layer 1, so each step is one recurrent matmul and one
+``_lstm_cell`` call for both layers.  BPTT runs that scan backwards with
+only the recurrence in the loop.
 """
 
 from __future__ import annotations
@@ -290,27 +293,59 @@ def _concat_inputs(config: FdnnConfig, static: np.ndarray,
     return x
 
 
-def _lstm_scan(xw: np.ndarray, wh: np.ndarray):
-    """One LSTM layer over a whole sequence, in ``gate_layout``.
+def _paired_columns(hidden: int) -> np.ndarray:
+    """The column order taking both layers' LSTM weights side by side,
+    ``[layer 1 | layer 2]`` each in the stored i, f, g, o order, to one
+    2H-wide cell's ``gate_layout(2H)``: blocks g | i | f | o, each
+    [layer 1 | layer 2]."""
+    stored = np.arange(8 * hidden).reshape(2, 4, hidden).transpose(1, 0, 2)
+    return stored.ravel()[gate_layout(2 * hidden)[0]]
 
-    xw: (T, B, 4H) halved input projections, bias included; the gate
-    activations overwrite it.  wh: the halved recurrent weights.  Returns
-    the stacked h and c, (T+1, B, H) with row 0 the zero initial state,
-    the activations (T, B, 4H) and tanh(c) (T, B, H).
+
+def _lagged_weights(params: FdnnParams):
+    """The unhalved weights of ``_lagged_scan`` in ``_paired_columns``:
+    the input weights (F, 8H), which feed layer 1 only, the recurrent
+    weights (3H, 8H) on the state ``[h1*d1 | h1 | h2]`` (dropped-out h1
+    into layer 2, h1 into layer 1, h2 into layer 2) and the bias (8H,)."""
+    zh = np.zeros_like(params.lstm1_wh)
+    cols = _paired_columns(zh.shape[0])
+    w_in = np.hstack([params.lstm1_wx, np.zeros_like(params.lstm1_wx)])
+    w_rec = np.block([[zh, params.lstm2_wx], [params.lstm1_wh, zh],
+                      [zh, params.lstm2_wh]])
+    return (w_in[:, cols], w_rec[:, cols],
+            np.r_[params.lstm1_b, params.lstm2_b][cols])
+
+
+def _lagged_scan(xw: np.ndarray, w_rec: np.ndarray, d1: np.ndarray):
+    """Both LSTM layers over a whole sequence as one 2H-wide cell stepped
+    T+1 times, layer 2 one step behind layer 1: combined step k runs
+    layer 1 at time k and layer 2 at time k-1, in ``gate_layout(2H)``.
+
+    xw: (T+1, B, 8H) halved pre-activations, layer 1's input projection
+    and both biases; layer 2's input gate is -inf at step 0, so its state
+    there stays exactly 0.  The gate activations overwrite it.  w_rec: the
+    halved recurrent weights on the state ``[h1*d1 | h1 | h2]``; d1:
+    (T+1, B, H) the dropout mask between the layers.  Returns the stacked
+    states (T+2, B, 3H) and c (T+2, B, 2H), row 0 the zero initial state,
+    the activations (T+1, B, 8H) and tanh(c) (T+1, B, 2H).
     """
-    t, b, four_h = xw.shape
-    hd = four_h // 4
-    h = np.zeros((t + 1, b, hd))
-    c = np.zeros((t + 1, b, hd))
-    tanh_c = np.empty((t, b, hd))
-    g, i, f, o = xw.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
-    sig = xw[:, :, hd:]
-    for k in range(t):
-        z = xw[k]
-        z += h[k] @ wh
-        _lstm_cell(z, g[k], i[k], f[k], o[k], sig[k],
-                   c[k], c[k + 1], tanh_c[k], h[k + 1])
-    return h, c, xw, tanh_c
+    t1, b, eight_h = xw.shape
+    hd = eight_h // 8
+    s = np.zeros((t1 + 1, b, 3 * hd))
+    c = np.zeros((t1 + 1, b, 2 * hd))
+    tanh_c = np.empty((t1, b, 2 * hd))
+    g, i, f, o = xw.reshape(t1, b, 4, 2 * hd).transpose(2, 0, 1, 3)
+    after = s[1:]
+    rec = np.empty((b, eight_h))
+    for z, *cell, h1, h1d, d1k, s_prev in zip(
+            xw, g, i, f, o, xw[:, :, 2 * hd:], c[:-1], c[1:], tanh_c,
+            after[:, :, hd:], after[:, :, hd:2 * hd], after[:, :, :hd],
+            d1, s[:-1]):
+        np.dot(s_prev, w_rec, out=rec)
+        z += rec
+        _lstm_cell(z, *cell)
+        np.multiply(h1, d1k, out=h1d)
+    return s, c, xw, tanh_c
 
 
 def forward(
@@ -380,24 +415,34 @@ def forward(
     z = params.bn_gamma * xhat + params.bn_beta
     if drop[0] is not None:
         z *= drop[0]
-    # The LSTM layers scan halved copies of their weights in gate_layout;
-    # BPTT reads the reordered, unhalved ones.
-    order, half = gate_layout(h)
-    layers = []         # per LSTM layer, what BPTT reads
-    for wx, wh, bias, out_mask in (
-            (params.lstm1_wx, params.lstm1_wh, params.lstm1_b, drop[1]),
-            (params.lstm2_wx, params.lstm2_wh, params.lstm2_b, drop[2])):
-        wx, wh = wx[:, order], wh[:, order]
-        scan = _lstm_scan(z @ (wx * half) + bias[order] * half, wh * half)
-        layers.append((z, scan, wx, wh))
-        z = scan[0][1:] if out_mask is None else scan[0][1:] * out_mask
-    probs = softmax_rows(z @ params.fc2_w + params.fc2_b)
+    # The lagged scan runs on halved copies of the paired weights; BPTT
+    # reads the unhalved ones.  Step T's layer-1 half feeds nothing.
+    w_in, w_rec, bias = _lagged_weights(params)
+    half = gate_layout(2 * h)[1]
+    xw = np.empty((t + 1, b, 8 * h))
+    np.matmul(z, w_in * half, out=xw[:t])
+    xw[t] = 0.0
+    xw += bias * half
+    # Layer 2's input gate at its lead-in step: i = 0 exactly, so its c,
+    # h and gate gradients there are exactly 0.
+    xw[0, :, 3 * h:4 * h] = -np.inf
+    # The mask between the layers gets a row of ones for the tail step
+    # and replaces drop[1], whose T rows are then freed.
+    d1 = np.broadcast_to(1.0, (t + 1, b, h))
+    if drop[1] is not None:
+        drop[1] = d1 = np.concatenate([drop[1], d1[:1]])
+    scan = _lagged_scan(xw, w_rec * half, d1)
+    z2 = scan[0][2:, :, 2 * h:]
+    if drop[2] is not None:
+        z2 = z2 * drop[2]
+    probs = softmax_rows(z2 @ params.fc2_w + params.fc2_b)
     if not np.all(np.isfinite(probs)):
         raise FdnnError("non-finite activations in forward pass")
     if not want_cache:
         return probs.transpose(1, 0, 2)
     cache = {"x": x, "mask": mask, "xhat": xhat, "inv": inv, "drop": drop,
-             "layers": layers, "z2": z, "probs": probs}
+             "z1": z, "lstm": (scan, w_in, w_rec, d1), "z2": z2,
+             "probs": probs}
     return probs.transpose(1, 0, 2), cache
 
 
@@ -414,36 +459,59 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 # Loss and gradients (backpropagation through time)
 # ---------------------------------------------------------------------------
 
-def _lstm_scan_backward(d_out: np.ndarray, x: np.ndarray, scan: tuple,
-                        wx: np.ndarray, wh: np.ndarray):
-    """BPTT through one ``_lstm_scan``.  d_out: (T, B, H) gradient reaching
-    each step's h from above; x: the layer's (T, B, in) input; wx, wh: the
-    unhalved weights in ``gate_layout``.  Returns dx, and dwx, dwh and db
-    in ``gate_layout``."""
-    h, c, act, tanh_c = scan
-    t, b, hd = tanh_c.shape
-    g, i, f, o = act.reshape(t, b, 4, hd).transpose(2, 0, 1, 3)
-    # Every factor that does not depend on the recurrence, for all T at
-    # once; the loop scales the g, i, f blocks by dc and the o block by dh.
-    dgates = np.empty((t, b, 4, hd))
-    dgates[:, :, 0] = i * (1 - g * g)
-    dgates[:, :, 1] = g * i * (1 - i)
-    dgates[:, :, 2] = c[:-1] * f * (1 - f)
-    dgates[:, :, 3] = tanh_c * o * (1 - o)
-    to_c = o * (1 - tanh_c * tanh_c)
-    flat = dgates.reshape(t, b, 4 * hd)
-    dh = np.zeros((b, hd))
-    dc = np.zeros((b, hd))
-    for k in range(t - 1, -1, -1):
-        dh += d_out[k]
-        dc += dh * to_c[k]
-        dgates[k, :, :3] *= dc[:, None, :]
-        dgates[k, :, 3] *= dh
-        dc *= f[k]
-        np.dot(flat[k], wh.T, out=dh)
-    sum_tb = ([0, 1], [0, 1])
-    return (flat @ wx.T, np.tensordot(x, flat, sum_tb),
-            np.tensordot(h[:-1], flat, sum_tb), flat.sum(axis=(0, 1)))
+def _lagged_scan_backward(d_out: np.ndarray, scan: tuple,
+                          w_rec: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """BPTT through one ``_lagged_scan``.  d_out: (T+1, B, H) gradient
+    reaching layer 2's h from above at each combined step, row 0 zero;
+    w_rec: the unhalved recurrent weights.  Returns the gate gradients
+    (T+1, B, 8H) in ``gate_layout(2H)``, written over the activations;
+    tanh(c) is overwritten too."""
+    s, c, act, tanh_c = scan
+    t1, b, two_h = tanh_c.shape
+    hd = two_h // 2
+    g, i, f, o = act.reshape(t1, b, 4, two_h).transpose(2, 0, 1, 3)
+    # Every factor that does not depend on the recurrence, for all steps
+    # at once, in the activations' place, with tanh(c) as scratch; the
+    # loop scales the g, i, f blocks by dc and the o block by dh.
+    to_c = np.multiply(tanh_c, tanh_c)
+    np.subtract(1, to_c, out=to_c)
+    to_c *= o
+    tanh_c *= o
+    np.subtract(1, o, out=o)
+    o *= tanh_c                                 # tanh(c) o (1 - o)
+    f_kept = f.copy()
+    np.subtract(1, f, out=f)
+    f *= f_kept
+    f *= c[:-1]                                 # c_prev f (1 - f)
+    gi = np.subtract(1, i, out=tanh_c)
+    gi *= g
+    np.multiply(g, g, out=g)
+    np.subtract(1, g, out=g)
+    g *= i                                      # i (1 - g^2)
+    i *= gi                                     # g i (1 - i)
+    gif = act.reshape(t1, b, 4, two_h)[:, :, :3]
+    # The gradient reaching the state [h1*d1 | h1 | h2]; its last 2H
+    # columns are the gradient reaching the cell's h.
+    du = np.zeros((b, 3 * hd))
+    du_h1d, dh1, dh2 = du[:, :hd], du[:, hd:2 * hd], du[:, 2 * hd:]
+    dh = du[:, hd:]
+    dc = np.zeros((b, two_h))
+    dc3 = dc[:, None, :]
+    tmp = np.empty((b, two_h))
+    w_rec_t = w_rec.T
+    for flat, gates, go, tc, fk, dk, d1k in zip(
+            act[::-1], gif[::-1], o[::-1], to_c[::-1], f_kept[::-1],
+            d_out[::-1], d1[::-1]):
+        du_h1d *= d1k
+        dh1 += du_h1d
+        dh2 += dk
+        np.multiply(dh, tc, out=tmp)
+        dc += tmp
+        gates *= dc3
+        go *= dh
+        dc *= fk
+        np.dot(flat, w_rec_t, out=du)
+    return act
 
 
 def loss_and_gradients(
@@ -490,15 +558,27 @@ def loss_and_gradients(
     drop = cache["drop"]
     grads["fc2_w"] = np.tensordot(cache["z2"], dlogits, sum_tb)
     grads["fc2_b"] = dlogits.sum(axis=(0, 1))
-    dz = dlogits @ params.fc2_w.T
-    # The LSTM gradients come back in gate_layout; stored order is i, f, g, o.
-    stored = np.argsort(gate_layout(config.inner_dim)[0])
-    for k in (2, 1):
-        if drop[k] is not None:
-            dz *= drop[k]
-        dz, *layer_grads = _lstm_scan_backward(dz, *cache["layers"][k - 1])
-        grads.update(zip((f"lstm{k}_wx", f"lstm{k}_wh", f"lstm{k}_b"),
-                         (g[..., stored] for g in layer_grads)))
+    # Layer 2's output at time k-1 is the lagged scan's step k; step 0 is
+    # its lead-in.
+    h = config.inner_dim
+    dz = np.zeros((t + 1, b, h))
+    np.matmul(dlogits, params.fc2_w.T, out=dz[1:])
+    if drop[2] is not None:
+        dz[1:] *= drop[2]
+    scan, w_in, w_rec, d1 = cache["lstm"]
+    flat = _lagged_scan_backward(dz, scan, w_rec, d1)
+    # The LSTM gradients come back in _paired_columns; the blocks that
+    # feed the other layer are dropped, and the lead-in and tail steps
+    # add exact zeros.
+    back = np.argsort(_paired_columns(h))
+    rec = np.tensordot(scan[0][:-1], flat, sum_tb)[:, back]
+    bias = flat.sum(axis=(0, 1))[back]
+    grads.update(lstm2_wx=rec[:h, 4 * h:], lstm2_wh=rec[2 * h:, 4 * h:],
+                 lstm2_b=bias[4 * h:],
+                 lstm1_wx=np.tensordot(cache["z1"], flat[:t], sum_tb)[
+                     :, back[:4 * h]],
+                 lstm1_wh=rec[h:2 * h, :4 * h], lstm1_b=bias[:4 * h])
+    dz = flat[:t] @ w_in.T
     if drop[0] is not None:
         dz *= drop[0]
 

@@ -121,7 +121,9 @@ def build_feature_frames(
 
 
 def save_frames(path: Path | str, frames: FeatureFrames) -> None:
-    np.savez_compressed(
+    """Uncompressed: compression costs more time than the file size
+    saves.  ``load_frames`` reads compressed files too."""
+    np.savez(
         path, trial_id=str(frames.trial_id), data=frames.data,
         labels=frames.labels, names=np.array(FEATURE_NAMES))
 

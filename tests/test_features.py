@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import zipfile
 from bisect import bisect_right
 from collections import Counter
 
@@ -80,6 +81,30 @@ class TestFeatureFrames:
         loaded = feat.load_frames(p)
         assert loaded.trial_id == frames.trial_id
         assert np.array_equal(loaded.data, frames.data)
+        assert np.array_equal(loaded.labels, frames.labels)
+
+    def test_npz_round_trip_is_bit_exact_and_stored(self, frames, tmp_path):
+        p = tmp_path / "frames.npz"
+        data = frames.data.copy()
+        data[0, 5:8] = [-0.0, 5e-324, np.nextafter(1.0, 2.0)]
+        feat.save_frames(p, dataclasses.replace(frames, data=data))
+        loaded = feat.load_frames(p)
+        for got, want in ((loaded.data, data),
+                          (loaded.labels, frames.labels)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        with zipfile.ZipFile(p) as z:
+            assert {i.compress_type for i in z.infolist()} == \
+                {zipfile.ZIP_STORED}
+
+    def test_compressed_frames_still_load(self, frames, tmp_path):
+        p = tmp_path / "frames.npz"
+        np.savez_compressed(
+            p, trial_id=str(frames.trial_id), data=frames.data,
+            labels=frames.labels, names=np.array(FEATURE_NAMES))
+        loaded = feat.load_frames(p)
+        assert loaded.trial_id == frames.trial_id
+        assert loaded.data.tobytes() == frames.data.tobytes()
         assert np.array_equal(loaded.labels, frames.labels)
 
 
