@@ -248,14 +248,12 @@ def _cmd_eval_fdnn(args, config: RunConfig, out: Path) -> int:
     else:
         fall_ids = [r["trial_id"] for r in index if r["has_fall"]]
 
-    fall_scores = [
-        pipeline.score_trial(params, fcfg, stats, f)
-        for f in _load_frame_sets(features_dir, fall_ids)]
     adl_ids = [r["trial_id"] for r in index
                if not r["trial_id"].is_fall]
-    adl_scores = [
-        pipeline.score_trial(params, fcfg, stats, f)
-        for f in _load_frame_sets(features_dir, adl_ids)]
+    scores = pipeline.score_trials(
+        params, fcfg, stats,
+        _load_frame_sets(features_dir, [*fall_ids, *adl_ids]))
+    fall_scores, adl_scores = scores[:len(fall_ids)], scores[len(fall_ids):]
 
     fall_tpr = eval_mod.metric_table(pipeline.tpr_entries(fall_scores))
     fall_tnr = eval_mod.metric_table(pipeline.tnr_entries(fall_scores))

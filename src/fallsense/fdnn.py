@@ -16,13 +16,21 @@ moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
 with one row per sequence; each row's logits become P(falling) through
-``falling_probability``, so a single-sequence batch reproduces the stream
-bit for bit.  Train mode runs fc1 and batch norm over the whole
-(time-major) sequence at once, then both LSTMs as one lagged scan
-(``_lagged_scan``): one 2H-wide cell stepped T+1 times, with layer 2 one
-step behind layer 1, so each step is one recurrent matmul and one
-``_lstm_cell`` call for both layers.  BPTT runs that scan backwards with
-only the recurrence in the loop.
+``falling_probability``.  At more than one row each product is a stack of
+one-row products, so every row of a scan gets exactly the bits the stream
+gives that sequence, at any row count; ``predict_traces`` (eval-fdnn and
+the validation accuracy) scans many sequences at once on that promise.
+
+Train mode runs fc1 and batch norm over the whole (time-major) sequence
+at once, then both LSTMs as one lagged scan (``_lagged_scan``): one
+2H-wide cell stepped T+1 times, with layer 2 one step behind layer 1, so
+each step is one recurrent matmul and one ``_lstm_cell`` call for both
+layers.  The scan is feature-major, (T+1, 8H, B): a step is one (8H, B)
+slab whose rows are the gate blocks g | i | f | o, each
+[layer 1 | layer 2] (``_paired_rows``), so each gate block is one
+contiguous slab.  Layer 1's rows are a strided view (``_layer_rows``), on
+which its input projection and input-weight gradient run 4H wide.  BPTT
+runs that scan backwards with only the recurrence in the loop.
 """
 
 from __future__ import annotations
@@ -213,6 +221,11 @@ class InferStep:
     view of it, whose columns are in ``gate_layout``; ``_lstm_cell``
     finishes each layer.  A call returns ``falling_probability`` of each
     row's logits.
+
+    At one row each product is ``np.dot``.  At more rows each is a stack
+    of one-row products, ``np.matmul(x[:, None, :], W)``, which gives
+    every row the bits it gets stepped alone: BLAS takes another kernel
+    for a many-row ``np.dot``, and that one differs in the last bits.
     """
 
     def __init__(self, params: FdnnParams, config: FdnnConfig,
@@ -225,21 +238,24 @@ class InferStep:
                         params.lstm1_wh,
                         shift @ params.lstm1_wx + params.lstm1_b])
         w2 = np.vstack([params.lstm2_wx, params.lstm2_b, params.lstm2_wh])
-        self._w3 = np.vstack([params.fc2_b, params.fc2_w])
+        w3 = np.vstack([params.fc2_b, params.fc2_w])
 
         buf = np.zeros((rows, d + 2 * h + 1))
         buf[:, d + h] = 1.0
         h1, h2 = buf[:, d:d + h], buf[:, d + h + 1:]
         c1, c2 = np.zeros((rows, h)), np.zeros((rows, h))
         self._x = buf[:, :d]
-        self._fc2_in = buf[:, d + h:]
         self._state = (h1, h2, c1, c2)
         self._logits = np.empty((rows, config.classes))
+        # Each product's operands, as one-row stacks at rows > 1.
+        self._matmul, one = ((np.dot, ()) if rows == 1
+                             else (np.matmul, np.s_[:, None]))
+        self._fc2 = (buf[:, d + h:][one], w3, self._logits[one])
         self._cells = []
         for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, h1),
                                     (buf[:, d:], w2, c2, h2)):
             z = np.empty((rows, 4 * h))
-            self._cells.append((inputs, w[:, order] * half, z, (
+            self._cells.append((inputs[one], w[:, order] * half, z[one], (
                 z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
                 z[:, h:], c, c, np.empty((rows, h)), h_out)))
 
@@ -251,10 +267,12 @@ class InferStep:
     def __call__(self, x: np.ndarray) -> list[float]:
         """P(falling) after one step of each row."""
         self._x[...] = x
+        matmul = self._matmul
         for inputs, w, z, cell in self._cells:
-            np.dot(inputs, w, out=z)
+            matmul(inputs, w, out=z)
             _lstm_cell(*cell)
-        np.dot(self._fc2_in, self._w3, out=self._logits)
+        fc2_in, w3, logits = self._fc2
+        matmul(fc2_in, w3, out=logits)
         return [falling_probability(z) for z in self._logits.tolist()]
 
 
@@ -293,27 +311,34 @@ def _concat_inputs(config: FdnnConfig, static: np.ndarray,
     return x
 
 
-def _paired_columns(hidden: int) -> np.ndarray:
-    """The column order taking both layers' LSTM weights side by side,
-    ``[layer 1 | layer 2]`` each in the stored i, f, g, o order, to one
-    2H-wide cell's ``gate_layout(2H)``: blocks g | i | f | o, each
-    [layer 1 | layer 2]."""
+def _paired_rows(hidden: int) -> np.ndarray:
+    """The lagged scan's rows as stored columns of both layers' LSTM
+    weights side by side, ``[layer 1 | layer 2]`` each in the stored i, f,
+    g, o order: one 2H-wide cell's ``gate_layout(2H)``, blocks
+    g | i | f | o, each [layer 1 | layer 2]."""
     stored = np.arange(8 * hidden).reshape(2, 4, hidden).transpose(1, 0, 2)
     return stored.ravel()[gate_layout(2 * hidden)[0]]
 
 
+def _layer_rows(a: np.ndarray, layer: int) -> np.ndarray:
+    """One layer's rows of an (..., 8H, B) array on ``_paired_rows``, as
+    an (..., 4, H, B) view: its g, i, f, o blocks in ``gate_layout(H)``."""
+    *lead, eight_h, b = a.shape
+    return a.reshape(*lead, 4, 2, eight_h // 8, b)[..., layer, :, :]
+
+
 def _lagged_weights(params: FdnnParams):
-    """The unhalved weights of ``_lagged_scan`` in ``_paired_columns``:
-    the input weights (F, 8H), which feed layer 1 only, the recurrent
-    weights (3H, 8H) on the state ``[h1*d1 | h1 | h2]`` (dropped-out h1
-    into layer 2, h1 into layer 1, h2 into layer 2) and the bias (8H,)."""
+    """The unhalved weights of ``_lagged_scan``: layer 1's input weights
+    (F, 4H) in ``gate_layout(H)``, as on ``_layer_rows``; the recurrent
+    weights (8H, 3H) on ``_paired_rows`` against the state
+    ``[h1*d1 | h1 | h2]`` (h1 into layer 1, dropped-out h1 and h2 into
+    layer 2); and the bias (8H,) on ``_paired_rows``."""
     zh = np.zeros_like(params.lstm1_wh)
-    cols = _paired_columns(zh.shape[0])
-    w_in = np.hstack([params.lstm1_wx, np.zeros_like(params.lstm1_wx)])
+    rows = _paired_rows(zh.shape[0])
     w_rec = np.block([[zh, params.lstm2_wx], [params.lstm1_wh, zh],
                       [zh, params.lstm2_wh]])
-    return (w_in[:, cols], w_rec[:, cols],
-            np.r_[params.lstm1_b, params.lstm2_b][cols])
+    return (params.lstm1_wx[:, gate_layout(zh.shape[0])[0]],
+            w_rec[:, rows].T, np.r_[params.lstm1_b, params.lstm2_b][rows])
 
 
 def _lagged_scan(xw: np.ndarray, w_rec: np.ndarray, d1: np.ndarray):
@@ -321,27 +346,30 @@ def _lagged_scan(xw: np.ndarray, w_rec: np.ndarray, d1: np.ndarray):
     T+1 times, layer 2 one step behind layer 1: combined step k runs
     layer 1 at time k and layer 2 at time k-1, in ``gate_layout(2H)``.
 
-    xw: (T+1, B, 8H) halved pre-activations, layer 1's input projection
+    Feature-major: each step is one (8H, B) slab on ``_paired_rows``, so
+    each of its gate blocks, and its i, f, o block, is contiguous.
+    xw: (T+1, 8H, B) halved pre-activations, layer 1's input projection
     and both biases; layer 2's input gate is -inf at step 0, so its state
-    there stays exactly 0.  The gate activations overwrite it.  w_rec: the
-    halved recurrent weights on the state ``[h1*d1 | h1 | h2]``; d1:
-    (T+1, B, H) the dropout mask between the layers.  Returns the stacked
-    states (T+2, B, 3H) and c (T+2, B, 2H), row 0 the zero initial state,
-    the activations (T+1, B, 8H) and tanh(c) (T+1, B, 2H).
+    there stays exactly 0.  The gate activations overwrite it.  w_rec:
+    the halved recurrent weights (8H, 3H) on the state
+    ``[h1*d1 | h1 | h2]``; d1: (T+1, H, B) the dropout mask between the
+    layers.  Returns the stacked states (T+2, 3H, B) and c (T+2, 2H, B),
+    row 0 the zero initial state, the activations (T+1, 8H, B) and
+    tanh(c) (T+1, 2H, B).
     """
-    t1, b, eight_h = xw.shape
+    t1, eight_h, b = xw.shape
     hd = eight_h // 8
-    s = np.zeros((t1 + 1, b, 3 * hd))
-    c = np.zeros((t1 + 1, b, 2 * hd))
-    tanh_c = np.empty((t1, b, 2 * hd))
-    g, i, f, o = xw.reshape(t1, b, 4, 2 * hd).transpose(2, 0, 1, 3)
+    s = np.zeros((t1 + 1, 3 * hd, b))
+    c = np.zeros((t1 + 1, 2 * hd, b))
+    tanh_c = np.empty((t1, 2 * hd, b))
+    g, i, f, o = xw.reshape(t1, 4, 2 * hd, b).transpose(1, 0, 2, 3)
     after = s[1:]
-    rec = np.empty((b, eight_h))
+    rec = np.empty((eight_h, b))
     for z, *cell, h1, h1d, d1k, s_prev in zip(
-            xw, g, i, f, o, xw[:, :, 2 * hd:], c[:-1], c[1:], tanh_c,
-            after[:, :, hd:], after[:, :, hd:2 * hd], after[:, :, :hd],
+            xw, g, i, f, o, xw[:, 2 * hd:], c[:-1], c[1:], tanh_c,
+            after[:, hd:], after[:, hd:2 * hd], after[:, :hd],
             d1, s[:-1]):
-        np.dot(s_prev, w_rec, out=rec)
+        np.dot(w_rec, s_prev, out=rec)
         z += rec
         _lstm_cell(z, *cell)
         np.multiply(h1, d1k, out=h1d)
@@ -390,7 +418,8 @@ def forward(
 
     # Layer 1, fully connected, and layer 2, batch norm over the unmasked
     # (time x batch) positions; fc1's output becomes xhat in place.
-    xhat = x @ params.fc1_w + params.fc1_b
+    xhat = x @ params.fc1_w
+    xhat += params.fc1_b
     valid = xhat[mask.T]
     mu = valid.mean(axis=0)
     var = valid.var(axis=0)
@@ -401,41 +430,50 @@ def forward(
     params.bn_mean[:] = m * params.bn_mean + (1 - m) * mu
     params.bn_var[:] = m * params.bn_var + (1 - m) * var
 
-    # Dropout layers 3, 5, 7 (inverted scaling), drawn batch-major and
-    # applied time-major.
+    # Dropout layers 3, 5, 7 (inverted scaling), drawn batch-major; the
+    # first applies to the time-major (T, B, F) inputs, the others to
+    # the scan's feature-major (T, H, B) states.
     h = config.inner_dim
     keep = 1.0 - config.dropout_rate
     drop: list[np.ndarray | None] = [None, None, None]
     if config.dropout_rate > 0.0:
         if rng is None:
             raise FdnnError("train mode with dropout needs an rng")
-        drop = [((rng.random((b, t, width)) < keep) / keep).transpose(1, 0, 2)
-                for width in (config.fc1_units, h, h)]
+        drop = [((rng.random((b, t, width)) < keep) / keep).transpose(axes)
+                for width, axes in ((config.fc1_units, (1, 0, 2)),
+                                    (h, (1, 2, 0)), (h, (1, 2, 0)))]
 
-    z = params.bn_gamma * xhat + params.bn_beta
+    z = xhat * params.bn_gamma
+    z += params.bn_beta
     if drop[0] is not None:
         z *= drop[0]
-    # The lagged scan runs on halved copies of the paired weights; BPTT
-    # reads the unhalved ones.  Step T's layer-1 half feeds nothing.
+    # The lagged scan runs on halved copies of the weights; BPTT reads
+    # the unhalved ones.  Layer 1's input projection fills its 4H rows
+    # only, and step T's layer-1 rows feed nothing.
     w_in, w_rec, bias = _lagged_weights(params)
-    half = gate_layout(2 * h)[1]
-    xw = np.empty((t + 1, b, 8 * h))
-    np.matmul(z, w_in * half, out=xw[:t])
-    xw[t] = 0.0
-    xw += bias * half
+    half = gate_layout(2 * h)[1][:, None]
+    bias = bias[:, None] * half
+    xw = np.empty((t + 1, 8 * h, b))
+    proj = z @ (w_in * gate_layout(h)[1])
+    proj += _layer_rows(bias, 0).ravel()
+    _layer_rows(xw[:t], 0)[...] = proj.reshape(t, b, 4, h).transpose(
+        0, 2, 3, 1)
+    _layer_rows(xw[:t], 1)[...] = _layer_rows(bias, 1)
+    xw[t] = bias
     # Layer 2's input gate at its lead-in step: i = 0 exactly, so its c,
     # h and gate gradients there are exactly 0.
-    xw[0, :, 3 * h:4 * h] = -np.inf
+    xw[0, 3 * h:4 * h] = -np.inf
     # The mask between the layers gets a row of ones for the tail step
     # and replaces drop[1], whose T rows are then freed.
-    d1 = np.broadcast_to(1.0, (t + 1, b, h))
+    d1 = np.broadcast_to(1.0, (t + 1, h, b))
     if drop[1] is not None:
         drop[1] = d1 = np.concatenate([drop[1], d1[:1]])
     scan = _lagged_scan(xw, w_rec * half, d1)
-    z2 = scan[0][2:, :, 2 * h:]
+    z2 = scan[0][2:, 2 * h:]
     if drop[2] is not None:
         z2 = z2 * drop[2]
-    probs = softmax_rows(z2 @ params.fc2_w + params.fc2_b)
+    probs = softmax_rows(z2.transpose(0, 2, 1) @ params.fc2_w
+                         + params.fc2_b)
     if not np.all(np.isfinite(probs)):
         raise FdnnError("non-finite activations in forward pass")
     if not want_cache:
@@ -461,15 +499,16 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 
 def _lagged_scan_backward(d_out: np.ndarray, scan: tuple,
                           w_rec: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """BPTT through one ``_lagged_scan``.  d_out: (T+1, B, H) gradient
+    """BPTT through one ``_lagged_scan``.  d_out: (T+1, H, B) gradient
     reaching layer 2's h from above at each combined step, row 0 zero;
     w_rec: the unhalved recurrent weights.  Returns the gate gradients
-    (T+1, B, 8H) in ``gate_layout(2H)``, written over the activations;
+    (T+1, 8H, B) on ``_paired_rows``, written over the activations;
     tanh(c) is overwritten too."""
     s, c, act, tanh_c = scan
-    t1, b, two_h = tanh_c.shape
-    hd = two_h // 2
-    g, i, f, o = act.reshape(t1, b, 4, two_h).transpose(2, 0, 1, 3)
+    t1, eight_h, b = act.shape
+    hd = eight_h // 8
+    gates = act.reshape(t1, 4, 2 * hd, b)
+    g, i, f, o = gates.transpose(1, 0, 2, 3)
     # Every factor that does not depend on the recurrence, for all steps
     # at once, in the activations' place, with tanh(c) as scratch; the
     # loop scales the g, i, f blocks by dc and the o block by dh.
@@ -489,29 +528,56 @@ def _lagged_scan_backward(d_out: np.ndarray, scan: tuple,
     np.subtract(1, g, out=g)
     g *= i                                      # i (1 - g^2)
     i *= gi                                     # g i (1 - i)
-    gif = act.reshape(t1, b, 4, two_h)[:, :, :3]
     # The gradient reaching the state [h1*d1 | h1 | h2]; its last 2H
-    # columns are the gradient reaching the cell's h.
-    du = np.zeros((b, 3 * hd))
-    du_h1d, dh1, dh2 = du[:, :hd], du[:, hd:2 * hd], du[:, 2 * hd:]
-    dh = du[:, hd:]
-    dc = np.zeros((b, two_h))
-    dc3 = dc[:, None, :]
-    tmp = np.empty((b, two_h))
+    # rows are the gradient reaching the cell's h.
+    du = np.zeros((3 * hd, b))
+    du_h1d, dh1, dh2 = du[:hd], du[hd:2 * hd], du[2 * hd:]
+    dh = du[hd:]
+    dc = np.zeros((2 * hd, b))
+    tmp = np.empty((2 * hd, b))
     w_rec_t = w_rec.T
-    for flat, gates, go, tc, fk, dk, d1k in zip(
-            act[::-1], gif[::-1], o[::-1], to_c[::-1], f_kept[::-1],
+    for flat, gif, go, tc, fk, dk, d1k in zip(
+            act[::-1], gates[::-1, :3], o[::-1], to_c[::-1], f_kept[::-1],
             d_out[::-1], d1[::-1]):
         du_h1d *= d1k
         dh1 += du_h1d
         dh2 += dk
         np.multiply(dh, tc, out=tmp)
         dc += tmp
-        gates *= dc3
+        gif *= dc
         go *= dh
         dc *= fk
-        np.dot(flat, w_rec_t, out=du)
+        np.dot(w_rec_t, flat, out=du)
     return act
+
+
+def _lstm_gradients(lstm: tuple, z1: np.ndarray, d_out: np.ndarray):
+    """Both LSTM layers' weight gradients, and the gradient reaching
+    layer 1's inputs z1 (T, B, F), by BPTT through the forward cache's
+    ``lstm`` entry (scan, input weights, recurrent weights, mask between
+    the layers).  d_out: (T+1, H, B), as ``_lagged_scan_backward``."""
+    scan, w_in, w_rec, d1 = lstm
+    t, b, _ = z1.shape
+    h = d_out.shape[1]
+    flat = _lagged_scan_backward(d_out, scan, w_rec, d1)
+    # The gradients come back on _paired_rows; the blocks that feed the
+    # other layer are dropped, and the lead-in and tail steps add exact
+    # zeros.  The recurrent gradient sums over time in chunks, so that
+    # the copies tensordot makes to bring time and batch together stay
+    # small.  Layer 1's input products take its 4H rows only.
+    back = np.argsort(_paired_rows(h))
+    states = scan[0][:-1]
+    rec = sum(np.tensordot(states[k:k + 64], flat[k:k + 64],
+                           ([0, 2], [0, 2]))
+              for k in range(0, t + 1, 64))[:, back]
+    bias = flat.sum(axis=0).sum(axis=1)[back]
+    flat1 = _layer_rows(flat[:t], 0).transpose(0, 3, 1, 2).reshape(t * b, -1)
+    grads = dict(lstm2_wx=rec[:h, 4 * h:], lstm2_wh=rec[2 * h:, 4 * h:],
+                 lstm2_b=bias[4 * h:],
+                 lstm1_wx=(z1.reshape(t * b, -1).T @ flat1)[
+                     :, np.argsort(gate_layout(h)[0])],
+                 lstm1_wh=rec[h:2 * h, :4 * h], lstm1_b=bias[:4 * h])
+    return grads, (flat1 @ w_in.T).reshape(t, b, -1)
 
 
 def loss_and_gradients(
@@ -546,7 +612,8 @@ def loss_and_gradients(
     logp = np.log(np.maximum(p_true, 1e-300))
     loss = float(-(logp * mask).sum() / n_valid)
 
-    # Everything below is time-major, (T, B, .).
+    # The logits and batch norm are time-major, (T, B, .); the lagged
+    # scan's arrays are feature-major, (T+1, ., B).
     mask = mask.T
     dlogits = cache["probs"].copy()
     dlogits.transpose(1, 0, 2)[rows, steps, labels] -= 1.0
@@ -556,29 +623,17 @@ def loss_and_gradients(
     grads: dict[str, np.ndarray] = {}
     sum_tb = ([0, 1], [0, 1])
     drop = cache["drop"]
-    grads["fc2_w"] = np.tensordot(cache["z2"], dlogits, sum_tb)
+    grads["fc2_w"] = np.tensordot(cache["z2"], dlogits, ([0, 2], [0, 1]))
     grads["fc2_b"] = dlogits.sum(axis=(0, 1))
     # Layer 2's output at time k-1 is the lagged scan's step k; step 0 is
     # its lead-in.
     h = config.inner_dim
-    dz = np.zeros((t + 1, b, h))
-    np.matmul(dlogits, params.fc2_w.T, out=dz[1:])
+    dz = np.zeros((t + 1, h, b))
+    dz[1:] = (dlogits @ params.fc2_w.T).transpose(0, 2, 1)
     if drop[2] is not None:
         dz[1:] *= drop[2]
-    scan, w_in, w_rec, d1 = cache["lstm"]
-    flat = _lagged_scan_backward(dz, scan, w_rec, d1)
-    # The LSTM gradients come back in _paired_columns; the blocks that
-    # feed the other layer are dropped, and the lead-in and tail steps
-    # add exact zeros.
-    back = np.argsort(_paired_columns(h))
-    rec = np.tensordot(scan[0][:-1], flat, sum_tb)[:, back]
-    bias = flat.sum(axis=(0, 1))[back]
-    grads.update(lstm2_wx=rec[:h, 4 * h:], lstm2_wh=rec[2 * h:, 4 * h:],
-                 lstm2_b=bias[4 * h:],
-                 lstm1_wx=np.tensordot(cache["z1"], flat[:t], sum_tb)[
-                     :, back[:4 * h]],
-                 lstm1_wh=rec[h:2 * h, :4 * h], lstm1_b=bias[:4 * h])
-    dz = flat[:t] @ w_in.T
+    lstm, dz = _lstm_gradients(cache.pop("lstm"), cache["z1"], dz)
+    grads.update(lstm)
     if drop[0] is not None:
         dz *= drop[0]
 
@@ -647,20 +702,39 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return float(total)
 
 
-def sample_accuracy(params: FdnnParams, config: FdnnConfig,
-                    examples: list[SequenceExample],
-                    batch_size: int | None = None) -> float:
-    """Fraction of unmasked steps classified correctly (strict threshold)."""
-    bs = batch_size or config.batch_size
-    correct = 0
-    total = 0
-    for i in range(0, len(examples), bs):
-        chunk = examples[i:i + bs]
-        static, seq, labels, mask = _pad_batch(chunk)
+# Rows per padded scan in ``predict_traces``, a cap for memory: a chunk's
+# padded arrays hold about 35 floats per row and step, 18 MB per 1 000
+# steps at 64 rows, and an infer scan's cost per sample-step falls little
+# beyond 64 rows.
+SCAN_ROWS = 64
+
+
+def predict_traces(params: FdnnParams, config: FdnnConfig,
+                   examples: list[SequenceExample]) -> list[PredictionTrace]:
+    """``predict_trace`` of each example, bit for bit, from a few padded
+    infer scans: the examples sorted by length, at most ``SCAN_ROWS`` to
+    a scan.  Infer mode gives each row its own bits at any row count."""
+    traces: list[PredictionTrace] = [None] * len(examples)
+    order = sorted(range(len(examples)),
+                   key=lambda i: len(examples[i].sequence))
+    for start in range(0, len(order), SCAN_ROWS):
+        chunk = order[start:start + SCAN_ROWS]
+        static, seq, _, _ = _pad_batch([examples[i] for i in chunk])
         p_fall = forward(params, config, static, seq, mode="infer")
-        decisions = classify(p_fall, config.threshold)
-        correct += int(((decisions == (labels == 1)) & mask).sum())
-        total += int(mask.sum())
+        for row, i in zip(p_fall, chunk):
+            p = row[:len(examples[i].sequence)]
+            traces[i] = PredictionTrace(
+                p_falling=p, decisions=classify(p, config.threshold))
+    return traces
+
+
+def sample_accuracy(params: FdnnParams, config: FdnnConfig,
+                    examples: list[SequenceExample]) -> float:
+    """Fraction of steps classified correctly (strict threshold)."""
+    traces = predict_traces(params, config, examples)
+    correct = sum(int((t.decisions == (e.labels == 1)).sum())
+                  for t, e in zip(traces, examples))
+    total = sum(len(e.labels) for e in examples)
     return correct / total if total else 0.0
 
 

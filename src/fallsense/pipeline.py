@@ -81,15 +81,17 @@ class TrialScore:
     counts: ConfusionCounts | None = None
 
 
-def score_trial(params: fdnn_mod.FdnnParams, config: fdnn_mod.FdnnConfig,
-                stats: StandardizationStats,
-                frames: FeatureFrames) -> TrialScore:
-    example = frames_to_example(frames, stats)
-    trace = fdnn_mod.predict_trace(params, config, example.static,
-                                   example.sequence)
-    c = confusion(trace.decisions, example.labels)
-    tpr, tnr = rates(c)
-    return TrialScore(trial_id=frames.trial_id, tpr=tpr, tnr=tnr, counts=c)
+def score_trials(params: fdnn_mod.FdnnParams, config: fdnn_mod.FdnnConfig,
+                 stats: StandardizationStats,
+                 frames: list[FeatureFrames]) -> list[TrialScore]:
+    """Each trial's confusion counts and rates, from
+    ``fdnn.predict_traces``: its own ``predict_trace`` bits."""
+    examples = [frames_to_example(f, stats) for f in frames]
+    traces = fdnn_mod.predict_traces(params, config, examples)
+    counts = [confusion(t.decisions, e.labels)
+              for t, e in zip(traces, examples)]
+    return [TrialScore(f.trial_id, *rates(c), counts=c)
+            for f, c in zip(frames, counts)]
 
 
 def tpr_entries(scores: list[TrialScore]) -> list[TrialMetric]:

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from fallsense import fdnn
 from fallsense.cli import dispatch
 from fallsense.config import dump_config, load_config
+from fallsense.features import FeatureFrames, load_frames, save_frames
 
 FAST_CONFIG = {
     "fdnn": {"epochs": 6, "batch_size": 4, "dropout_rate": 0.0,
@@ -248,6 +250,52 @@ class TestTrainEvalFdnn:
         assert metrics["fall_tpr_avg"] > 0.7
         assert metrics["adl_tnr_avg"] > 0.9
         assert metrics["fall_tpr_pooled"] > 0.7
+
+
+def _unequal_features(features_dir: Path, out: Path) -> Path:
+    """A copy of the feature set with each trial cut to its own length."""
+    (out / "frames").mkdir(parents=True)
+    lines = (features_dir / "index.csv").read_text().splitlines()
+    rows = [lines[0]]
+    for k, line in enumerate(lines[1:]):
+        tid, *rest, n, has_fall = line.split(",")
+        frames = load_frames(features_dir / "frames" / f"{tid}.npz")
+        n = int(n) - 41 * (k % 7)
+        save_frames(out / "frames" / f"{tid}.npz", FeatureFrames(
+            frames.trial_id, frames.data[:n], frames.labels[:n]))
+        rows.append(",".join([tid, *rest, str(n), has_fall]))
+    (out / "index.csv").write_text("\n".join(rows) + "\n")
+    return out
+
+
+class TestEvalFdnnScansTogether:
+    def test_files_equal_per_trial_reference(self, workspace, features_dir,
+                                             fdnn_dir, tmp_path, monkeypatch):
+        """eval-fdnn scores its trials in padded chunks of rows; every file
+        it writes is byte for byte that of scoring each trial alone with
+        predict_trace.  Three rows to a chunk spread the trials of unequal
+        length over many chunks."""
+        _, config = workspace
+        features = _unequal_features(features_dir, tmp_path / "features")
+        args = ["eval-fdnn", "--config", str(config),
+                "--features", str(features),
+                "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
+                "--split-file", str(fdnn_dir / "split.json")]
+        monkeypatch.setattr(fdnn, "SCAN_ROWS", 3)
+        assert dispatch([*args, "--out", str(tmp_path / "together")]) == 0
+
+        def each_alone(params, config, examples):
+            return [fdnn.predict_trace(params, config, e.static, e.sequence)
+                    for e in examples]
+        monkeypatch.setattr(fdnn, "predict_traces", each_alone)
+        assert dispatch([*args, "--out", str(tmp_path / "alone")]) == 0
+
+        metrics = json.loads((tmp_path / "alone" / "metrics.json").read_text())
+        assert metrics["n_fall_trials"] >= 3 and metrics["n_adl_trials"] >= 3
+        for name in ("metrics.json", "fall_tpr.csv", "fall_tnr.csv",
+                     "adl_tnr.csv"):
+            assert ((tmp_path / "together" / name).read_bytes()
+                    == (tmp_path / "alone" / name).read_bytes()), name
 
 
 class TestTrainEvalKan:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,13 +387,58 @@ class TestFoldedInference:
         for i, ex in enumerate(examples):
             trace = predict_trace(params, TOY, ex.static, ex.sequence)
             t = len(ex.sequence)
-            assert np.abs(probs[i, :t] - trace.p_falling).max() <= 1e-12
+            assert np.array_equal(probs[i, :t], trace.p_falling)
+
+    def test_predict_traces_crosses_chunks(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        params = _gated_model(rng, TOY, 5.0)
+        examples = [SequenceExample(
+            static=rng.normal(size=2), sequence=rng.normal(size=(t, 4)),
+            labels=np.zeros(t, dtype=int)) for t in (9, 3, 23, 1, 17, 9, 30)]
+        monkeypatch.setattr(fdnn, "SCAN_ROWS", 3)
+        traces = fdnn.predict_traces(params, TOY, examples)
+        for ex, got in zip(examples, traces):
+            want = predict_trace(params, TOY, ex.static, ex.sequence)
+            assert np.array_equal(got.p_falling, want.p_falling)
+            assert np.array_equal(got.decisions, want.decisions)
 
     def test_cache_is_train_only(self):
         static, seq, _, _ = toy_batch()
         with pytest.raises(FdnnError, match="train mode only"):
             forward(init_params(TOY), TOY, static, seq, mode="infer",
                     want_cache=True)
+
+
+DETECTOR = (Path(__file__).resolve().parents[1] / "perfbench" / "models"
+            / "detector.ckpt")
+
+
+class TestRowCountIndependence:
+    """Infer mode gives each row the bits it gets when scanned alone, at
+    any row count: the padded scans of eval-fdnn and the validation
+    accuracy score what the stream emits."""
+
+    @pytest.mark.parametrize("rows", [2, 7, 64])
+    @pytest.mark.parametrize("model", ["toy", "detector"])
+    def test_rows_together_equal_each_alone(self, model, rows):
+        rng = np.random.default_rng(rows)
+        if model == "toy":
+            params, config = _gated_model(rng, TOY, 5.0), TOY
+        else:
+            params, config, _, _ = load_checkpoint(DETECTOR)
+        width = config.input_dim - config.static_dim
+        examples = [SequenceExample(
+            static=rng.normal(size=config.static_dim),
+            sequence=rng.normal(size=(t, width)),
+            labels=np.zeros(t, dtype=int))
+            for t in rng.integers(1, 40, size=rows)]
+        static, seq, _, mask = fdnn._pad_batch(examples)
+        seq[~mask] = 1e3                      # loud padding
+        together = forward(params, config, static, seq, mode="infer")
+        for row, ex in zip(together, examples):
+            alone = forward(params, config, ex.static[None],
+                            ex.sequence[None], mode="infer")[0]
+            assert np.array_equal(row[:len(ex.sequence)], alone)
 
 
 class TestLstmCell:
@@ -657,20 +703,20 @@ class TestLaggedScanEdges:
                            rng=np.random.default_rng(4), want_cache=True)
         scan, _, w_rec, d1 = cache["lstm"]
         states, cells = scan[0], scan[1]
-        assert not states[1, :, 2 * h:].any() and not cells[1, :, h:].any()
-        d_out = np.random.default_rng(5).normal(size=(t + 1, b, h))
+        assert not states[1, 2 * h:].any() and not cells[1, h:].any()
+        d_out = np.random.default_rng(5).normal(size=(t + 1, h, b))
         d_out[0] = 0.0
         dgates = fdnn._lagged_scan_backward(d_out, scan, w_rec, d1)
-        dgates = dgates.reshape(t + 1, b, 4, 2, h)
-        assert not dgates[0, :, :, 1].any()
-        assert not dgates[t, :, :, 0].any()
-        assert dgates[1:, :, :, 1].any() and dgates[:t, :, :, 0].any()
+        dgates = dgates.reshape(t + 1, 4, 2, h, b)      # step, gate, layer
+        assert not dgates[0, :, 1].any()
+        assert not dgates[t, :, 0].any()
+        assert dgates[1:, :, 1].any() and dgates[:t, :, 0].any()
 
 
 class TestTrainMemory:
     """The tracemalloc peak of one ``loss_and_gradients`` call at the
-    default sizes, B=4, T=900; the per-layer scans peaked at 10.9 MiB
-    (dropout 0) and 13.1 MiB (dropout 0.5)."""
+    default sizes, B=4, T=900; the feature-major lagged scan peaked at
+    10.9 MiB (dropout 0) and 12.7 MiB (dropout 0.5)."""
 
     @pytest.mark.parametrize("dropout_rate, limit_mib",
                              [(0.0, 13.5), (0.5, 15.5)])
