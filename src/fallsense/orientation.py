@@ -44,9 +44,12 @@ class OrientationError(ValueError):
 # ---------------------------------------------------------------------------
 # The filter runs once per sample on 3-vectors and 3x3 matrices, where
 # NumPy's per-call overhead dwarfs the arithmetic, so it works on Python
-# floats: ``quat_normalize`` and ``quat_multiply`` take any 4-sequence and
-# return a 4-tuple, and ``quat_from_rotvec``/``quat_to_matrix`` wrap the
-# scalar ``_rotvec_quat``/``_rotation`` in arrays for other callers.
+# floats: ``quat_normalize`` takes any 4-sequence and returns a 4-tuple,
+# and ``quat_from_rotvec``/``quat_to_matrix`` wrap the scalar
+# ``_rotate``/``_rotation`` in arrays for other callers.
+
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
 
 def _floats(values):
     """An array's entries as (nested lists of) Python floats; any other
@@ -65,25 +68,33 @@ def quat_normalize(q) -> tuple[float, float, float, float]:
     return (w / n, x / n, y / n, z / n)
 
 
-def quat_multiply(a, b) -> tuple[float, float, float, float]:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
+def _rotate(q, vx: float, vy: float, vz: float):
+    """The attitude ``q`` turned by the rotation vector v (radians, body
+    frame): ``q * dq`` normalized to unit norm and canonical sign, with
+    dq = exp(v), the exact exponential map.  Returns both 4-tuples.
 
-
-def _rotvec_quat(vx: float, vy: float,
-                 vz: float) -> tuple[float, float, float, float]:
+    One body for the exponential, the product and the normalization,
+    which both filter steps take once per sample.
+    """
     angle = math.sqrt(vx * vx + vy * vy + vz * vz)
     if angle < 1e-12:
-        # First-order expansion; renormalized by the caller.
-        return (1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz)
-    s = math.sin(0.5 * angle) / angle
-    return (math.cos(0.5 * angle), vx * s, vy * s, vz * s)
+        # First-order expansion; the normalization below absorbs it.
+        dw, dx, dy, dz = 1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz
+    else:
+        half = 0.5 * angle
+        s = math.sin(half) / angle
+        dw, dx, dy, dz = math.cos(half), vx * s, vy * s, vz * s
+    aw, ax, ay, az = q
+    w = aw * dw - ax * dx - ay * dy - az * dz
+    x = aw * dx + ax * dw + ay * dz - az * dy
+    y = aw * dy - ax * dz + ay * dw + az * dx
+    z = aw * dz + ax * dy - ay * dx + az * dw
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise OrientationError("cannot normalize zero/non-finite quaternion")
+    if w < 0.0:
+        n = -n
+    return (w / n, x / n, y / n, z / n), (dw, dx, dy, dz)
 
 
 def _rotation(q) -> tuple[float, ...]:
@@ -96,9 +107,16 @@ def _rotation(q) -> tuple[float, ...]:
     )
 
 
+def _up_row(q) -> tuple[float, float, float]:
+    """Third row of R(q): the world up seen in the body frame,
+    R(q)^T e_z.  The same entries as ``_rotation(q)[6:]``."""
+    w, x, y, z = q
+    return (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+
+
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Exact exponential map of a rotation vector (radians)."""
-    return np.array(_rotvec_quat(v[0], v[1], v[2]))
+    return np.array(_rotate(_IDENTITY, v[0], v[1], v[2])[1])
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -129,13 +147,16 @@ def tilt(q, up: tuple[float, float, float] | None = None) -> float:
     The only tilt definition; ``tilt_angles`` maps it over a series.
     Insensitive to the quaternion sign.  A NaN entry gives NaN.
     """
-    w, x, y, z = q
     # Third row of R(q) dotted with u: the world-z component of R(q) @ u,
-    # which is R22 alone for the default u = e_z.
-    c = 1 - 2 * (x * x + y * y)
-    if up is not None:
+    # which is R22 alone for the default u = e_z (``_up_row``'s last entry,
+    # written out here to spare the call).
+    if up is None:
+        w, x, y, z = q
+        c = 1 - 2 * (x * x + y * y)
+    else:
+        rx, ry, rz = _up_row(q)
         ux, uy, uz = up
-        c = 2 * (x * z - w * y) * ux + 2 * (y * z + w * x) * uy + c * uz
+        c = rx * ux + ry * uy + rz * uz
     # Clamp rounding past +-1; NaN fails both tests and stays NaN.
     if c > 1.0:
         c = 1.0
@@ -268,8 +289,7 @@ def predict_step(state: FilterState, omega_dps,
     if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
         raise OrientationError("non-finite gyro sample")
     scale = DEG * dt
-    dq = _rotvec_quat(wx * scale, wy * scale, wz * scale)
-    q = quat_normalize(quat_multiply(state.quat, dq))
+    q, dq = _rotate(state.quat, wx * scale, wy * scale, wz * scale)
     # Body-side error state: delta_next = R(dq)^T delta + noise, so
     # P <- F P F^T + Q with F = R(dq)^T and Q = gyro_noise dt I.
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(dq)
@@ -296,9 +316,8 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     if not (cfg.gate_low_g <= norm <= cfg.gate_high_g):
         return state
 
-    q = state.quat
     # Predicted up in the body frame: R(q)^T e_z, the third row of R(q).
-    vx, vy, vz = _rotation(q)[6:]
+    vx, vy, vz = _up_row(state.quat)
     ex, ey, ez = ax / norm - vx, ay / norm - vy, az / norm - vz  # innovation
     # h(dtheta) ~ v + [v]_x dtheta, so H = [v]_x = [[0, -vz, vy],
     # [vz, 0, -vx], [-vy, vx, 0]] and R = accel_noise I.
@@ -344,10 +363,9 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     k21 = b20 * c01 + b21 * c11 + b22 * c12
     k22 = b20 * c02 + b21 * c12 + b22 * c22
 
-    dtheta = (k00 * ex + k01 * ey + k02 * ez,
-              k10 * ex + k11 * ey + k12 * ez,
-              k20 * ex + k21 * ey + k22 * ez)
-    q = quat_normalize(quat_multiply(q, _rotvec_quat(*dtheta)))
+    q = _rotate(state.quat, k00 * ex + k01 * ey + k02 * ez,
+                k10 * ex + k11 * ey + k12 * ez,
+                k20 * ex + k21 * ey + k22 * ez)[0]
 
     # Joseph form: P <- (I - K H) P (I - K H)^T + K R K^T.
     j00, j01, j02, j11, j12, j22 = _congruence(

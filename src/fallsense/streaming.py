@@ -16,6 +16,7 @@ event k depends only on samples up to k.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +53,18 @@ class StreamSettings:
 
     deadline_us: float = 5000.0
     kan_gating: bool = True
+
+    def __post_init__(self):
+        # Written as "not (valid)" so that NaN is rejected too: a NaN
+        # deadline would count no sample as a miss.  A string such as "no"
+        # is truthy and would leave the gate on.
+        if (isinstance(self.deadline_us, bool)
+                or not 0.0 < self.deadline_us < math.inf):
+            raise StreamError(f"deadline_us must be positive and finite, "
+                              f"got {self.deadline_us!r}")
+        if not isinstance(self.kan_gating, bool):
+            raise StreamError(f"kan_gating must be true or false, "
+                              f"got {self.kan_gating!r}")
 
 
 class StreamEvent(NamedTuple):
@@ -109,9 +122,10 @@ def stream_trial(
     Latency is pure processing time; real-time pacing waits are not
     counted.  By default the impact estimator runs only while the
     detector reports falling; ``kan_gating=False`` evaluates it on every
-    sample instead.  A ``body_up`` or ``deriv_order`` that gives no tilt
-    raises StreamError before any work, and a trial with a non-finite
-    sample raises it before any event is emitted.
+    sample instead.  A ``body_up`` or ``deriv_order`` that gives no tilt,
+    a trial too short for the tilt derivative (under ``deriv_order + 1``
+    samples, which the batch path refuses too) or one with a non-finite
+    sample raises StreamError before the checkpoints are read.
     """
     if mode not in ("realtime", "fast"):
         raise StreamError(f"unknown mode {mode!r}")
@@ -122,6 +136,18 @@ def stream_trial(
             unit_body_up(body_up)
         except OrientationError as exc:
             raise StreamError(str(exc)) from None
+    n = len(trial)
+    if n < deriv_order + 1:
+        # The batch path refuses it too (orientation.angular_derivative).
+        raise StreamError(f"order-{deriv_order} derivative needs >= "
+                          f"{deriv_order + 1} samples, got {n}")
+    for sensor, values in (("ADXL345", trial.accel_adxl345),
+                           ("ITG3200", trial.gyro_itg3200),
+                           ("MMA8451Q", trial.accel_mma8451q)):
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise StreamError(f"{sensor}: non-finite sample at index "
+                              f"{int(bad.argmax())}")
     params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(fdnn_checkpoint)
     kan_model = kan_mod.load_checkpoint(kan_checkpoint)
 
@@ -134,23 +160,14 @@ def stream_trial(
         raise StreamError(f"impact-model features not in the frame: {unknown}")
 
     filter_config = filter_config or FilterConfig()
-    n = len(trial)
-    if n == 0:
-        raise StreamError("empty trial")
-    for sensor, values in (("ADXL345", trial.accel_adxl345),
-                           ("ITG3200", trial.gyro_itg3200),
-                           ("MMA8451Q", trial.accel_mma8451q)):
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            raise StreamError(f"{sensor}: non-finite sample at index "
-                              f"{int(bad.argmax())}")
-
     detector = FdnnStream(params, fcfg)
-    window = max(1, min(n, int(round(
-        filter_config.init_window_s / SAMPLE_PERIOD_S))))
+    threshold = fcfg.threshold
+    mean, std = fstats.mean, fstats.std
+    dt = SAMPLE_PERIOD_S
+    window = max(1, min(n, int(round(filter_config.init_window_s / dt))))
     kernel = kan_mod.KanKernel(kan_model)
     kan_idx = feature_indices(kan_model.feature_names).tolist()
-    kan_rows: deque[list[float]] = deque(     # trailing window, oldest first
+    recent: deque[list[float]] = deque(       # trailing frames, oldest first
         maxlen=kan_model.config.window_samples)
 
     # Each sample's 19-entry frame is one list of Python floats, built from
@@ -162,66 +179,63 @@ def stream_trial(
     gyro = trial.gyro_itg3200.tolist()
     n_fdnn = len(FDNN_FEATURES)
     inputs = np.empty(n_fdnn)
-    state = None
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     events: list[StreamEvent] = []
-    latencies = np.empty(n)
+    latencies: list[float] = []
+    realtime = mode == "realtime"
+    clock = time.perf_counter_ns
 
-    def process(k: int) -> StreamEvent:
-        nonlocal state, prev, prev2
-        t0 = time.perf_counter_ns()
-        if k == 0:
-            state = update_step(state, accel[0])
-        else:
-            state = predict_step(state, gyro[k], SAMPLE_PERIOD_S)
-            state = update_step(state, accel[k])
+    # The first ``window`` events wait for the warm-up window: at its
+    # last sample the filter starts exactly like the batch estimator, and
+    # those events run in that sample's tick.  Every later event runs in
+    # its own tick.
+    start = time.perf_counter()
+    if realtime:
+        wait = start + window * dt - time.perf_counter()
+        if wait > 0:
+            time.sleep(wait)
+    state = init_state(trial.accel_adxl345[:window].mean(axis=0),
+                       filter_config)
+    for k in range(n):
+        if realtime and k >= window:
+            wait = start + (k + 1) * dt - time.perf_counter()
+            if wait > 0:
+                time.sleep(wait)
+        t0 = clock()
+        if k:
+            state = predict_step(state, gyro[k], dt)
+        state = update_step(state, accel[k])
         theta = float(tilt_angles((state.quat,), body_up)[0])
-        deriv = (backward_difference(theta, prev, prev2, SAMPLE_PERIOD_S,
-                                     deriv_order)
+        deriv = (backward_difference(theta, prev, prev2, dt, deriv_order)
                  if k >= deriv_order else 0.0)
         prev, prev2 = theta, prev
         frame = [*static, *accel[k], *accel2[k], *gyro[k], *state.quat,
                  theta, deriv]
 
         inputs[:] = frame[:n_fdnn]
-        np.subtract(inputs, fstats.mean, out=inputs)
-        np.divide(inputs, fstats.std, out=inputs)
+        np.subtract(inputs, mean, out=inputs)
+        np.divide(inputs, std, out=inputs)
         p_fall = detector.step(inputs)
-        decision = bool(p_fall > fcfg.threshold)
+        decision = p_fall > threshold
 
-        kan_rows.append([frame[i] for i in kan_idx])
+        recent.append(frame)
         tti = None
         if decision or not kan_gating:
-            # Column means, each summed from 0.0 oldest row first, as
-            # np.mean(kan_rows, axis=0) adds them.
-            count = len(kan_rows)
+            # Trailing column means, each summed from 0.0 oldest frame
+            # first, as np.mean(rows, axis=0) adds them.
+            count = len(recent)
             smoothed = []
-            for column in zip(*kan_rows):
+            for i in kan_idx:
                 total = 0.0
-                for v in column:
-                    total += v
+                for row in recent:
+                    total += row[i]
                 smoothed.append(total / count)
             tti = kan_mod.predict_smoothed_row(kernel, smoothed)
-        latency_us = (time.perf_counter_ns() - t0) / 1000.0
-        latencies[k] = latency_us
-        return StreamEvent(k, p_fall, decision, tti, latency_us)
+        latency_us = (clock() - t0) / 1000.0
+        latencies.append(latency_us)
+        events.append(StreamEvent(k, p_fall, decision, tti, latency_us))
 
-    start = time.perf_counter()
-    for k in range(n):
-        if mode == "realtime":
-            wait = start + (k + 1) * SAMPLE_PERIOD_S - time.perf_counter()
-            if wait > 0:
-                time.sleep(wait)
-        if k == window - 1:
-            # Warm-up window full: initialize the filter exactly like the
-            # batch estimator and emit the deferred events.
-            state = init_state(trial.accel_adxl345[:window].mean(axis=0),
-                               filter_config)
-            for j in range(window):
-                events.append(process(j))
-        elif k >= window:
-            events.append(process(k))
-
+    latencies = np.array(latencies)
     report = LatencyReport(
         mean_us=float(latencies.mean()),
         p99_us=float(np.percentile(latencies, 99)),

@@ -120,6 +120,19 @@ class TestUsage:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_unusable_stream_config_is_validation_error(self, tmp_path):
+        # a NaN deadline would report no miss for any latency
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"stream": {"deadline_us": NaN}}')
+        rc = dispatch(["stream", "--config", str(bad),
+                       "--fdnn", str(tmp_path / "d.ckpt"),
+                       "--kan", str(tmp_path / "k.ckpt"),
+                       "--trial", str(tmp_path / "F01_SA01_R01.txt"),
+                       "--subjects", str(tmp_path / "s.csv"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_kan_feature_is_validation_error(self, tmp_path):
         # features would fail only at the first fall segment, after
         # creating its frames/ and segments/ folders

@@ -185,6 +185,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid segment section"):
             load_config(None, overrides={"segment": section})
 
+    # A NaN deadline would count no sample as a miss, and the string "no"
+    # is truthy, so it would leave the impact-model gate on.
+    @pytest.mark.parametrize("section", [
+        {"deadline_us": float("nan")},
+        {"deadline_us": -1.0},
+        {"deadline_us": 0.0},
+        {"deadline_us": float("inf")},
+        {"deadline_us": "5000"},
+        {"deadline_us": True},
+        {"kan_gating": "no"},
+        {"kan_gating": 0},
+    ])
+    def test_unusable_stream_rejected(self, section):
+        with pytest.raises(ConfigError, match="invalid stream section"):
+            load_config(None, overrides={"stream": section})
+
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
         p = tmp_path / "resolved.json"

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fallsense import orientation
 from fallsense.orientation import (
     DEG,
     WORLD_UP,
@@ -16,6 +18,7 @@ from fallsense.orientation import (
     init_state,
     predict_step,
     quat_from_rotvec,
+    quat_normalize,
     quat_to_matrix,
     tilt,
     tilt_angles,
@@ -132,6 +135,97 @@ class TestClosedFormMatchesMatrixForm:
             update_step(state, sample)
         with pytest.raises(OrientationError):
             predict_step(state, sample, 0.005)
+
+
+# ---------------------------------------------------------------------------
+# The float compositions the steps took before ``_rotate`` and ``_up_row``
+# fused them, kept as references: the exponential, the product and the
+# normalization as three calls, and the third row read off all nine
+# entries of R(q).  A step with these swapped in gives the same bits.
+# ---------------------------------------------------------------------------
+
+def _ref_rotvec_quat(vx, vy, vz):
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if angle < 1e-12:
+        return (1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz)
+    s = math.sin(0.5 * angle) / angle
+    return (math.cos(0.5 * angle), vx * s, vy * s, vz * s)
+
+
+def _ref_quat_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _ref_rotate(q, vx, vy, vz):
+    dq = _ref_rotvec_quat(vx, vy, vz)
+    return quat_normalize(_ref_quat_multiply(q, dq)), dq
+
+
+def _ref_up_row(q):
+    return orientation._rotation(q)[6:]
+
+
+def _composed_steps():
+    """The filter steps with the reference compositions in place."""
+    return mock.patch.multiple(orientation, _rotate=_ref_rotate,
+                               _up_row=_ref_up_row)
+
+
+# Rotation vectors down to 1e-16 rad, so the first-order branch
+# (|v| < 1e-12) is drawn too.
+_rotvecs = st.builds(lambda d, e: tuple((np.array(d) * 10.0 ** e).tolist()),
+                     _vec3, st.floats(-16.0, 0.5))
+# q about pi about x turned further about x: the product's w is negative,
+# so the normalization flips the sign.
+_FLIP = (tuple(quat_normalize((0.01, 1.0, 0.0, 0.0))), (0.5, 0.0, 0.0))
+
+
+class TestFusedStepsMatchComposedChain:
+    @given(filter_states(), _rotvecs)
+    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), _FLIP[1])
+    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), (1e-13, 0.0, 0.0))
+    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), (0.0, 0.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rotate_and_up_row(self, state, v):
+        assert orientation._rotate(state.quat, *v) == _ref_rotate(
+            state.quat, *v)
+        assert orientation._up_row(state.quat) == _ref_up_row(state.quat)
+
+    def test_flip_example_has_a_negative_product(self):
+        q, v = _FLIP
+        assert _ref_quat_multiply(q, _ref_rotvec_quat(*v))[0] < 0.0
+
+    @given(filter_states(), _rotvecs)
+    @settings(max_examples=300, deadline=None)
+    def test_predict_bits(self, state, v):
+        omega = np.array(v) / (DEG * 0.005)
+        out = predict_step(state, omega, 0.005)
+        with _composed_steps():
+            ref = predict_step(state, omega, 0.005)
+        assert out.quat == ref.quat and out.cov == ref.cov
+
+    @given(filter_states(), _vec3, st.floats(0.0, 2.0), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_update_bits(self, state, direction, magnitude, along_up):
+        # along the predicted up, the innovation (so dtheta) is ~1e-16
+        accel = (np.array(_ref_up_row(state.quat)) * magnitude if along_up
+                 else _accel(direction, magnitude))
+        out = update_step(state, accel)
+        with _composed_steps():
+            ref = update_step(state, accel)
+        ax, ay, az = accel.tolist()
+        gated = not 0.7 <= math.sqrt(ax * ax + ay * ay + az * az) <= 1.3
+        # a gated sample leaves the state object itself, which the
+        # benchmark's rejection counter reads
+        assert (out is state) == (ref is state) == gated
+        assert out.quat == ref.quat and out.cov == ref.cov
 
 
 class TestFilterConfig:

@@ -182,6 +182,61 @@ class TestStreamTrial:
         assert [(e.p_falling, e.decision, e.tti_ms) for e in prefix] == \
             [(e.p_falling, e.decision, e.tti_ms) for e in full[:cut]]
 
+    # The edges of the 100-sample warm-up window: a trial shorter than it
+    # starts the filter on all its samples, and the deferred events and
+    # the first undeferred ones come from one loop.
+    @pytest.mark.parametrize("gating", [True, False],
+                             ids=["gated", "ungated"])
+    @pytest.mark.parametrize("n", [3, 99, 100, 101])
+    def test_window_edges_match_batch_bitexact(self, trained, subject, n,
+                                               gating):
+        fdnn_path, kan_path, pairs, params, cfg, stats = trained
+        annotated = _prefix(pairs[0][0], n)
+        events, report = stream_trial(fdnn_path, kan_path, annotated.trial,
+                                      subject, kan_gating=gating)
+        assert [e.index for e in events] == list(range(n))
+        assert report.count == n
+        frames = orient_and_frame(annotated, subject)
+        example = frames_to_example(frames, stats)
+        trace = fdnn_mod.predict_trace(params, cfg, example.static,
+                                       example.sequence)
+        assert np.array_equal([e.p_falling for e in events],
+                              trace.p_falling)
+        model = kan_mod.load_checkpoint(kan_path)
+        kernel = kan_mod.KanKernel(model)
+        rows = list(frames.data[:, feature_indices(model.feature_names)])
+        w = model.config.window_samples
+        for k, e in enumerate(events):
+            if gating and not e.decision:
+                assert e.tti_ms is None
+            else:
+                assert e.tti_ms == kan_mod.predict_smoothed_row(
+                    kernel, np.mean(rows[max(0, k - w + 1):k + 1], axis=0))
+
+    # The tilt derivative of order d needs d + 1 samples; the batch path
+    # (orientation.angular_derivative) refuses shorter trials, and so does
+    # the stream, before it reads a checkpoint.
+    @pytest.mark.parametrize("n, order", [(0, 1), (1, 1), (1, 2), (2, 2)])
+    def test_too_short_for_the_derivative_refused_up_front(
+            self, subject, tmp_path, n, order):
+        annotated = _prefix(generate_synthetic_trial(
+            SyntheticSpec(kind="walk", duration_s=1.0), seed=6)[0], n)
+        with pytest.raises(StreamError, match=f"needs >= {order + 1}"):
+            stream_trial(tmp_path / "missing.ckpt", tmp_path / "missing.kan",
+                         annotated.trial, subject, deriv_order=order)
+
+    def test_two_samples_stream_at_first_order(self, trained, subject):
+        fdnn_path, kan_path, pairs, params, cfg, stats = trained
+        annotated = _prefix(pairs[0][0], 2)
+        events, _ = stream_trial(fdnn_path, kan_path, annotated.trial,
+                                 subject, deriv_order=1)
+        frames = orient_and_frame(annotated, subject, deriv_order=1)
+        example = frames_to_example(frames, stats)
+        trace = fdnn_mod.predict_trace(params, cfg, example.static,
+                                       example.sequence)
+        assert np.array_equal([e.p_falling for e in events],
+                              trace.p_falling)
+
     def test_tti_present_iff_falling(self, trained, subject):
         fdnn_path, kan_path, pairs, *_ = trained
         annotated, _ = pairs[0]
@@ -326,3 +381,14 @@ def _subject():
     from fallsense.sisfall import SubjectProfile
     return SubjectProfile(subject_id="SA01", age=30.0, height_cm=175.0,
                           weight_kg=70.0, gender=1.0)
+
+
+def _prefix(annotated, n):
+    """The first n samples of an annotated trial."""
+    trial = annotated.trial
+    cut = dataclasses.replace(
+        trial, accel_adxl345=trial.accel_adxl345[:n],
+        gyro_itg3200=trial.gyro_itg3200[:n],
+        accel_mma8451q=trial.accel_mma8451q[:n], t=trial.t[:n])
+    return dataclasses.replace(annotated, trial=cut,
+                               labels=annotated.labels[:n])
