@@ -58,11 +58,6 @@ from .sisfall import (
 from .streaming import StreamError, stream_trial, write_events_csv
 from .synthetic import write_synthetic_corpus
 
-SUBCOMMANDS = ("verify", "features", "select", "train-fdnn", "eval-fdnn",
-               "train-kan", "cv-kan", "eval-kan", "trace", "stream",
-               "synth", "report")
-
-
 class CliError(ValueError):
     pass
 
@@ -297,11 +292,8 @@ def _plan_and_segments(features_dir: Path, config: RunConfig):
 
 def _cmd_train_kan(args, config: RunConfig, out: Path) -> int:
     plan, segments = _plan_and_segments(Path(args.features), config)
-    train_segs = [s for s in segments
-                  if plan.role_of(s.trial_id) == "train"]
-    val_segs = [s for s in segments
-                if plan.role_of(s.trial_id) == "validation"]
-    model, log = kan_mod.fit(config.kan, train_segs, val_segs)
+    model, log = kan_mod.fit(config.kan, plan.segments_in(segments, "train"),
+                             plan.segments_in(segments, "validation"))
     kan_mod.save_checkpoint(out / "kan.ckpt", model)
     kan_mod.write_fit_log(out / "fit_log.csv", log)
     (out / "plan.json").write_text(json.dumps({
@@ -327,7 +319,7 @@ def _cmd_cv_kan(args, config: RunConfig, out: Path) -> int:
 def _cmd_eval_kan(args, config: RunConfig, out: Path) -> int:
     plan, segments = _plan_and_segments(Path(args.features), config)
     model = kan_mod.load_checkpoint(args.checkpoint)
-    test_segs = [s for s in segments if plan.role_of(s.trial_id) == "test"]
+    test_segs = plan.segments_in(segments, "test")
     if not test_segs:
         raise CliError("no test-fold segments")
     preds = pipeline.segment_predictions(model, test_segs)
@@ -403,27 +395,27 @@ def _cmd_synth(args, config: RunConfig, out: Path) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _load_table(path: Path) -> MetricTable | None:
-    return MetricTable.from_csv(path) if path.is_file() else None
-
-
 def _cmd_report(args, config: RunConfig, out: Path) -> int:
+    # adl_tnr.csv is optional: eval-fdnn writes it only for ADL trials
+    for folder, name in ((args.fdnn_eval, "fall_tpr.csv"),
+                         (args.fdnn_eval, "fall_tnr.csv"),
+                         (args.kan_eval, "rmse_heatmap.csv"),
+                         (args.kan_eval, "metrics.json")):
+        if folder and not (Path(folder) / name).is_file():
+            raise CliError(f"{folder} lacks {name}")
     bundle = ReportBundle()
     if args.fdnn_eval:
         d = Path(args.fdnn_eval)
-        bundle.fall_tpr = _load_table(d / "fall_tpr.csv")
-        bundle.fall_tnr = _load_table(d / "fall_tnr.csv")
-        bundle.adl_tnr = _load_table(d / "adl_tnr.csv")
+        bundle.fall_tpr = MetricTable.from_csv(d / "fall_tpr.csv")
+        bundle.fall_tnr = MetricTable.from_csv(d / "fall_tnr.csv")
+        if (d / "adl_tnr.csv").is_file():
+            bundle.adl_tnr = MetricTable.from_csv(d / "adl_tnr.csv")
     if args.kan_eval:
         d = Path(args.kan_eval)
-        table = _load_table(d / "rmse_heatmap.csv")
-        global_rmse = None
-        metrics = d / "metrics.json"
-        if metrics.is_file():
-            global_rmse = json.loads(metrics.read_text()).get("tti_rmse_ms")
-        if table is not None:
-            bundle.rmse = eval_mod.RmseHeatmap(table=table,
-                                               global_rmse=global_rmse)
+        bundle.rmse = eval_mod.RmseHeatmap(
+            table=MetricTable.from_csv(d / "rmse_heatmap.csv"),
+            global_rmse=json.loads((d / "metrics.json").read_text()).get(
+                "tti_rmse_ms"))
     for trace_csv in args.trace or []:
         p = Path(trace_csv)
         tid = TrialId.parse(p.stem.replace("trajectory_", ""))

@@ -66,11 +66,22 @@ _SECTION_TYPES = {name: kind for name, kind in
                   if dataclasses.is_dataclass(kind)}
 
 
+def _check_integers(cls, data: dict, where: str) -> None:
+    """Refuse a fraction, bool or string given for an int field."""
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        if hints[name] is int and (not isinstance(value, int)
+                                   or isinstance(value, bool)):
+            raise ConfigError(
+                f"{where}{name} must be an integer, got {value!r}")
+
+
 def _build_section(cls, data: dict, path: str):
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
+    _check_integers(cls, data, f"invalid {path} section: ")
     coerced = {}
     for f in fields(cls):
         if f.name in data:
@@ -109,10 +120,16 @@ def load_config(path: Path | str | None = None,
                 raise ConfigError(f"{key} section must be an object")
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
         elif key == "kan_grid":
+            if not (isinstance(value, (list, tuple))
+                    and all(isinstance(entry, dict) for entry in value)):
+                raise ConfigError("kan_grid must be a list of objects")
             kwargs[key] = tuple(value)
         else:
+            _check_integers(RunConfig, {key: value}, "")
             kwargs[key] = value
-    return RunConfig(**kwargs)
+    config = RunConfig(**kwargs)
+    kan_grid_configs(config)   # every candidate fails here, not in cv-kan
+    return config
 
 
 def dump_config(config: RunConfig, path: Path | str) -> None:

@@ -136,23 +136,30 @@ class MetricTable:
                    else np.empty((0, len(activities))))
 
 
-def metric_table(entries: list[TrialMetric]) -> MetricTable:
-    """Cell = mean metric over repetitions of each (subject, activity)."""
-    cells: dict[tuple[str, str], list[float]] = {}
+def _grid(groups, cell) -> tuple[MetricTable, dict]:
+    """Sorted subjects x activities of ``(trial_id, value)`` pairs: each
+    cell is ``cell`` of its group's non-None values, NaN if it has none.
+    Also returns those values per group, in first-appearance order."""
+    cells: dict[tuple[str, str], list] = {}
     subjects: set[str] = set()
     activities: set[str] = set()
-    for e in entries:
-        subjects.add(e.trial_id.subject)
-        activities.add(e.trial_id.activity)
-        if e.value is not None:
-            cells.setdefault(
-                (e.trial_id.subject, e.trial_id.activity), []).append(e.value)
+    for tid, value in groups:
+        subjects.add(tid.subject)
+        activities.add(tid.activity)
+        if value is not None:
+            cells.setdefault((tid.subject, tid.activity), []).append(value)
     subj = tuple(sorted(subjects))
     acts = tuple(sorted(activities))
     values = np.full((len(subj), len(acts)), math.nan)
     for (s, a), vals in cells.items():
-        values[subj.index(s), acts.index(a)] = float(np.mean(vals))
-    return MetricTable(subjects=subj, activities=acts, values=values)
+        values[subj.index(s), acts.index(a)] = cell(vals)
+    return MetricTable(subjects=subj, activities=acts, values=values), cells
+
+
+def metric_table(entries: list[TrialMetric]) -> MetricTable:
+    """Cell = mean metric over repetitions of each (subject, activity)."""
+    return _grid(((e.trial_id, e.value) for e in entries),
+                 lambda vals: float(np.mean(vals)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +185,17 @@ def rmse_by_group(entries: list[SegmentPrediction]) -> RmseHeatmap:
     The global figure pools every sample, so it equals the RMSE computed
     directly over the concatenation of all groups.
     """
-    sq: dict[tuple[str, str], list[np.ndarray]] = {}
-    subjects: set[str] = set()
-    activities: set[str] = set()
     for e in entries:
         if e.predictions.shape != e.targets.shape:
             raise EvaluationError(f"{e.trial_id}: prediction/target mismatch")
-        subjects.add(e.trial_id.subject)
-        activities.add(e.trial_id.activity)
-        sq.setdefault((e.trial_id.subject, e.trial_id.activity), []).append(
-            (np.asarray(e.predictions) - np.asarray(e.targets)) ** 2)
-    subj = tuple(sorted(subjects))
-    acts = tuple(sorted(activities))
-    values = np.full((len(subj), len(acts)), math.nan)
-    all_sq: list[np.ndarray] = []
-    for (s, a), chunks in sq.items():
-        pooled = np.concatenate(chunks)
-        values[subj.index(s), acts.index(a)] = float(np.sqrt(pooled.mean()))
-        all_sq.append(pooled)
-    global_rmse = (float(np.sqrt(np.concatenate(all_sq).mean()))
-                   if all_sq else None)
-    return RmseHeatmap(
-        table=MetricTable(subjects=subj, activities=acts, values=values),
-        global_rmse=global_rmse)
+    table, sq = _grid(
+        ((e.trial_id, (np.asarray(e.predictions) - np.asarray(e.targets)) ** 2)
+         for e in entries),
+        lambda chunks: float(np.sqrt(np.concatenate(chunks).mean())))
+    pooled = [c for chunks in sq.values() for c in chunks]
+    global_rmse = (float(np.sqrt(np.concatenate(pooled).mean()))
+                   if pooled else None)
+    return RmseHeatmap(table=table, global_rmse=global_rmse)
 
 
 # ---------------------------------------------------------------------------

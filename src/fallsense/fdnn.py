@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +279,10 @@ class InferStep:
         fc2_in, w3, logits = self._fc2
         matmul(fc2_in, w3, out=logits)
         return [falling_probability(z) for z in self._logits.tolist()]
+
+    def step(self, x: np.ndarray) -> float:
+        """P(falling) of row 0 after one step: the stream's detector call."""
+        return self(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +833,7 @@ def save_checkpoint(path: Path | str, params: FdnnParams, config: FdnnConfig,
                     feature_names: tuple[str, ...] = FDNN_FEATURES) -> None:
     """Self-contained checkpoint: parameters plus the input standardizer."""
     header = {
-        "config": {f.name: getattr(config, f.name) for f in fields(config)},
+        "config": asdict(config),
         "standardizer": {
             "mean": stats.mean.tolist(),
             "std": stats.std.tolist(),

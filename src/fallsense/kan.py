@@ -32,7 +32,7 @@ average and standardized; targets stay in milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ class KanConfig:
             raise KanError("node counts must be >= 2")
         if not 0.0 < self.mu < 2.0:
             raise KanError(f"mu must be in (0, 2), got {self.mu}")
-        if self.window_ms <= 0 or abs(
+        if not 0 < self.window_ms < math.inf or abs(
                 self.window_ms / 5.0 - round(self.window_ms / 5.0)) > 1e-9:
             raise KanError("window must be a positive multiple of 5 ms")
         if self.window_samples > MAX_SMOOTHING_SAMPLES:
@@ -621,6 +621,11 @@ class CvPlan:
                 return role
         return None
 
+    def segments_in(self, segments: list[FallSegment],
+                    role: str) -> list[FallSegment]:
+        """The segments whose trial has ``role``, in their given order."""
+        return [s for s in segments if self.role_of(s.trial_id) == role]
+
 
 def build_cv_plan(trial_ids: list[TrialId], seed: int = 0) -> CvPlan:
     """3 train / 1 validation / 1 test repetitions per subject-activity.
@@ -671,9 +676,8 @@ def cross_validate(
     """
     if not grid:
         raise KanError("empty hyperparameter grid")
-    train_segs = [s for s in segments if plan.role_of(s.trial_id) == "train"]
-    val_segs = [s for s in segments
-                if plan.role_of(s.trial_id) == "validation"]
+    train_segs = plan.segments_in(segments, "train")
+    val_segs = plan.segments_in(segments, "validation")
     if not train_segs or not val_segs:
         raise KanError("cross-validation needs train and validation folds")
 
@@ -701,8 +705,7 @@ def write_cv_table(path: Path | str, results: list[CvResult]) -> None:
 
 def save_checkpoint(path: Path | str, model: KanModel) -> None:
     header = {
-        "config": {f.name: getattr(model.config, f.name)
-                   for f in fields(model.config)},
+        "config": asdict(model.config),
         "d": model.d,
         "feature_names": list(model.feature_names),
         "standardizer": {

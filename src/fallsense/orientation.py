@@ -199,9 +199,9 @@ class FilterConfig:
             raise OrientationError(
                 "accelerometer gate needs 0 < gate_low_g <= gate_high_g, got "
                 f"[{self.gate_low_g}, {self.gate_high_g}]")
-        if not self.init_window_s > 0:
-            raise OrientationError(
-                f"init_window_s must be > 0, got {self.init_window_s}")
+        if not 0 < self.init_window_s < math.inf:
+            raise OrientationError(f"init_window_s must be > 0 and finite, "
+                                   f"got {self.init_window_s}")
 
 
 class FilterState:
@@ -416,17 +416,24 @@ def init_state(accel_mean_g: np.ndarray,
     return FilterState(q=q, P=P, config=config)
 
 
+def filter_start(accel_g: np.ndarray, config: FilterConfig | None = None,
+                 dt: float = SAMPLE_PERIOD_S) -> tuple[FilterState, int]:
+    """The start state, ``init_state`` of the accelerometer mean over the
+    first ``init_window_s`` seconds (1 to all samples), and their count."""
+    config = config or FilterConfig()
+    window = max(1, min(len(accel_g), int(round(config.init_window_s / dt))))
+    return init_state(accel_g[:window].mean(axis=0), config), window
+
+
 def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
                          config: FilterConfig | None = None,
                          dt: float = SAMPLE_PERIOD_S) -> np.ndarray:
     """Quaternion per sample for one trial.
 
-    Initializes from the accelerometer mean over the first
-    ``config.init_window_s`` seconds, then runs predict (gyro) + update
-    (accelerometer) for every sample: the two steps the stream takes, on
-    the same float rows.  Returns an (N, 4) array.
+    Starts with ``filter_start``, then runs predict (gyro) + update
+    (accelerometer) for every sample: the start and the two steps the
+    stream takes, on the same float rows.  Returns an (N, 4) array.
     """
-    config = config or FilterConfig()
     _check_dt(dt)
     accel = np.atleast_2d(np.asarray(accel_g, dtype=float))
     gyro = np.atleast_2d(np.asarray(gyro_dps, dtype=float))
@@ -436,9 +443,7 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
     if gyro.shape[0] != n:
         raise OrientationError("accelerometer/gyro length mismatch")
 
-    window = max(1, min(n, int(round(config.init_window_s / dt))))
-    state = init_state(accel[:window].mean(axis=0), config)
-
+    state, _ = filter_start(accel, config, dt)
     accel_rows, gyro_rows = accel.tolist(), gyro.tolist()
     state = update_step(state, accel_rows[0])
     quats = [state.quat]

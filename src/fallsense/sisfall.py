@@ -9,6 +9,7 @@ MMA8451Q x/y/z.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,10 +91,6 @@ class TrialId:
         return cls(m.group(1), m.group(2), int(m.group(3)))
 
 
-def parse_trial_filename(name: str) -> TrialId:
-    return TrialId.parse(Path(name).name)
-
-
 @dataclass(frozen=True)
 class SubjectProfile:
     subject_id: str
@@ -128,8 +125,8 @@ class SensorSpec:
     resolution_bits: int
 
     def __post_init__(self):
-        if self.full_scale <= 0:
-            raise IngestError("sensor full scale must be positive")
+        if not 0 < self.full_scale < math.inf:
+            raise IngestError("sensor full scale must be positive and finite")
         if self.resolution_bits not in (13, 14, 16):
             raise IngestError(
                 f"unsupported resolution {self.resolution_bits} bits")
@@ -254,7 +251,7 @@ def parse_trial_file(data: bytes | str) -> np.ndarray:
 def load_trial(path: Path | str,
                spec: CalibrationSpec | None = None) -> CalibratedTrial:
     path = Path(path)
-    trial_id = parse_trial_filename(path.name)
+    trial_id = TrialId.parse(path.name)
     try:
         raw = parse_trial_file(path.read_bytes())
     except TrialParseError as exc:

@@ -6,11 +6,11 @@ falling) one impact-time evaluation.  Real-time mode paces samples at the
 200 Hz period; fast mode runs unpaced.  Event values are identical in
 both modes.
 
-The orientation filter initializes from the accelerometer mean over the
-first half second, exactly like the batch estimator, so a streamed trial
-reproduces the batch detector outputs bit for bit.  Events for those
-warm-up samples are emitted once the window is full; after the warm-up,
-event k depends only on samples up to k.
+The orientation filter starts like the batch estimator
+(``orientation.filter_start``: the accelerometer mean over the first half
+second), so a streamed trial reproduces the batch detector outputs bit for
+bit.  Events for those warm-up samples are emitted once the window is
+full; after the warm-up, event k depends only on samples up to k.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .orientation import (
     FilterConfig,
     OrientationError,
     backward_difference,
-    init_state,
+    filter_start,
     predict_step,
     tilt_angles,
     unit_body_up,
@@ -85,23 +85,10 @@ class LatencyReport:
     count: int
 
 
-class FdnnStream:
-    """Stateful per-sample detector: ``fdnn.InferStep`` stepped one row
-    at a time, the same step infer-mode ``fdnn.forward`` scans over a
-    batch, so the stream reproduces ``predict_trace`` bit for bit."""
-
-    def __init__(self, params: fdnn_mod.FdnnParams,
-                 config: fdnn_mod.FdnnConfig):
-        self.params = params
-        self.config = config
-        self._step = fdnn_mod.InferStep(params, config)
-
-    def reset(self) -> None:
-        self._step.reset()
-
-    def step(self, x: np.ndarray) -> float:
-        """P(falling) for one standardized 18-entry input row."""
-        return self._step(x)[0]
+# The detector the stream steps: ``fdnn.InferStep``, one row at a time
+# through ``.step``.  The benchmark's tracer (perfbench/spans.py) reads
+# this name when it is imported and patches its ``.step``.
+FdnnStream = fdnn_mod.InferStep
 
 
 def stream_trial(
@@ -159,12 +146,11 @@ def stream_trial(
     if unknown:
         raise StreamError(f"impact-model features not in the frame: {unknown}")
 
-    filter_config = filter_config or FilterConfig()
-    detector = FdnnStream(params, fcfg)
+    detector = fdnn_mod.InferStep(params, fcfg)
     threshold = fcfg.threshold
     mean, std = fstats.mean, fstats.std
     dt = SAMPLE_PERIOD_S
-    window = max(1, min(n, int(round(filter_config.init_window_s / dt))))
+    state, window = filter_start(trial.accel_adxl345, filter_config, dt)
     kernel = kan_mod.KanKernel(kan_model)
     kan_idx = feature_indices(kan_model.feature_names).tolist()
     recent: deque[list[float]] = deque(       # trailing frames, oldest first
@@ -194,8 +180,6 @@ def stream_trial(
         wait = start + window * dt - time.perf_counter()
         if wait > 0:
             time.sleep(wait)
-    state = init_state(trial.accel_adxl345[:window].mean(axis=0),
-                       filter_config)
     for k in range(n):
         if realtime and k >= window:
             wait = start + (k + 1) * dt - time.perf_counter()

@@ -311,9 +311,12 @@ def test_a10_benchmark_trace_targets_resolve():
 
 @pytest.mark.tier_a
 def test_a13_stream_trace_targets_are_called():
-    """Every stream-side span of the benchmark's tracer records at least
-    one call on a short ungated stream, so a refactor cannot leave a trace
-    target that resolves but that the stream no longer calls."""
+    """Every stream-side span of the benchmark's tracer records exactly
+    its per-sample calls on a short ungated stream (200 samples: one
+    predict step fewer, one one-row tilt, detector step and impact read
+    each, one load per checkpoint), so a refactor cannot leave a trace
+    target that resolves but that the stream no longer calls, or calls
+    from somewhere else."""
     spans = _load_perfbench("spans")
     models = Path(__file__).resolve().parents[1] / "perfbench" / "models"
     annotated, _ = generate_synthetic_trial(
@@ -326,13 +329,31 @@ def test_a13_stream_trace_targets_are_called():
                      annotated.trial, SUBJECT, kan_gating=False)
     finally:
         tracer.uninstall()
-    calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    want = ("orientation.predict_step", "orientation.update_step",
-            "orientation.tilt", "fdnn.stream_step", "kan.eval",
-            "checkpoint.load_detector", "checkpoint.load_impact")
-    silent = [name for name in want if calls.get(name, 0) < 1]
-    assert not silent, f"trace targets the stream never called: {silent}"
-    _ok("A13", f"({len(want)} stream spans called)")
+    summary = tracer.summary()
+    n = len(annotated.trial)
+    assert n == 200
+    want = {"orientation.predict_step": n - 1, "orientation.update_step": n,
+            "orientation.tilt": n, "fdnn.stream_step": n, "kan.eval": n,
+            "checkpoint.load_detector": 1, "checkpoint.load_impact": 1}
+    calls = {name: summary.get(name, {"calls": 0})["calls"] for name in want}
+    assert calls == want
+    assert summary["orientation.tilt"]["work"] == n      # one row a call
+    _ok("A13", f"({len(want)} stream spans called once per sample)")
+
+
+@pytest.mark.tier_a
+@pytest.mark.parametrize("name", ["detector.ckpt", "impact.ckpt"])
+def test_checkpoint_round_trip_is_byte_identical(tmp_path, name):
+    """Saving what a checkpoint loads writes the same bytes: the header
+    records and the container format, which perfbench/reference.py also
+    parses on its own, stay as they are."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "models"
+            / name)
+    module = fdnn_mod if name == "detector.ckpt" else kan_mod
+    loaded = module.load_checkpoint(path)
+    module.save_checkpoint(tmp_path / name, *(
+        loaded if isinstance(loaded, tuple) else (loaded,)))
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
 
 
 def _run_demo(name: str) -> str:

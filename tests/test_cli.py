@@ -6,6 +6,7 @@ runs in seconds.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,31 @@ def kan_dir(workspace, features_dir):
     out = root / "kan"
     rc = dispatch(["train-kan", "--config", str(config),
                    "--features", str(features_dir), "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def fdnn_eval_dir(workspace, features_dir, fdnn_dir):
+    root, config = workspace
+    out = root / "fdnn_eval"
+    rc = dispatch(["eval-fdnn", "--config", str(config),
+                   "--features", str(features_dir),
+                   "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
+                   "--split-file", str(fdnn_dir / "split.json"),
+                   "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def kan_eval_dir(workspace, features_dir, kan_dir):
+    root, config = workspace
+    out = root / "kan_eval"
+    rc = dispatch(["eval-kan", "--config", str(config),
+                   "--features", str(features_dir),
+                   "--checkpoint", str(kan_dir / "kan.ckpt"),
+                   "--out", str(out)])
     assert rc == 0
     return out
 
@@ -244,15 +270,8 @@ class TestTrainEvalFdnn:
         n = sum(len(v) for v in split.values())
         assert n == 20
 
-    def test_eval(self, workspace, features_dir, fdnn_dir):
-        root, config = workspace
-        out = root / "fdnn_eval"
-        rc = dispatch(["eval-fdnn", "--config", str(config),
-                       "--features", str(features_dir),
-                       "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
-                       "--split-file", str(fdnn_dir / "split.json"),
-                       "--out", str(out)])
-        assert rc == 0
+    def test_eval(self, fdnn_eval_dir):
+        out = fdnn_eval_dir
         metrics = json.loads((out / "metrics.json").read_text())
         assert {"fall_tpr_avg", "fall_tnr_avg", "adl_tnr_avg",
                 "fall_tpr_pooled", "fall_tnr_pooled",
@@ -323,14 +342,10 @@ class TestTrainEvalKan:
             assert int(degenerate) >= 0
             assert 0.0 < float(residual) < float("inf")
 
-    def test_eval_and_trace(self, workspace, features_dir, kan_dir):
+    def test_eval_and_trace(self, workspace, features_dir, kan_dir,
+                            kan_eval_dir):
         root, config = workspace
-        out = root / "kan_eval"
-        rc = dispatch(["eval-kan", "--config", str(config),
-                       "--features", str(features_dir),
-                       "--checkpoint", str(kan_dir / "kan.ckpt"),
-                       "--out", str(out)])
-        assert rc == 0
+        out = kan_eval_dir
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["tti_rmse_ms"] is not None
         assert (out / "rmse_heatmap.csv").is_file()
@@ -379,11 +394,11 @@ class TestStreamAndReport:
         latency = json.loads((out / "latency.json").read_text())
         assert latency["samples"] == 1200  # 6 s at 200 Hz
 
-    def test_report(self, workspace, features_dir, fdnn_dir, kan_dir):
+    def test_report(self, workspace, fdnn_eval_dir, kan_eval_dir):
         root, config = workspace
         rc = dispatch(["report", "--config", str(config),
-                       "--fdnn-eval", str(root / "fdnn_eval"),
-                       "--kan-eval", str(root / "kan_eval"),
+                       "--fdnn-eval", str(fdnn_eval_dir),
+                       "--kan-eval", str(kan_eval_dir),
                        "--out", str(root / "report")])
         assert rc == 0
         summary = json.loads(
@@ -392,6 +407,44 @@ class TestStreamAndReport:
                                 "adl_tnr_avg", "tti_rmse_ms"}
         assert summary["fall_tpr_avg"] is not None
         assert (root / "report" / "rmse_heatmap.svg").is_file()
+
+    # A folder that lacks a table would report null figures and exit 0.
+    # adl_tnr.csv is optional: eval-fdnn writes it only for ADL trials.
+    @pytest.mark.parametrize("flag, missing", [
+        ("--fdnn-eval", "fall_tpr.csv"), ("--fdnn-eval", "fall_tnr.csv"),
+        ("--kan-eval", "rmse_heatmap.csv"), ("--kan-eval", "metrics.json"),
+        ("--fdnn-eval", "adl_tnr.csv")])
+    def test_report_needs_the_eval_files(self, workspace, fdnn_eval_dir,
+                                         kan_eval_dir, tmp_path, capsys,
+                                         flag, missing):
+        _, config = workspace
+        given = tmp_path / "eval"
+        shutil.copytree(fdnn_eval_dir if flag == "--fdnn-eval"
+                        else kan_eval_dir, given)
+        (given / missing).unlink()
+        out = tmp_path / "report"
+        rc = dispatch(["report", "--config", str(config), flag, str(given),
+                       "--out", str(out)])
+        if missing == "adl_tnr.csv":
+            assert rc == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["adl_tnr_avg"] is None
+            assert summary["fall_tpr_avg"] is not None
+        else:
+            assert rc == 1
+            assert f"lacks {missing}" in capsys.readouterr().err
+            assert not (out / "summary.json").exists()
+
+    def test_report_refuses_missing_folders(self, workspace, tmp_path,
+                                            capsys):
+        _, config = workspace
+        rc = dispatch(["report", "--config", str(config),
+                       "--fdnn-eval", str(tmp_path / "nope1"),
+                       "--kan-eval", str(tmp_path / "nope2"),
+                       "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "report" / "summary.json").exists()
 
 
 # Every command that writes files, with the inputs it reads from the

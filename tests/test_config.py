@@ -201,6 +201,45 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid stream section"):
             load_config(None, overrides={"stream": section})
 
+    # Each loaded before and failed only once a command ran, most with a
+    # traceback: an infinite window overflows round(), a fractional count
+    # or seed is a TypeError in range() or the RNG, a grid entry is built
+    # only by cv-kan, and an infinite full scale reads every sample as
+    # non-finite.
+    @pytest.mark.parametrize("text, match", [
+        ('{"kan": {"window_ms": Infinity}}', "invalid kan section: window"),
+        ('{"orientation": {"init_window_s": Infinity}}',
+         "invalid orientation section: init_window_s"),
+        ('{"kan": {"epochs": 2.5}}', "epochs must be an integer"),
+        ('{"kan": {"n_inner_nodes": 4.5}}',
+         "n_inner_nodes must be an integer"),
+        ('{"split": {"seed": 1.5}}', "invalid split section: seed"),
+        ('{"fdnn": {"seed": 1.5}}', "invalid fdnn section: seed"),
+        ('{"seed": "x"}', "seed must be an integer"),
+        ('{"kan_grid": "abc"}', "kan_grid must be a list of objects"),
+        ('{"kan_grid": [{"mu": 5}]}', "invalid kan_grid entry section: mu"),
+        ('{"calibration": {"adxl345_range_g": NaN}}',
+         "invalid calibration section: sensor full scale"),
+        ('{"calibration": {"adxl345_range_g": Infinity}}',
+         "invalid calibration section: sensor full scale"),
+    ], ids=["kan_window_inf", "init_window_inf", "kan_epochs_frac",
+            "kan_nodes_frac", "split_seed_frac", "fdnn_seed_frac",
+            "seed_str", "grid_str", "grid_entry_mu", "range_nan",
+            "range_inf"])
+    def test_unrunnable_values_rejected_at_load(self, tmp_path, text, match):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+
+    def test_grid_dumped_as_written(self, tmp_path):
+        grid = [{"mu": 0.25}, {"n_inner_nodes": 8, "window_ms": 100.0}]
+        cfg = load_config(None, overrides={"kan_grid": grid})
+        p = tmp_path / "resolved.json"
+        dump_config(cfg, p)
+        assert json.loads(p.read_text())["kan_grid"] == grid
+        assert load_config(p) == cfg
+
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, overrides={"seed": 9})
         p = tmp_path / "resolved.json"

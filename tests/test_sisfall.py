@@ -13,7 +13,6 @@ from fallsense.sisfall import (
     calibrate_trial,
     load_subjects,
     parse_trial_file,
-    parse_trial_filename,
     read_annotation_spans,
     verify_corpus,
 )
@@ -23,7 +22,7 @@ from conftest import make_trial_text
 
 class TestTrialId:
     def test_parse_filename(self):
-        tid = parse_trial_filename("F01_SA05_R03.txt")
+        tid = TrialId.parse("F01_SA05_R03.txt")
         assert tid == TrialId("F01", "SA05", 3)
         assert str(tid) == "F01_SA05_R03"
         assert tid.is_fall
