@@ -67,13 +67,17 @@ _SECTION_TYPES = {name: kind for name, kind in
 
 
 def _check_integers(cls, data: dict, where: str) -> None:
-    """Refuse a fraction, bool or string given for an int field."""
+    """Refuse a fraction, bool or string given for an int field, and a
+    negative seed (NumPy's generators take none)."""
     hints = typing.get_type_hints(cls)
     for name, value in data.items():
         if hints[name] is int and (not isinstance(value, int)
                                    or isinstance(value, bool)):
             raise ConfigError(
                 f"{where}{name} must be an integer, got {value!r}")
+        if name == "seed" and value < 0:
+            raise ConfigError(
+                f"{where}seed must be non-negative, got {value}")
 
 
 def _build_section(cls, data: dict, path: str):

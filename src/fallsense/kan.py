@@ -13,7 +13,8 @@ model's grids and node values as nested Python lists (plus the input
 standardizer), bracketed in O(1) from each grid's first node and mean
 step and then walked to the exact node, so any strictly increasing grid
 is bracketed as ``searchsorted`` would.  The stream's single-row reads
-and ``fit_records``' Kaczmarz writes both run on it; the sweeps write the
+and ``fit_records``' Kaczmarz writes both run on it; a fit brackets each
+record's inputs once (``KanKernel.record``), and the sweeps write the
 node values back to the model's arrays once per pass.  Its arithmetic
 keeps a fixed order (inner sums as s_j + (u*a + t*b), gradient norms in
 NumPy's pairwise summation order), so reads and writes are bit-identical
@@ -188,16 +189,6 @@ def _pairwise_sum(values: list[float]) -> float:
     return total
 
 
-def _gram(inner_t: list[float], outer_t: list[float],
-          slopes: list[float]) -> float:
-    """Squared norm of the record's node gradient."""
-    outer_part = _pairwise_sum([(1.0 - t) * (1.0 - t) + t * t
-                                for t in outer_t])
-    inner_weights = _pairwise_sum([(1.0 - t) * (1.0 - t) + t * t
-                                   for t in inner_t])
-    return outer_part + _pairwise_sum([s * s for s in slopes]) * inner_weights
-
-
 class KanKernel:
     """A model's grids and node values as nested lists, with its input
     standardizer: the one evaluator of single rows and the state the
@@ -206,6 +197,10 @@ class KanKernel:
     Inner values are held per input and node as a list over branches
     (``inner_values[i][k][j]``), outer grids and values per branch.
     ``store`` writes the node values back to the model's arrays.
+
+    ``eval`` and ``step`` walk their grid brackets inline, as ``_bracket``
+    does, with no call per bracket: at these sizes the calls cost more
+    than the arithmetic.
     """
 
     __slots__ = ("names", "mean", "std", "damping", "inner", "inner_values",
@@ -237,72 +232,117 @@ class KanKernel:
             raise KanError(f"non-finite standardized input {name!r}")
         return x
 
-    def inner_sums(self, x) -> tuple[list[float], list[int], list[float]]:
-        """s_j = sum_i phi_ij(x_i) for one standardized row, with each
-        input's bracket (k, t)."""
+    def eval(self, x) -> float:
+        """Prediction in ms for one standardized row (can be negative)."""
+        grid, gaps, lo, hi, inv_step, last = self.inner
         s = [0.0] * len(self.outer)
-        inner_k, inner_t = [], []
         for xi, nodes in zip(x, self.inner_values):
-            k, t = _bracket(self.inner, xi)
+            if xi > lo:
+                if xi < hi:
+                    k = min(int((xi - lo) * inv_step), last)
+                    while grid[k] > xi:
+                        k -= 1
+                    while grid[k + 1] <= xi:
+                        k += 1
+                    t = (xi - grid[k]) / gaps[k]
+                else:
+                    k, t = last, 1.0
+            elif xi <= lo:
+                k, t = 0, 0.0
+            else:       # NaN
+                k, t = last, xi
             u = 1.0 - t
             s = [sj + (u * a + t * b)
                  for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
-            inner_k.append(k)
-            inner_t.append(t)
-        return s, inner_k, inner_t
-
-    def eval(self, x) -> float:
-        """Prediction in ms for one standardized row (can be negative)."""
         y = 0.0
-        for sj, spec, ov in zip(self.inner_sums(x)[0], self.outer,
-                                self.outer_values):
-            k, t = _bracket(spec, sj)
+        for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
+                s, self.outer, self.outer_values):
+            if sj > lo:
+                if sj < hi:
+                    k = min(int((sj - lo) * inv_step), last)
+                    while grid[k] > sj:
+                        k -= 1
+                    while grid[k + 1] <= sj:
+                        k += 1
+                    t = (sj - grid[k]) / gaps[k]
+                else:
+                    k, t = last, 1.0
+            elif sj <= lo:
+                k, t = 0, 0.0
+            else:       # NaN
+                k, t = last, sj
             y += (1.0 - t) * ov[k] + t * ov[k + 1]
         return y
 
-    def eval_with_gradient(self, x):
-        """Prediction plus the sparse node-gradient structure for one row:
-        (y, inner k, inner t, outer k, outer t, outer slopes)."""
-        s, inner_k, inner_t = self.inner_sums(x)
-        y = 0.0
-        outer_k, outer_t, slopes = [], [], []
-        for sj, spec, ov in zip(s, self.outer, self.outer_values):
-            k, t = _bracket(spec, sj)
-            y += (1.0 - t) * ov[k] + t * ov[k + 1]
-            # Clamped regions are flat: no gradient flows to inner nodes.
-            _, gaps, lo, hi, _, _ = spec
-            if sj <= lo or sj >= hi:
-                slopes.append(0.0)
-            else:
-                slopes.append((ov[k + 1] - ov[k]) / gaps[k])
-            outer_k.append(k)
-            outer_t.append(t)
-        return y, inner_k, inner_t, outer_k, outer_t, slopes
+    def record(self, x) -> tuple[list[tuple[int, float, float]], float]:
+        """One standardized row's inner brackets (k, t, 1 - t) per input,
+        and its inner gradient weight, the sum over inputs of
+        (1 - t)^2 + t^2.  Both depend only on the row and the inner grid,
+        which no fit changes, so a fit computes them once per record."""
+        brackets = []
+        for xi in x:
+            k, t = _bracket(self.inner, xi)
+            brackets.append((k, t, 1.0 - t))
+        weight = _pairwise_sum([u * u + t * t for _, t, u in brackets])
+        return brackets, weight
 
-    def update(self, x, y: float, mu: float) -> UpdateInfo:
-        """One projected Gauss-Newton step for a single (row, target)
-        record.  Only the node values bracketing the record's evaluation
-        points change; a record whose gradient vanishes is degenerate and
-        leaves the state untouched."""
-        pred, inner_k, inner_t, outer_k, outer_t, slopes = \
-            self.eval_with_gradient(x)
+    def step(self, record, y: float, mu: float) -> UpdateInfo:
+        """One projected Gauss-Newton step for a (``record``, target) pair.
+        Only the node values bracketing the record's evaluation points
+        change; a record whose gradient vanishes is degenerate and leaves
+        the state untouched."""
+        brackets, inner_weight = record
+        s = [0.0] * len(self.outer)
+        for nodes, (k, t, u) in zip(self.inner_values, brackets):
+            s = [sj + (u * a + t * b)
+                 for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
+        pred = 0.0
+        outer, weights, slopes = [], [], []
+        for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
+                s, self.outer, self.outer_values):
+            # Clamped regions are flat: no gradient flows to inner nodes.
+            if sj > lo:
+                if sj < hi:
+                    k = min(int((sj - lo) * inv_step), last)
+                    while grid[k] > sj:
+                        k -= 1
+                    while grid[k + 1] <= sj:
+                        k += 1
+                    t = (sj - grid[k]) / gaps[k]
+                    slope = (ov[k + 1] - ov[k]) / gaps[k]
+                else:
+                    k, t, slope = last, 1.0, 0.0
+            elif sj <= lo:
+                k, t, slope = 0, 0.0, 0.0
+            else:       # NaN: neither clamp applies
+                k, t = last, sj
+                slope = (ov[k + 1] - ov[k]) / gaps[k]
+            u = 1.0 - t
+            pred += u * ov[k] + t * ov[k + 1]
+            outer.append((ov, k, t, u))
+            weights.append(u * u + t * t)
+            slopes.append(slope)
         r = y - pred
-        gram = _gram(inner_t, outer_t, slopes)
+        gram = _pairwise_sum(weights) \
+            + _pairwise_sum([sl * sl for sl in slopes]) * inner_weight
         if gram == 0.0:
             return UpdateInfo(residual=r, gram=0.0, degenerate=True)
         if r == 0.0:
             return UpdateInfo(residual=0.0, gram=gram, degenerate=False)
         step = mu * r / (gram + self.damping)
 
-        for ov, k, t in zip(self.outer_values, outer_k, outer_t):
-            ov[k] += step * (1.0 - t)
+        for ov, k, t, u in outer:
+            ov[k] += step * u
             ov[k + 1] += step * t
         scaled = [step * sl for sl in slopes]
-        for nodes, k, t in zip(self.inner_values, inner_k, inner_t):
-            u = 1.0 - t
+        for nodes, (k, t, u) in zip(self.inner_values, brackets):
             nodes[k] = [v + g * u for v, g in zip(nodes[k], scaled)]
             nodes[k + 1] = [v + g * t for v, g in zip(nodes[k + 1], scaled)]
         return UpdateInfo(residual=r, gram=gram, degenerate=False)
+
+    def update(self, x, y: float, mu: float) -> UpdateInfo:
+        """``step`` on one standardized row."""
+        return self.step(self.record(x), y, mu)
 
 
 def _brackets(grid: np.ndarray,
@@ -321,7 +361,7 @@ def _brackets(grid: np.ndarray,
 
 def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
     """(M, 2d+1) inner sums for an (M, d) standardized matrix, added per
-    input from 0.0 in ``KanKernel.inner_sums``' order."""
+    input from 0.0 in ``KanKernel.eval``'s order."""
     ks, ts = _brackets(model.inner_grid, xs)
     out = np.zeros((xs.shape[0], model.branches))
     for i in range(model.d):
@@ -510,15 +550,19 @@ def fit_records(
     ramp = _target_ramp_scale(ys)
     model = _init_model(config, tuple(feature_names), stats, d, rng, ramp)
     _respan_outer(model, xs, ramp)
-    rows, targets = xs.tolist(), ys.tolist()
+    # The sweeps move node values and re-span the outer grids, never the
+    # inner grid, so each record's inner brackets are computed once.
+    record = KanKernel(model).record
+    records = [record(row) for row in xs.tolist()]
+    targets = ys.tolist()
 
     def sweep() -> list[UpdateInfo]:
         """One Kaczmarz pass over the records on the scalar kernel; the
         node values are written back to the model at its end."""
-        order = rng.permutation(len(rows)).tolist() if config.shuffle \
-            else range(len(rows))
+        order = rng.permutation(len(records)).tolist() if config.shuffle \
+            else range(len(records))
         kernel = KanKernel(model)
-        infos = [kernel.update(rows[i], targets[i], config.mu)
+        infos = [kernel.step(records[i], targets[i], config.mu)
                  for i in order]
         kernel.store(model)
         return infos

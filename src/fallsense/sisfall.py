@@ -220,9 +220,10 @@ def calibrate_trial(records: np.ndarray, spec: CalibrationSpec | None = None,
 def parse_trial_file(data: bytes | str) -> np.ndarray:
     """Parse trial text into an (N, 9) int32 count matrix, in file order.
 
-    Tolerates trailing semicolons and blank lines (both occur in the public
-    distribution).  Raises TrialParseError with the 1-based line number on
-    any malformed row.
+    A field is an optional sign followed by ASCII digits, within int32;
+    spaces around it, trailing semicolons and blank lines are tolerated
+    (all occur in the public distribution).  Raises TrialParseError with
+    the 1-based line number on any malformed row.
     """
     if isinstance(data, bytes):
         try:
@@ -230,6 +231,7 @@ def parse_trial_file(data: bytes | str) -> np.ndarray:
         except UnicodeDecodeError as exc:
             raise TrialParseError(f"trial file is not text: {exc}") from None
     rows: list[list[int]] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip().rstrip(";").strip()
         if not line:
@@ -239,13 +241,25 @@ def parse_trial_file(data: bytes | str) -> np.ndarray:
             raise TrialParseError(
                 f"line {lineno}: expected 9 fields, got {len(fields)}")
         try:
+            # int() also reads digit-group underscores and non-ASCII digits
+            if "_" in line or not line.isascii():
+                raise ValueError
             rows.append([int(f) for f in fields])
         except ValueError:
             raise TrialParseError(
                 f"line {lineno}: non-integer field in {line!r}") from None
+        linenos.append(lineno)
     if not rows:
         raise TrialParseError("empty trial file")
-    return np.array(rows, dtype=np.int32)
+    try:
+        return np.array(rows, dtype=np.int32)
+    except OverflowError:
+        info = np.iinfo(np.int32)
+        bad = next(i for i, row in enumerate(rows)
+                   if not info.min <= min(row) <= max(row) <= info.max)
+        raise TrialParseError(
+            f"line {linenos[bad]}: count outside int32 in {rows[bad]}"
+        ) from None
 
 
 def load_trial(path: Path | str,

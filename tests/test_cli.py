@@ -172,6 +172,27 @@ class TestUsage:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("seed_args, text", [
+        (["--seed", "-1"], None),
+        ([], '{"seed": -1}'),
+        ([], '{"split": {"seed": -1}}'),
+        ([], '{"fdnn": {"seed": -1}}'),
+        ([], '{"kan": {"seed": -1}}'),
+    ], ids=["flag", "top", "split", "fdnn", "kan"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys,
+                                               seed_args, text):
+        # NumPy's generators refuse a negative seed only once a command
+        # runs, after --out exists
+        config = []
+        if text is not None:
+            (tmp_path / "c.json").write_text(text)
+            config = ["--config", str(tmp_path / "c.json")]
+        rc = dispatch(["synth", *config, *seed_args,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestSynth:
     def test_outputs(self, synth_dir):
         assert (synth_dir / "corpus").is_dir()

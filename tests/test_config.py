@@ -222,10 +222,18 @@ class TestLoadConfig:
          "invalid calibration section: sensor full scale"),
         ('{"calibration": {"adxl345_range_g": Infinity}}',
          "invalid calibration section: sensor full scale"),
+        ('{"seed": -1}', "^seed must be non-negative, got -1"),
+        ('{"split": {"seed": -1}}', "invalid split section: seed must be"),
+        ('{"fdnn": {"seed": -2}}', "invalid fdnn section: seed must be"),
+        ('{"kan": {"seed": -3}}', "invalid kan section: seed must be"),
+        ('{"kan_grid": [{"seed": -1}]}',
+         "invalid kan_grid entry section: seed must be"),
     ], ids=["kan_window_inf", "init_window_inf", "kan_epochs_frac",
             "kan_nodes_frac", "split_seed_frac", "fdnn_seed_frac",
             "seed_str", "grid_str", "grid_entry_mu", "range_nan",
-            "range_inf"])
+            "range_inf", "seed_negative", "split_seed_negative",
+            "fdnn_seed_negative", "kan_seed_negative",
+            "grid_entry_seed_negative"])
     def test_unrunnable_values_rejected_at_load(self, tmp_path, text, match):
         p = tmp_path / "c.json"
         p.write_text(text)

@@ -277,25 +277,35 @@ class TestKaczmarz:
 
     def test_node_gradient_matches_finite_differences(self):
         # moderate target scale keeps FD cancellation error well below the
-        # tolerance; x is redrawn if an inner sum sits on an outer knot
+        # tolerance; x is redrawn if an inner sum sits on an outer knot.
+        # The node gradient is read off one Kaczmarz step: each node moves
+        # by step size * its gradient entry, and by nothing off the support.
         model, xs = training_style_model(y_scale=4.0, seed=9)
         rng = np.random.default_rng(10)
         eps = 1e-6
         checked = 0
         while checked < 5:
             x = rng.normal(0, 1.2, D)
-            kernel = KanKernel(model)
-            y0, ik, it, ok, ot, slopes = kernel.eval_with_gradient(x.tolist())
-            s = kernel.inner_sums(x.tolist())[0]
+            s = kan._inner_sums_batch(model, x[None, :])[0]
             near_knot = any(
                 np.abs(model.outer_grids[j] - s[j]).min() < 50 * eps
                 for j in range(model.branches))
             if near_knot:
                 continue
             checked += 1
+            stepped = model.copy()
+            kernel = KanKernel(stepped)
+            info = kernel.step(kernel.record(x.tolist()),
+                               KanKernel(model).eval(x.tolist()) + 1.0,
+                               model.config.mu)
+            kernel.store(stepped)
+            size = model.config.mu * info.residual / (
+                info.gram + model.config.damping)
+            grad_outer = (stepped.outer_values - model.outer_values) / size
+            grad_inner = (stepped.inner_values - model.inner_values) / size
             # outer nodes
             for j in range(model.branches):
-                for which, want in ((ok[j], 1 - ot[j]), (ok[j] + 1, ot[j])):
+                for which in range(model.outer_values.shape[1]):
                     orig = model.outer_values[j, which]
                     model.outer_values[j, which] = orig + eps
                     yp = KanKernel(model).eval(x.tolist())
@@ -303,29 +313,31 @@ class TestKaczmarz:
                     ym = KanKernel(model).eval(x.tolist())
                     model.outer_values[j, which] = orig
                     num = (yp - ym) / (2 * eps)
-                    assert num == pytest.approx(want, rel=1e-6, abs=1e-9)
+                    assert num == pytest.approx(grad_outer[j, which],
+                                                rel=1e-6, abs=1e-9)
             # inner nodes
             for i in range(D):
                 for j in range(model.branches):
-                    want = slopes[j] * (1 - it[i])
-                    orig = model.inner_values[i, j, ik[i]]
-                    model.inner_values[i, j, ik[i]] = orig + eps
-                    yp = KanKernel(model).eval(x.tolist())
-                    model.inner_values[i, j, ik[i]] = orig - eps
-                    ym = KanKernel(model).eval(x.tolist())
-                    model.inner_values[i, j, ik[i]] = orig
-                    num = (yp - ym) / (2 * eps)
-                    assert num == pytest.approx(want, rel=1e-5, abs=1e-7)
+                    for node in range(model.inner_values.shape[2]):
+                        orig = model.inner_values[i, j, node]
+                        model.inner_values[i, j, node] = orig + eps
+                        yp = KanKernel(model).eval(x.tolist())
+                        model.inner_values[i, j, node] = orig - eps
+                        ym = KanKernel(model).eval(x.tolist())
+                        model.inner_values[i, j, node] = orig
+                        num = (yp - ym) / (2 * eps)
+                        assert num == pytest.approx(grad_inner[i, j, node],
+                                                    rel=1e-5, abs=1e-7)
 
     def test_gram_never_degenerates(self):
         # Outer interpolation weights satisfy (1-t)^2 + t^2 >= 1/2 per
         # branch, so the Kaczmarz denominator is bounded away from zero
         # for any valid model; the degenerate guard is purely defensive.
         model, xs = training_style_model(seed=11)
-        kernel = KanKernel(model)
         for x in xs[:50].tolist():
-            _, _, it, _, ot, slopes = kernel.eval_with_gradient(x)
-            assert kan._gram(it, ot, slopes) >= 0.5 * model.branches
+            kernel = KanKernel(model)
+            info = kernel.step(kernel.record(x), 100.0, model.config.mu)
+            assert info.gram >= 0.5 * model.branches
         _, info = updated_copy(model, xs[0], 100.0)
         assert not info.degenerate
 
@@ -889,18 +901,22 @@ class TestKernelMatchesNumpyReference:
     @given(models_and_rows())
     @settings(max_examples=300, deadline=None)
     def test_eval_and_gradient(self, case):
+        # the read, and a record's inner brackets and gradient weight; the
+        # outer half of the gradient is held by test_update's UpdateInfo
+        # and node values
         model, rows = case
         kernel = KanKernel(model)
         for row in rows:
             x = np.array(row)
             assert same_float(kernel.eval(row), ref_kan_eval(model, x))
-            got = kernel.eval_with_gradient(row)
-            want = ref_eval_with_gradient(model, x)
-            assert same_float(got[0], want[0])
-            assert got[1] == want[1].tolist() and got[3] == want[3].tolist()
-            for g, w in zip(got[2:], want[2:]):
-                assert np.array_equal(np.array(g, dtype=float), w,
-                                      equal_nan=True)
+            brackets, weight = kernel.record(row)
+            _, inner_k, inner_t, _, _, _ = ref_eval_with_gradient(model, x)
+            assert [k for k, _, _ in brackets] == inner_k.tolist()
+            got_t = np.array([[t, u] for _, t, u in brackets])
+            assert np.array_equal(got_t, np.c_[inner_t, 1.0 - inner_t],
+                                  equal_nan=True)
+            assert same_float(weight, float(
+                ((1.0 - inner_t) ** 2 + inner_t ** 2).sum()))
 
     @given(models_and_rows(), st.floats(-1e3, 1e3))
     @settings(max_examples=300, deadline=None)
@@ -952,3 +968,191 @@ class TestKernelMatchesNumpyReference:
                     e.mean_abs_residual) for e in log]
         assert np.allclose(got_log, want_log, rtol=1e-12, atol=0)
         assert [g[:3] for g in got_log] == [w[:3] for w in want_log]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the kernel as composed from ``kan._bracket`` calls, one per
+# input and one per branch, before the walks were written inline.  The
+# inline read and ``step(record(x))`` must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def composed_inner_sums(kernel, x):
+    s = [0.0] * len(kernel.outer)
+    inner_k, inner_t = [], []
+    for xi, nodes in zip(x, kernel.inner_values):
+        k, t = kan._bracket(kernel.inner, xi)
+        u = 1.0 - t
+        s = [sj + (u * a + t * b)
+             for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
+        inner_k.append(k)
+        inner_t.append(t)
+    return s, inner_k, inner_t
+
+
+def composed_eval(kernel, x):
+    y = 0.0
+    for sj, spec, ov in zip(composed_inner_sums(kernel, x)[0], kernel.outer,
+                            kernel.outer_values):
+        k, t = kan._bracket(spec, sj)
+        y += (1.0 - t) * ov[k] + t * ov[k + 1]
+    return y
+
+
+def composed_update(kernel, x, y, mu):
+    s, inner_k, inner_t = composed_inner_sums(kernel, x)
+    pred = 0.0
+    outer_k, outer_t, slopes = [], [], []
+    for sj, spec, ov in zip(s, kernel.outer, kernel.outer_values):
+        k, t = kan._bracket(spec, sj)
+        pred += (1.0 - t) * ov[k] + t * ov[k + 1]
+        _, gaps, lo, hi, _, _ = spec
+        if sj <= lo or sj >= hi:
+            slopes.append(0.0)
+        else:
+            slopes.append((ov[k + 1] - ov[k]) / gaps[k])
+        outer_k.append(k)
+        outer_t.append(t)
+    r = y - pred
+    gram = kan._pairwise_sum([(1.0 - t) * (1.0 - t) + t * t
+                              for t in outer_t]) \
+        + kan._pairwise_sum([sl * sl for sl in slopes]) \
+        * kan._pairwise_sum([(1.0 - t) * (1.0 - t) + t * t for t in inner_t])
+    if gram == 0.0:
+        return kan.UpdateInfo(residual=r, gram=0.0, degenerate=True)
+    if r == 0.0:
+        return kan.UpdateInfo(residual=0.0, gram=gram, degenerate=False)
+    step = mu * r / (gram + kernel.damping)
+    for ov, k, t in zip(kernel.outer_values, outer_k, outer_t):
+        ov[k] += step * (1.0 - t)
+        ov[k + 1] += step * t
+    scaled = [step * sl for sl in slopes]
+    for nodes, k, t in zip(kernel.inner_values, inner_k, inner_t):
+        u = 1.0 - t
+        nodes[k] = [v + g * u for v, g in zip(nodes[k], scaled)]
+        nodes[k + 1] = [v + g * t for v, g in zip(nodes[k + 1], scaled)]
+    return kan.UpdateInfo(residual=r, gram=gram, degenerate=False)
+
+
+def same_info(a, b):
+    return (same_float(a.residual, b.residual)
+            and same_float(a.gram, b.gram) and a.degenerate == b.degenerate)
+
+
+def same_state(a, b):
+    return (np.array_equal(a.inner_values, b.inner_values, equal_nan=True)
+            and np.array_equal(a.outer_values, b.outer_values,
+                               equal_nan=True))
+
+
+def outer_grid_cases(q, seed):
+    """Cases and a maker of q-node outer grids with uneven gaps that put
+    an inner sum s_j exactly on a node, one ulp either side of one, on
+    either end, or beyond either end."""
+    rng = np.random.default_rng(seed)
+    offsets = np.r_[0.0, np.cumsum(rng.uniform(0.2, 1.0, q - 1))]
+    mid = q // 2
+
+    def grid(sj, case):
+        if case == "node":
+            return sj + (offsets - offsets[mid])
+        if case in ("ulp_below", "ulp_above"):
+            # s_j one ulp below (above) the middle node
+            g = sj + (offsets - offsets[mid])
+            g[mid] = np.nextafter(sj, math.inf if case == "ulp_below"
+                                  else -math.inf)
+            return g
+        if case == "lo":
+            return sj + offsets
+        if case == "hi":
+            return sj - offsets[::-1]
+        if case == "below_lo":
+            return sj + 1.0 + offsets
+        return sj - 1.0 - offsets[::-1]                       # above hi
+
+    cases = ("node", "ulp_below", "ulp_above", "lo", "hi", "below_lo",
+             "above_hi")
+    return cases, grid
+
+
+class TestInlineWalkMatchesBracketComposition:
+    """``KanKernel.eval`` and ``step(record(x))`` walk their brackets
+    inline; they equal the ``_bracket`` composition bit for bit."""
+
+    def _models(self):
+        model, xs = training_style_model(seed=21)
+        return [model, random_grid_model(model, xs, seed=22)], xs
+
+    def _check_row(self, model, row, y):
+        kernel = KanKernel(model)
+        assert same_float(kernel.eval(row), composed_eval(kernel, row))
+        stepped, composed = model.copy(), model.copy()
+        kernel = KanKernel(stepped)
+        info = kernel.step(kernel.record(row), y, model.config.mu)
+        kernel.store(stepped)
+        ref_kernel = KanKernel(composed)
+        want = composed_update(ref_kernel, row, y, model.config.mu)
+        ref_kernel.store(composed)
+        assert same_info(info, want), (row, info, want)
+        assert same_state(stepped, composed)
+
+    def test_inner_nodes_ulps_ends_and_non_finite(self):
+        # every inner node and one ulp either side of it, both clamped
+        # ends, +/-inf and NaN, in each input column
+        models, xs = self._models()
+        for model in models:
+            g = model.inner_grid.tolist()
+            probes = [*g, *(np.nextafter(g, math.inf).tolist()),
+                      *(np.nextafter(g, -math.inf).tolist()),
+                      g[0] - 1.0, g[-1] + 1.0, -1e12, 1e12,
+                      math.inf, -math.inf, math.nan]
+            nan_reads = 0
+            for p in probes:
+                for i in range(D):
+                    row = xs[60 + i].tolist()
+                    row[i] = p
+                    self._check_row(model, row, 250.0)
+                    nan_reads += math.isnan(KanKernel(model).eval(row))
+            # NaN at the same positions: exactly the NaN inputs read NaN
+            assert nan_reads == D
+
+    def test_outer_nodes_ulps_and_ends(self):
+        # inner sums exactly on an outer node, one ulp either side of
+        # one, on both ends and beyond both ends, case per branch rotated
+        # so every branch meets every case
+        models, xs = self._models()
+        for model in models:
+            for r, row in enumerate(xs[:4].tolist()):
+                s = composed_inner_sums(KanKernel(model), row)[0]
+                cases, grid = outer_grid_cases(model.outer_grids.shape[1],
+                                               seed=r)
+                for shift in range(len(cases)):
+                    placed = model.copy()
+                    placed.outer_grids = np.array([
+                        grid(sj, cases[(j + shift) % len(cases)])
+                        for j, sj in enumerate(s)])
+                    assert np.all(np.diff(placed.outer_grids, axis=1) > 0)
+                    self._check_row(placed, row, -80.0)
+
+    def test_shuffled_sweeps_of_1000_records(self):
+        # records built once and stepped in two shuffled sweeps, against
+        # the composed update on the rows: every UpdateInfo and the state
+        models, _ = self._models()
+        rng = np.random.default_rng(23)
+        xs = rng.normal(0.0, 1.6, (1000, D))        # some beyond the grid
+        ys = rng.uniform(0.0, 700.0, 1000).tolist()
+        for model in models:
+            stepped, composed = model.copy(), model.copy()
+            kernel = KanKernel(stepped)
+            records = [kernel.record(x) for x in xs.tolist()]
+            ref_kernel = KanKernel(composed)
+            got, want = [], []
+            for _ in range(2):
+                order = rng.permutation(len(records)).tolist()
+                got += [kernel.step(records[i], ys[i], model.config.mu)
+                        for i in order]
+                want += [composed_update(ref_kernel, xs[i].tolist(), ys[i],
+                                         model.config.mu) for i in order]
+            assert got == want
+            kernel.store(stepped)
+            ref_kernel.store(composed)
+            assert same_state(stepped, composed)

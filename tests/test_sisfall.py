@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallsense import sisfall
 from fallsense.sisfall import (
@@ -64,6 +68,90 @@ class TestParseTrialFile:
     def test_empty_file(self):
         with pytest.raises(TrialParseError, match="empty"):
             parse_trial_file("")
+
+    @pytest.mark.parametrize("count", ["99999999999", "2147483648",
+                                       "-2147483649", "1" + "0" * 30])
+    def test_count_outside_int32_reports_line(self, count):
+        text = f"1,2,3,4,5,6,7,8,9;\n\n1,2,3,4,5,6,7,8,{count};\n"
+        with pytest.raises(TrialParseError, match="line 3: count outside"):
+            parse_trial_file(text)
+
+    def test_int32_ends_parse(self):
+        records = parse_trial_file("2147483647,-2147483648,+7,-0,0,1,2,3,4")
+        assert records.tolist() == [[2 ** 31 - 1, -2 ** 31, 7, 0, 0, 1, 2,
+                                     3, 4]]
+
+    @pytest.mark.parametrize("field", ["1_0", "_10", "1__0", "\u0663",
+                                       "\u00a01", "+", "-", "1-", "0x1",
+                                       "1e3", "1.0", "++1", "- 1"])
+    def test_field_is_sign_and_ascii_digits(self, field):
+        # int() reads "1_0" as 10 and Arabic-Indic digits as digits
+        with pytest.raises(TrialParseError, match="line 2: non-integer"):
+            parse_trial_file(f"1,2,3,4,5,6,7,8,9\n1,2,3,4,5,6,7,8,{field}")
+
+
+_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
+def ref_parse_trial(text: str):
+    """Rows of trial text parsed line by line, or None where the parser
+    must refuse it."""
+    rows = []
+    for line in text.splitlines():
+        line = line.strip().rstrip(";").strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 9 or not all(_FIELD.fullmatch(f) for f in fields):
+            return None
+        row = [int(f) for f in fields]
+        if not all(-2 ** 31 <= v < 2 ** 31 for v in row):
+            return None
+        rows.append(row)
+    return rows or None
+
+
+_ascii = st.characters(min_codepoint=0, max_codepoint=127)
+_counts = st.lists(st.integers(-2 ** 31, 2 ** 31 - 1), min_size=9,
+                   max_size=9).map(lambda row: [str(v) for v in row])
+_odd_fields = st.one_of(
+    st.integers(-2 ** 40, 2 ** 40).map(lambda v: f" {v:+d}\t"),
+    st.integers(-2 ** 40, 2 ** 40).map(lambda v: f"{v:_d}"),
+    st.text(st.sampled_from("0123456789+-_ \t;.e"), max_size=6),
+    st.text(_ascii, max_size=4))
+
+
+@st.composite
+def _lines(draw):
+    """A row of int32 counts, one with a field replaced by an odd one,
+    or any ASCII line."""
+    kind = draw(st.sampled_from(["counts", "odd_field", "any"]))
+    if kind == "any":
+        return draw(st.text(_ascii, max_size=30))
+    fields = draw(_counts)
+    if kind == "odd_field":
+        fields[draw(st.integers(0, 8))] = draw(_odd_fields)
+    return ",".join(fields) + draw(st.sampled_from(["", ";", " ; "]))
+
+
+_trial_texts = st.one_of(
+    st.lists(_lines(), max_size=6).map("\n".join),
+    st.text(_ascii, max_size=80))
+
+
+class TestParseTrialFileFuzz:
+    @given(_trial_texts, st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_parses_as_per_line_reference_or_refuses(self, text, as_bytes):
+        want = ref_parse_trial(text)
+        data = text.encode("ascii") if as_bytes else text
+        if want is None:
+            with pytest.raises(TrialParseError):
+                parse_trial_file(data)
+            return
+        got = parse_trial_file(data)
+        assert got.dtype == np.int32 and got.shape == (len(want), 9)
+        assert got.tolist() == want
 
 
 class TestCalibrate:
