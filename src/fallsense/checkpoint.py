@@ -3,12 +3,13 @@
 Layout: 8-byte magic, uint32 format version, uint32 header length, UTF-8
 JSON header, then a contiguous little-endian float64 payload holding the
 parameter arrays in the order listed by the header's ``arrays`` field
-(name, shape pairs).
+(name, shape pairs; a shape is a list of non-negative ints).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -63,7 +64,11 @@ def read_container(path: Path | str,
     offset = start + header_len
     arrays: dict[str, np.ndarray] = {}
     for name, shape in header.get("arrays", []):
-        count = int(np.prod(shape)) if shape else 1
+        if not isinstance(shape, list) or not all(
+                type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(
+                f"{path.name}: array {name!r} has a malformed shape {shape!r}")
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path.name}: truncated payload at {name}")

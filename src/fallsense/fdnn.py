@@ -15,11 +15,18 @@ Inference runs one folded step (``InferStep``): with frozen batch-norm
 moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
-with one row per sequence; each row's logits become P(falling) through
-``falling_probability``.  At more than one row each product is a stack of
-one-row products, so every row of a scan gets exactly the bits the stream
-gives that sequence, at any row count; ``predict_traces`` (eval-fdnn and
-the validation accuracy) scans many sequences at once on that promise.
+with one row per sequence, filling one step's input rows at a time; each
+row's logits become P(falling) through ``falling_probability``.  At more
+than one row each product is a stack of one-row products, so every row of
+a scan gets exactly the bits the stream gives that sequence, at any row
+count, and each row may step on its own parameter set (a per-row stack of
+weight matrices).  ``_scan_pairs`` scans many (parameter set, sequence)
+pairs on that promise, pooling across sets only the rows that would not
+fill a scan of their own: eval-fdnn scores one model's sequences
+(``predict_traces``), and ``train`` scores every epoch's snapshot in one
+pass after the last epoch (``sample_accuracies``, which counts each scan's
+correct steps and keeps no trace), so the log's ``wall_seconds`` counts
+training only.
 
 Train mode runs fc1 and batch norm over the whole (time-major) sequence
 at once, then both LSTMs as one lagged scan (``_lagged_scan``): one
@@ -213,6 +220,21 @@ def falling_probability(z) -> float:
     return math.exp(z[1] - m) / total
 
 
+def _folded_weights(params: FdnnParams, config: FdnnConfig):
+    """``InferStep``'s three weight matrices for one parameter set, each
+    in the memory order that ``w[:, order] * half`` leaves (BLAS picks its
+    kernel by the order, and the kernel sets the last bits)."""
+    order, half = gate_layout(config.inner_dim)
+    scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
+    shift = (params.fc1_b - params.bn_mean) * scale + params.bn_beta
+    w1 = np.vstack([(params.fc1_w * scale) @ params.lstm1_wx,
+                    params.lstm1_wh,
+                    shift @ params.lstm1_wx + params.lstm1_b])
+    w2 = np.vstack([params.lstm2_wx, params.lstm2_b, params.lstm2_wh])
+    return (w1[:, order] * half, w2[:, order] * half,
+            np.vstack([params.fc2_b, params.fc2_w]))
+
+
 class InferStep:
     """The frozen detector as one step over ``rows`` input rows at a time.
 
@@ -226,23 +248,30 @@ class InferStep:
     finishes each layer.  A call returns ``falling_probability`` of each
     row's logits.
 
+    ``params`` is one parameter set for every row, or a list of one set
+    per row; each distinct set is folded once.
+
     At one row each product is ``np.dot``.  At more rows each is a stack
-    of one-row products, ``np.matmul(x[:, None, :], W)``, which gives
-    every row the bits it gets stepped alone: BLAS takes another kernel
-    for a many-row ``np.dot``, and that one differs in the last bits.
+    of one-row products, ``np.matmul(x[:, None, :], W)``, ``W`` the shared
+    matrix broadcast or an ``np.stack`` of each row's own (which keeps
+    each matrix's memory order), so every row gets the bits it gets
+    stepped alone: BLAS takes another kernel, which differs in the last
+    bits, for a many-row ``np.dot`` or a C-contiguous weight stack.
     """
 
-    def __init__(self, params: FdnnParams, config: FdnnConfig,
-                 rows: int = 1):
+    def __init__(self, params: FdnnParams | list[FdnnParams],
+                 config: FdnnConfig, rows: int = 1):
         d, h = config.input_dim, config.inner_dim
-        order, half = gate_layout(h)
-        scale = params.bn_gamma / np.sqrt(params.bn_var + config.bn_eps)
-        shift = (params.fc1_b - params.bn_mean) * scale + params.bn_beta
-        w1 = np.vstack([(params.fc1_w * scale) @ params.lstm1_wx,
-                        params.lstm1_wh,
-                        shift @ params.lstm1_wx + params.lstm1_b])
-        w2 = np.vstack([params.lstm2_wx, params.lstm2_b, params.lstm2_wh])
-        w3 = np.vstack([params.fc2_b, params.fc2_w])
+        per_row = params if isinstance(params, list) else [params] * rows
+        if len(per_row) != rows:
+            raise FdnnError(f"{len(per_row)} parameter sets for {rows} rows")
+        distinct = {id(p): p for p in per_row}
+        folded = {k: _folded_weights(p, config) for k, p in distinct.items()}
+        if len(folded) == 1:
+            w1, w2, w3 = folded[id(per_row[0])]
+        else:
+            w1, w2, w3 = (np.stack([folded[id(p)][k] for p in per_row])
+                          for k in range(3))
 
         buf = np.zeros((rows, d + 2 * h + 1))
         buf[:, d + h] = 1.0
@@ -260,7 +289,7 @@ class InferStep:
         for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, h1),
                                     (buf[:, d:], w2, c2, h2)):
             z = np.empty((rows, 4 * h))
-            self._cells.append((inputs[one], w[:, order] * half, z[one], (
+            self._cells.append((inputs[one], w, z[one], (
                 z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
                 z[:, h:], c, c, np.empty((rows, h)), h_out, sig_half)))
 
@@ -269,8 +298,8 @@ class InferStep:
         for s in self._state:
             s[...] = 0.0
 
-    def __call__(self, x: np.ndarray) -> list[float]:
-        """P(falling) after one step of each row."""
+    def _advance(self, x: np.ndarray) -> None:
+        """One step of every row; the logits land in ``self._logits``."""
         self._x[...] = x
         matmul = self._matmul
         for inputs, w, z, cell in self._cells:
@@ -278,11 +307,16 @@ class InferStep:
             _lstm_cell(*cell)
         fc2_in, w3, logits = self._fc2
         matmul(fc2_in, w3, out=logits)
+
+    def __call__(self, x: np.ndarray) -> list[float]:
+        """P(falling) after one step of each row."""
+        self._advance(x)
         return [falling_probability(z) for z in self._logits.tolist()]
 
     def step(self, x: np.ndarray) -> float:
         """P(falling) of row 0 after one step: the stream's detector call."""
-        return self(x)[0]
+        self._advance(x)
+        return falling_probability(self._logits.tolist()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +334,15 @@ def classify(p_falling: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return np.asarray(p_falling) > threshold
 
 
-def _concat_inputs(config: FdnnConfig, static: np.ndarray,
-                   sequence: np.ndarray) -> np.ndarray:
+def _checked_inputs(config: FdnnConfig, static: np.ndarray,
+                    sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, static_dim) and (B, T, input_dim - static_dim) float arrays,
+    a lone sequence given one row."""
     static = np.atleast_2d(np.asarray(static, dtype=float))
     sequence = np.asarray(sequence, dtype=float)
     if sequence.ndim == 2:
         sequence = sequence[None, :, :]
-    b, t, dd = sequence.shape
+    b, _, dd = sequence.shape
     if static.shape != (b, config.static_dim):
         raise FdnnError(
             f"static inputs must be ({b}, {config.static_dim}), "
@@ -314,10 +350,7 @@ def _concat_inputs(config: FdnnConfig, static: np.ndarray,
     if config.static_dim + dd != config.input_dim:
         raise FdnnError(
             f"input width {config.static_dim}+{dd} != {config.input_dim}")
-    x = np.empty((t, b, config.input_dim))       # time-major
-    x[:, :, :config.static_dim] = static
-    x[:, :, config.static_dim:] = sequence.transpose(1, 0, 2)
-    return x
+    return static, sequence
 
 
 def _paired_rows(hidden: int) -> np.ndarray:
@@ -387,7 +420,7 @@ def _lagged_scan(xw: np.ndarray, w_rec: np.ndarray, d1: np.ndarray):
 
 
 def forward(
-    params: FdnnParams,
+    params: FdnnParams | list[FdnnParams],
     config: FdnnConfig,
     static: np.ndarray,
     sequence: np.ndarray,
@@ -402,12 +435,13 @@ def forward(
     Train mode returns (B, T, classes) class probabilities (and the
     backward cache when requested); it uses batch statistics over unmasked
     steps and applies dropout.  Infer mode returns (B, T) P(falling): it
-    scans ``InferStep`` over time, is deterministic and mutates nothing.
+    scans ``InferStep`` over time, is deterministic and mutates nothing;
+    there ``params`` may also be a list of B sets, one per sequence.
     """
     if mode not in ("train", "infer"):
         raise FdnnError(f"unknown mode {mode!r}")
-    x = _concat_inputs(config, static, sequence)
-    t, b, _ = x.shape
+    static, sequence = _checked_inputs(config, static, sequence)
+    b, t, _ = sequence.shape
     if mask is None:
         mask = np.ones((b, t), dtype=bool)
     else:
@@ -419,13 +453,21 @@ def forward(
         if want_cache:
             raise FdnnError("the backward cache exists in train mode only")
         step_fn = InferStep(params, config, rows=b)
+        # One step's input rows: the static columns set once, then each
+        # step's sequence columns, so no (T, B, input_dim) copy is made.
+        x = np.empty((b, config.input_dim))
+        x[:, :config.static_dim] = static
         p_fall = np.empty((b, t))
         for step in range(t):
-            p_fall[:, step] = step_fn(x[step])
+            x[:, config.static_dim:] = sequence[:, step]
+            p_fall[:, step] = step_fn(x)
         if not np.all(np.isfinite(p_fall)):
             raise FdnnError("non-finite activations in forward pass")
         return p_fall
 
+    x = np.empty((t, b, config.input_dim))       # time-major
+    x[:, :, :config.static_dim] = static
+    x[:, :, config.static_dim:] = sequence.transpose(1, 0, 2)
     # Layer 1, fully connected, and layer 2, batch norm over the unmasked
     # (time x batch) positions; fc1's output becomes xhat in place.
     xhat = x @ params.fc1_w
@@ -712,40 +754,83 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return float(total)
 
 
-# Rows per padded scan in ``predict_traces``, a cap for memory: a chunk's
-# padded arrays hold about 35 floats per row and step, 18 MB per 1 000
+# Rows per padded scan in ``_scan_pairs``, a cap for memory: a chunk's
+# padded arrays hold about 16 floats per row and step, 8 MB per 1 000
 # steps at 64 rows, and an infer scan's cost per sample-step falls little
 # beyond 64 rows.
 SCAN_ROWS = 64
 
 
+def _scan_pairs(snapshots: list[FdnnParams], config: FdnnConfig,
+                examples: list[SequenceExample]):
+    """Yield ``(s, i, p)`` for every (snapshot s, example i) pair, ``p``
+    bit for bit ``predict_trace``'s P(falling) (a view into its chunk's
+    padded scan); a chunk is scanned only when the previous one's rows
+    are all yielded.
+
+    Scans hold at most ``SCAN_ROWS`` rows, one per pair, the examples
+    taken shortest first.  Each snapshot's full chunks step on its shared
+    weights, as one model's scans do; only what is left over, the longest
+    ``len(examples) % SCAN_ROWS`` examples of each snapshot, is pooled
+    into chunks that mix snapshots (a per-row weight stack costs more per
+    row than a shared matrix, so pooling pays only for partial chunks)."""
+    by_length = sorted(range(len(examples)),
+                       key=lambda i: len(examples[i].sequence))
+    full = len(by_length) - len(by_length) % SCAN_ROWS
+    pooled = [(s, i) for i in by_length[full:]
+              for s in range(len(snapshots))]
+    chunks = [[(s, i) for i in by_length[start:start + SCAN_ROWS]]
+              for s in range(len(snapshots))
+              for start in range(0, full, SCAN_ROWS)]
+    chunks += [pooled[start:start + SCAN_ROWS]
+               for start in range(0, len(pooled), SCAN_ROWS)]
+    for chunk in chunks:
+        static, seq, _, _ = _pad_batch([examples[i] for _, i in chunk])
+        p_fall = forward([snapshots[s] for s, _ in chunk], config, static,
+                         seq, mode="infer")
+        for row, (s, i) in zip(p_fall, chunk):
+            yield s, i, row[:len(examples[i].sequence)]
+
+
+def snapshot_traces(snapshots: list[FdnnParams], config: FdnnConfig,
+                    examples: list[SequenceExample]
+                    ) -> list[list[PredictionTrace]]:
+    """``predict_trace`` of each example under each snapshot, bit for
+    bit (``[s][i]``: snapshot s, example i), from ``_scan_pairs``."""
+    traces = [[None] * len(examples) for _ in snapshots]
+    for s, i, p in _scan_pairs(snapshots, config, examples):
+        traces[s][i] = PredictionTrace(
+            p_falling=p, decisions=classify(p, config.threshold))
+    return traces
+
+
 def predict_traces(params: FdnnParams, config: FdnnConfig,
                    examples: list[SequenceExample]) -> list[PredictionTrace]:
     """``predict_trace`` of each example, bit for bit, from a few padded
-    infer scans: the examples sorted by length, at most ``SCAN_ROWS`` to
-    a scan.  Infer mode gives each row its own bits at any row count."""
-    traces: list[PredictionTrace] = [None] * len(examples)
-    order = sorted(range(len(examples)),
-                   key=lambda i: len(examples[i].sequence))
-    for start in range(0, len(order), SCAN_ROWS):
-        chunk = order[start:start + SCAN_ROWS]
-        static, seq, _, _ = _pad_batch([examples[i] for i in chunk])
-        p_fall = forward(params, config, static, seq, mode="infer")
-        for row, i in zip(p_fall, chunk):
-            p = row[:len(examples[i].sequence)]
-            traces[i] = PredictionTrace(
-                p_falling=p, decisions=classify(p, config.threshold))
-    return traces
+    infer scans (``snapshot_traces`` of one snapshot)."""
+    return snapshot_traces([params], config, examples)[0]
+
+
+def sample_accuracies(snapshots: list[FdnnParams], config: FdnnConfig,
+                      examples: list[SequenceExample]) -> list[float]:
+    """Each snapshot's fraction of steps classified correctly (strict
+    threshold), all scored in the same padded scans.  Each chunk's steps
+    are counted as it is scanned and no trace is kept, so memory does not
+    grow with the number of snapshots."""
+    total = sum(len(e.labels) for e in examples)
+    if not total:
+        return [0.0] * len(snapshots)
+    correct = [0] * len(snapshots)
+    for s, i, p in _scan_pairs(snapshots, config, examples):
+        correct[s] += int((classify(p, config.threshold)
+                           == (examples[i].labels == 1)).sum())
+    return [c / total for c in correct]
 
 
 def sample_accuracy(params: FdnnParams, config: FdnnConfig,
                     examples: list[SequenceExample]) -> float:
     """Fraction of steps classified correctly (strict threshold)."""
-    traces = predict_traces(params, config, examples)
-    correct = sum(int((t.decisions == (e.labels == 1)).sum())
-                  for t, e in zip(traces, examples))
-    total = sum(len(e.labels) for e in examples)
-    return correct / total if total else 0.0
+    return sample_accuracies([params], config, examples)[0]
 
 
 def train(
@@ -754,7 +839,12 @@ def train(
     val_set: list[SequenceExample],
 ) -> tuple[FdnnParams, list[EpochLog]]:
     """Mini-batch Adam over padded batches; keeps the epoch snapshot with
-    the highest validation sample accuracy (earliest epoch wins ties)."""
+    the highest validation sample accuracy (earliest epoch wins ties).
+
+    Each epoch's end state is kept; after the last epoch (or, if the
+    loss diverges, before ``TrainingDiverged`` is raised) every snapshot
+    is scored on the validation set at once (``sample_accuracies``).  So
+    ``EpochLog.wall_seconds`` counts training only."""
     if not train_set or not val_set:
         raise FdnnError("train and validation sets must be non-empty")
     params = init_params(config)
@@ -765,11 +855,16 @@ def train(
     adam_v = {f: np.zeros_like(getattr(params, f)) for f in TRAINABLE_FIELDS}
     step_count = 0
 
-    best_params = params.copy()
-    best_acc = -1.0
+    snapshots: list[FdnnParams] = []
     log: list[EpochLog] = []
-    t0 = time.perf_counter()
 
+    def score() -> list[float]:
+        accuracies = sample_accuracies(snapshots, config, val_set)
+        for row, acc in zip(log, accuracies):
+            row.val_accuracy = acc
+        return accuracies
+
+    t0 = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_set))
         losses = []
@@ -780,6 +875,7 @@ def train(
             loss, grads = loss_and_gradients(
                 params, config, static, seq, labels, mask, rng=drop_rng)
             if not np.isfinite(loss):
+                score()
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", log)
             losses.append(loss)
@@ -795,11 +891,10 @@ def train(
                           / (np.sqrt(adam_v[name] / b2c) + config.adam_eps))
                 getattr(params, name)[...] -= update
 
-        val_acc = sample_accuracy(params, config, val_set)
         log.append(EpochLog(
             epoch=epoch,
             train_loss=float(np.mean(losses)),
-            val_accuracy=val_acc,
+            val_accuracy=math.nan,                # filled by score()
             wall_seconds=time.perf_counter() - t0,
             grad_norm_mean=float(np.mean(norms)),
             grad_norm_max=float(np.max(norms)),
@@ -807,10 +902,11 @@ def train(
                 [config.grad_clip > 0 and n > config.grad_clip
                  for n in norms])),
         ))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
-    return best_params, log
+        snapshots.append(params.copy())
+    accuracies = score()
+    if not snapshots:
+        return params, log
+    return snapshots[accuracies.index(max(accuracies))], log
 
 
 def write_training_log(path: Path | str, log: list[EpochLog]) -> None:

@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -99,6 +101,25 @@ class TestForward:
         assert np.all((p_fall >= 0.0) & (p_fall <= 1.0))
         probs = forward(p, TOY, static, seq, mode="train")
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
+
+    def test_infer_makes_no_input_copy(self):
+        # an infer scan holds its (B, T) output and one step's input rows,
+        # not a (T, B, input_dim) copy of the inputs (768 KB here)
+        p = init_params(TOY)
+        rng = np.random.default_rng(4)
+        static, seq = rng.normal(size=(4, 2)), rng.normal(size=(4, 4000, 4))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward(p, TOY, static, seq, mode="infer")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4 * 4000 * 8 + 64 * 2**10, f"{peak} bytes"
 
     def test_wrong_width_rejected(self):
         p = init_params(TOY)
@@ -439,6 +460,121 @@ class TestRowCountIndependence:
             alone = forward(params, config, ex.static[None],
                             ex.sequence[None], mode="infer")[0]
             assert np.array_equal(row[:len(ex.sequence)], alone)
+
+
+def _perturbed(params, rng, scale=0.05):
+    """A copy of ``params`` with every array nudged, batch-norm moments
+    included (the variance stays positive)."""
+    out = params.copy()
+    for name in fdnn.PARAM_FIELDS:
+        a = getattr(out, name)
+        a += scale * rng.normal(size=a.shape) * (np.abs(a) + 0.1)
+    out.bn_var[...] = np.abs(out.bn_var) + 0.1
+    return out
+
+
+class TestSnapshotScoring:
+    """Rows on different parameter sets: every (snapshot, sequence) row of
+    a padded scan gets that snapshot's own ``predict_trace`` bits, so
+    training can score all its epoch snapshots in one pass."""
+
+    @pytest.fixture(params=["toy", "detector"])
+    def model(self, request):
+        rng = np.random.default_rng(20)
+        if request.param == "toy":
+            return _gated_model(rng, TOY, 5.0), TOY, rng
+        params, config, _, _ = load_checkpoint(DETECTOR)
+        return params, config, rng
+
+    def _case(self, model, n_snapshots):
+        params, config, rng = model
+        snapshots = [params] + [_perturbed(params, rng)
+                                for _ in range(n_snapshots - 1)]
+        width = config.input_dim - config.static_dim
+        examples = [SequenceExample(
+            static=rng.normal(size=config.static_dim),
+            sequence=rng.normal(size=(t, width)),
+            labels=rng.integers(0, 2, size=t)) for t in (9, 23, 1, 17, 9)]
+        return snapshots, config, examples
+
+    @pytest.mark.parametrize("n_snapshots", [1, 3, 8])
+    def test_per_row_forward_equals_each_alone(self, model, n_snapshots):
+        snapshots, config, examples = self._case(model, n_snapshots)
+        pairs = [(s, ex) for s in snapshots for ex in examples]
+        static, seq, _, mask = fdnn._pad_batch([ex for _, ex in pairs])
+        seq[~mask] = 1e3                      # loud padding
+        together = forward([s for s, _ in pairs], config, static, seq,
+                           mode="infer")
+        for row, (s, ex) in zip(together, pairs):
+            alone = predict_trace(s, config, ex.static, ex.sequence)
+            assert np.array_equal(row[:len(ex.sequence)], alone.p_falling)
+
+    @pytest.mark.parametrize("n_snapshots", [1, 3, 8])
+    def test_snapshot_traces_cross_chunks(self, model, n_snapshots,
+                                          monkeypatch):
+        snapshots, config, examples = self._case(model, n_snapshots)
+        widths, sets = [], []
+
+        def recording_forward(params, config, static, seq, **kwargs):
+            if isinstance(params, list):
+                widths.append(len(static))
+                sets.append(len({id(p) for p in params}))
+            return forward(params, config, static, seq, **kwargs)
+        monkeypatch.setattr(fdnn, "SCAN_ROWS", 3)
+        monkeypatch.setattr(fdnn, "forward", recording_forward)
+        traces = fdnn.snapshot_traces(snapshots, config, examples)
+        accuracies = fdnn.sample_accuracies(snapshots, config, examples)
+        assert max(widths) == 3
+        assert sum(widths) == 2 * len(snapshots) * len(examples)
+        # 5 examples: each snapshot's 3 shortest fill a chunk on its own
+        # weights; the 2 longest of every snapshot are pooled
+        n = len(snapshots)
+        want = [1] * n + [len({k % n for k in range(j, min(j + 3, 2 * n))})
+                          for j in range(0, 2 * n, 3)]
+        assert sets == want + want
+        total = sum(len(ex.labels) for ex in examples)
+        for s, row, acc in zip(snapshots, traces, accuracies):
+            correct = 0
+            for got, ex in zip(row, examples):
+                want = predict_trace(s, config, ex.static, ex.sequence)
+                assert np.array_equal(got.p_falling, want.p_falling)
+                assert np.array_equal(got.decisions, want.decisions)
+                correct += int((want.decisions == (ex.labels == 1)).sum())
+            assert acc == correct / total
+
+    def test_scoring_memory_does_not_grow_with_snapshots(self, monkeypatch):
+        # train scores all epoch snapshots at once: its peak must stay one
+        # chunk's scan, not one trace per (snapshot, sequence) pair
+        rng = np.random.default_rng(21)
+        params = _gated_model(rng, TOY, 5.0)
+        snapshots = [params] + [_perturbed(params, rng) for _ in range(7)]
+        examples = [SequenceExample(
+            static=rng.normal(size=2), sequence=rng.normal(size=(t, 4)),
+            labels=rng.integers(0, 2, size=t)) for t in (2000, 1900, 1950)]
+        monkeypatch.setattr(fdnn, "SCAN_ROWS", 2)
+
+        def peak(n):
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fdnn.sample_accuracies(snapshots[:n], TOY, examples)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+        # each snapshot's two shortest fill a chunk, the longest is pooled
+        # in pairs; each kept trace would add about 18 KB (2000 steps * 9
+        # bytes), over 300 KB from 2 to 8 snapshots
+        two, eight = peak(2), peak(8)
+        assert eight <= two + 16 * 2**10, f"{two} -> {eight} bytes"
+
+    def test_parameter_sets_must_match_rows(self):
+        params = init_params(TOY)
+        with pytest.raises(FdnnError, match="2 parameter sets for 3 rows"):
+            fdnn.InferStep([params, params], TOY, rows=3)
 
 
 class TestLstmCell:
@@ -792,6 +928,93 @@ class TestTrain:
             train(FdnnConfig(), [], [])
 
 
+def _per_epoch_train(config, train_set, val_set):
+    """The reference for ``train``: the same Adam loop, validation scored
+    at the end of every epoch, one ``predict_trace`` per sequence, and the
+    best snapshot copied as it appears (earliest epoch wins ties)."""
+    params = init_params(config)
+    rng = np.random.default_rng(config.seed)
+    drop_rng = np.random.default_rng(config.seed + 1)
+    adam_m = {f: np.zeros_like(getattr(params, f))
+              for f in fdnn.TRAINABLE_FIELDS}
+    adam_v = {f: np.zeros_like(getattr(params, f))
+              for f in fdnn.TRAINABLE_FIELDS}
+    step_count = 0
+    best_params, best_acc, log = params.copy(), -1.0, []
+    total = sum(len(e.labels) for e in val_set)
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(train_set))
+        losses = []
+        for i in range(0, len(order), config.batch_size):
+            batch = [train_set[j] for j in order[i:i + config.batch_size]]
+            static, seq, labels, mask = fdnn._pad_batch(batch)
+            loss, grads = loss_and_gradients(
+                params, config, static, seq, labels, mask, rng=drop_rng)
+            losses.append(loss)
+            fdnn._clip_gradients(grads, config.grad_clip)
+            step_count += 1
+            b1c = 1.0 - config.beta1 ** step_count
+            b2c = 1.0 - config.beta2 ** step_count
+            for name in fdnn.TRAINABLE_FIELDS:
+                g = grads[name]
+                adam_m[name] = (config.beta1 * adam_m[name]
+                                + (1 - config.beta1) * g)
+                adam_v[name] = (config.beta2 * adam_v[name]
+                                + (1 - config.beta2) * g * g)
+                update = (config.learning_rate * (adam_m[name] / b1c)
+                          / (np.sqrt(adam_v[name] / b2c) + config.adam_eps))
+                getattr(params, name)[...] -= update
+        correct = sum(int((predict_trace(params, config, e.static,
+                                         e.sequence).decisions
+                           == (e.labels == 1)).sum()) for e in val_set)
+        val_acc = correct / total
+        log.append((float(np.mean(losses)), val_acc))
+        if val_acc > best_acc:
+            best_acc, best_params = val_acc, params.copy()
+    return best_params, log
+
+
+class TestTrainScoresSnapshotsAtOnce:
+    """``train`` scores every epoch's snapshot after the last epoch; the
+    returned parameters and the log equal the per-epoch loop's."""
+
+    # lr 3e-3 peaks at epoch 4; lr 1e-2 with dropout 0 ties epochs 1 and
+    # 8, so the earliest must win.
+    @pytest.mark.parametrize("dropout_rate, learning_rate",
+                             [(0.0, 3e-3), (0.5, 3e-3), (0.0, 1e-2)])
+    def test_matches_per_epoch_reference(self, dropout_rate, learning_rate):
+        cfg = FdnnConfig(input_dim=6, static_dim=2, inner_dim=4,
+                         fc1_units=4, dropout_rate=dropout_rate, epochs=8,
+                         batch_size=4, seed=5, learning_rate=learning_rate)
+        data, val = separable_set(n=8, T=30), separable_set(n=5, T=25, seed=1)
+        params, log = train(cfg, data, val)
+        want_params, want_log = _per_epoch_train(cfg, data, val)
+        assert [(r.train_loss, r.val_accuracy) for r in log] == want_log
+        assert len(set(acc for _, acc in want_log)) > 1
+        for name in fdnn.PARAM_FIELDS:
+            assert (getattr(params, name).tobytes()
+                    == getattr(want_params, name).tobytes()), name
+
+    def test_divergence_carries_scored_epochs(self, monkeypatch):
+        cfg = FdnnConfig(input_dim=6, static_dim=2, inner_dim=4,
+                         fc1_units=4, dropout_rate=0.0, epochs=5,
+                         batch_size=4, seed=5, learning_rate=3e-3)
+        data, val = separable_set(n=8, T=30), separable_set(n=5, T=25, seed=1)
+        _, want_log = _per_epoch_train(cfg, data, val)
+        calls = []
+
+        def nan_at_epoch_3(*args, **kwargs):
+            loss, grads = loss_and_gradients(*args, **kwargs)
+            calls.append(None)
+            return (float("nan") if len(calls) > 2 * 2 else loss), grads
+        monkeypatch.setattr(fdnn, "loss_and_gradients", nan_at_epoch_3)
+        with pytest.raises(fdnn.TrainingDiverged, match="epoch 3") as info:
+            train(cfg, data, val)
+        assert [r.epoch for r in info.value.log] == [1, 2]
+        assert ([(r.train_loss, r.val_accuracy) for r in info.value.log]
+                == want_log[:2])
+
+
 class TestCheckpoint:
     def _stats(self, dim=18):
         return StandardizationStats(mean=np.zeros(dim), std=np.ones(dim))
@@ -834,6 +1057,44 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _raw_container(path, arrays, payload=b""):
+    """A container with a hand-written ``arrays`` header field."""
+    header = json.dumps({"kind": "fdnn", "arrays": arrays}).encode()
+    path.write_bytes(ck.MAGIC + struct.pack("<II", ck.VERSION, len(header))
+                     + header + payload)
+    return path
+
+
+class TestContainerShapes:
+    """read_container counts elements from header shapes; a shape entry
+    that is not a non-negative int is refused, naming the array."""
+
+    @pytest.mark.parametrize("arrays, floats", [
+        ([["a", [-1]], ["b", [1]]], 0),
+        ([["a", [-2, -3]]], 6),
+        ([["a", [1.5]]], 1),
+        ([["a", ["a"]]], 1),
+        ([["a", [-1, 5]]], 1),
+        ([["a", [True]]], 1),
+        ([["a", 3]], 3),
+    ], ids=["negative", "negative_pair", "float", "str", "negative_first",
+            "bool", "not_a_list"])
+    def test_malformed_shape_refused(self, tmp_path, arrays, floats):
+        path = _raw_container(tmp_path / "m.ckpt", arrays, bytes(8 * floats))
+        with pytest.raises(CheckpointError, match="array 'a' has a malformed"):
+            ck.read_container(path, "fdnn")
+
+    def test_scalar_empty_and_zero_sized_shapes_load(self, tmp_path):
+        values = np.arange(4.0)
+        path = _raw_container(tmp_path / "m.ckpt",
+                              [["s", []], ["e", [2, 0]], ["v", [3]]],
+                              values.astype("<f8").tobytes())
+        _, arrays = ck.read_container(path, "fdnn")
+        assert arrays["s"].shape == () and arrays["s"] == 0.0
+        assert arrays["e"].shape == (2, 0)
+        assert np.array_equal(arrays["v"], values[1:])
 
 
 def _set(name, value):
