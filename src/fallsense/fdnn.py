@@ -37,7 +37,9 @@ slab whose rows are the gate blocks g | i | f | o, each
 [layer 1 | layer 2] (``_paired_rows``), so each gate block is one
 contiguous slab.  Layer 1's rows are a strided view (``_layer_rows``), on
 which its input projection and input-weight gradient run 4H wide.  BPTT
-runs that scan backwards with only the recurrence in the loop.
+runs that scan backwards with only the recurrence in the loop.  ``train``
+runs every batch in one ``_Workspace``, whose buffers hold the scan's
+and BPTT's arrays from batch to batch.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,14 +196,14 @@ def _lstm_cell(z, g, i, f, o, sig, c_prev, c, tanh_c, h,
     ``half`` is 0.5 for tanh/2 + 1/2: the scans pass an array of 0.5 in
     sig's shape, built once, which NumPy applies faster than a Python
     float, with the same bits."""
-    np.tanh(z, out=z)
-    np.multiply(sig, half, out=sig)
-    np.add(sig, half, out=sig)
-    np.multiply(f, c_prev, out=c)
-    np.multiply(i, g, out=tanh_c)
-    c += tanh_c
-    np.tanh(c, out=tanh_c)
-    np.multiply(o, tanh_c, out=h)
+    np.tanh(z, z)
+    np.multiply(sig, half, sig)
+    np.add(sig, half, sig)
+    np.multiply(f, c_prev, c)
+    np.multiply(i, g, tanh_c)
+    np.add(c, tanh_c, c)
+    np.tanh(c, tanh_c)
+    np.multiply(o, tanh_c, h)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -278,7 +281,6 @@ class InferStep:
         h1, h2 = buf[:, d:d + h], buf[:, d + h + 1:]
         c1, c2 = np.zeros((rows, h)), np.zeros((rows, h))
         self._x = buf[:, :d]
-        self._state = (h1, h2, c1, c2)
         self._logits = np.empty((rows, config.classes))
         # Each product's operands, as one-row stacks at rows > 1.
         self._matmul, one = ((np.dot, ()) if rows == 1
@@ -293,20 +295,15 @@ class InferStep:
                 z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
                 z[:, h:], c, c, np.empty((rows, h)), h_out, sig_half)))
 
-    def reset(self) -> None:
-        """Zero both layers' hidden and cell state."""
-        for s in self._state:
-            s[...] = 0.0
-
     def _advance(self, x: np.ndarray) -> None:
         """One step of every row; the logits land in ``self._logits``."""
         self._x[...] = x
         matmul = self._matmul
         for inputs, w, z, cell in self._cells:
-            matmul(inputs, w, out=z)
+            matmul(inputs, w, z)
             _lstm_cell(*cell)
         fc2_in, w3, logits = self._fc2
-        matmul(fc2_in, w3, out=logits)
+        matmul(fc2_in, w3, logits)
 
     def __call__(self, x: np.ndarray) -> list[float]:
         """P(falling) after one step of each row."""
@@ -383,40 +380,87 @@ def _lagged_weights(params: FdnnParams):
             w_rec[:, rows].T, np.r_[params.lstm1_b, params.lstm2_b][rows])
 
 
-def _lagged_scan(xw: np.ndarray, w_rec: np.ndarray, d1: np.ndarray):
+class _Workspace:
+    """Memory for ``loss_and_gradients``' largest arrays, kept from call
+    to call: ``train`` makes one and passes it to every batch, so that a
+    batch writes pages already touched rather than fresh ones.
+
+    ``arrays`` lays one call's arrays out.  Each is the C-contiguous
+    prefix of a flat buffer that grows to the largest batch seen so far,
+    reshaped to this batch's shape: the shape and strides ``np.empty``
+    gives, so every product and sum keeps its bits.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _array(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buffers = self._buffers
+        if name not in buffers or buffers[name].size < size:
+            buffers.pop(name, None)         # freed before its successor
+            buffers[name] = np.empty(size)
+        return buffers[name][:size].reshape(shape)
+
+    def arrays(self, t: int, b: int, h: int,
+               dropout: bool) -> SimpleNamespace:
+        """One call's arrays for T steps of B sequences, H units: the
+        lagged scan's ``xw`` (T+1, 8H, B) and states ``s`` (T+2, 3H, B);
+        its cells ``c`` (T+2, 2H, B) and ``tanh_c`` (T+1, 2H, B), side by
+        side in one buffer whose prefix holds, in turn, the input
+        projection ``proj`` (T, B, 4H) before the scan and the layer-1
+        gate gradients ``flat1`` (T*B, 4H) after BPTT; the backward's
+        ``f_kept`` (T+1, 2H, B); the gradient reaching layer 2's output
+        ``d_out`` (T+1, H, B); and the mask between the layers ``d1``
+        (T+1, H, B), a broadcast 1 without dropout."""
+        t1 = t + 1
+        cells = self._array("cells", (2 * t1 + 1) * 2 * h * b)
+        c = cells[:(t1 + 1) * 2 * h * b].reshape(t1 + 1, 2 * h, b)
+        proj = cells[:t * b * 4 * h].reshape(t, b, 4 * h)
+        return SimpleNamespace(
+            xw=self._array("xw", t1, 8 * h, b),
+            s=self._array("s", t1 + 1, 3 * h, b),
+            c=c, tanh_c=cells[c.size:].reshape(t1, 2 * h, b),
+            proj=proj, flat1=proj.reshape(t * b, 4 * h),
+            f_kept=self._array("f_kept", t1, 2 * h, b),
+            d_out=self._array("d_out", t1, h, b),
+            d1=(self._array("d1", t1, h, b) if dropout
+                else np.broadcast_to(1.0, (t1, h, b))))
+
+
+def _lagged_scan(a: SimpleNamespace, w_rec: np.ndarray) -> None:
     """Both LSTM layers over a whole sequence as one 2H-wide cell stepped
     T+1 times, layer 2 one step behind layer 1: combined step k runs
     layer 1 at time k and layer 2 at time k-1, in ``gate_layout(2H)``.
 
     Feature-major: each step is one (8H, B) slab on ``_paired_rows``, so
-    each of its gate blocks, and its i, f, o block, is contiguous.
-    xw: (T+1, 8H, B) halved pre-activations, layer 1's input projection
-    and both biases; layer 2's input gate is -inf at step 0, so its state
-    there stays exactly 0.  The gate activations overwrite it.  w_rec:
-    the halved recurrent weights (8H, 3H) on the state
-    ``[h1*d1 | h1 | h2]``; d1: (T+1, H, B) the dropout mask between the
-    layers.  Returns the stacked states (T+2, 3H, B) and c (T+2, 2H, B),
-    row 0 the zero initial state, the activations (T+1, 8H, B) and
-    tanh(c) (T+1, 2H, B).
+    each of its gate blocks, and its i, f, o block, is contiguous.  On
+    ``_Workspace.arrays`` ``a``: ``a.xw`` (T+1, 8H, B) holds the halved
+    pre-activations, layer 1's input projection and both biases; layer
+    2's input gate is -inf at step 0, so its state there stays exactly 0.
+    The gate activations overwrite it.  w_rec: the halved recurrent
+    weights (8H, 3H) on the state ``[h1*d1 | h1 | h2]``; ``a.d1``: the
+    dropout mask between the layers.  Fills the stacked states ``a.s``
+    and ``a.c``, row 0 the zero initial state, and tanh(c) ``a.tanh_c``.
     """
+    xw, s, c = a.xw, a.s, a.c
     t1, eight_h, b = xw.shape
     hd = eight_h // 8
-    s = np.zeros((t1 + 1, 3 * hd, b))
-    c = np.zeros((t1 + 1, 2 * hd, b))
-    tanh_c = np.empty((t1, 2 * hd, b))
+    s[0] = 0.0
+    c[0] = 0.0
     g, i, f, o = xw.reshape(t1, 4, 2 * hd, b).transpose(1, 0, 2, 3)
     after = s[1:]
     rec = np.empty((eight_h, b))
     half = np.full((6 * hd, b), 0.5)
-    for z, *cell, h1, h1d, d1k, s_prev in zip(
-            xw, g, i, f, o, xw[:, 2 * hd:], c[:-1], c[1:], tanh_c,
-            after[:, hd:], after[:, hd:2 * hd], after[:, :hd],
-            d1, s[:-1]):
-        np.dot(w_rec, s_prev, out=rec)
-        z += rec
-        _lstm_cell(z, *cell, half)
-        np.multiply(h1, d1k, out=h1d)
-    return s, c, xw, tanh_c
+    dot, add, multiply, cell = np.dot, np.add, np.multiply, _lstm_cell
+    for z, gk, ik, fk, ok, sig, c_prev, ck, tanh_c, h, h1, h1d, d1k, \
+            s_prev in zip(xw, g, i, f, o, xw[:, 2 * hd:], c[:-1], c[1:],
+                          a.tanh_c, after[:, hd:], after[:, hd:2 * hd],
+                          after[:, :hd], a.d1, s[:-1]):
+        dot(w_rec, s_prev, rec)
+        add(z, rec, z)
+        cell(z, gk, ik, fk, ok, sig, c_prev, ck, tanh_c, h, half)
+        multiply(h1, d1k, h1d)
 
 
 def forward(
@@ -428,15 +472,20 @@ def forward(
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
+    *,
+    workspace: _Workspace | None = None,
 ):
     """Per-step probabilities for a batch of sequences.
 
     static: (B, static_dim); sequence: (B, T, input_dim - static_dim).
     Train mode returns (B, T, classes) class probabilities (and the
     backward cache when requested); it uses batch statistics over unmasked
-    steps and applies dropout.  Infer mode returns (B, T) P(falling): it
-    scans ``InferStep`` over time, is deterministic and mutates nothing;
-    there ``params`` may also be a list of B sets, one per sequence.
+    steps and applies dropout.  Its lagged scan runs in ``workspace``'s
+    memory (fresh memory by default), so the cache it returns is valid
+    only until that workspace's next call; only ``loss_and_gradients``
+    reads it.  Infer mode returns (B, T) P(falling): it scans
+    ``InferStep`` over time, is deterministic and mutates nothing; there
+    ``params`` may also be a list of B sets, one per sequence.
     """
     if mode not in ("train", "infer"):
         raise FdnnError(f"unknown mode {mode!r}")
@@ -475,6 +524,7 @@ def forward(
     valid = xhat[mask.T]
     mu = valid.mean(axis=0)
     var = valid.var(axis=0)
+    del valid
     inv = 1.0 / np.sqrt(var + config.bn_eps)
     xhat -= mu
     xhat *= inv
@@ -505,8 +555,9 @@ def forward(
     w_in, w_rec, bias = _lagged_weights(params)
     half = gate_layout(2 * h)[1][:, None]
     bias = bias[:, None] * half
-    xw = np.empty((t + 1, 8 * h, b))
-    proj = z @ (w_in * gate_layout(h)[1])
+    arrays = (workspace or _Workspace()).arrays(t, b, h, drop[1] is not None)
+    xw = arrays.xw
+    proj = np.matmul(z, w_in * gate_layout(h)[1], arrays.proj)
     proj += _layer_rows(bias, 0).ravel()
     _layer_rows(xw[:t], 0)[...] = proj.reshape(t, b, 4, h).transpose(
         0, 2, 3, 1)
@@ -517,11 +568,12 @@ def forward(
     xw[0, 3 * h:4 * h] = -np.inf
     # The mask between the layers gets a row of ones for the tail step
     # and replaces drop[1], whose T rows are then freed.
-    d1 = np.broadcast_to(1.0, (t + 1, h, b))
     if drop[1] is not None:
-        drop[1] = d1 = np.concatenate([drop[1], d1[:1]])
-    scan = _lagged_scan(xw, w_rec * half, d1)
-    z2 = scan[0][2:, 2 * h:]
+        arrays.d1[:t] = drop[1]
+        arrays.d1[t] = 1.0
+        drop[1] = arrays.d1
+    _lagged_scan(arrays, w_rec * half)
+    z2 = arrays.s[2:, 2 * h:]
     if drop[2] is not None:
         z2 = z2 * drop[2]
     probs = softmax_rows(z2.transpose(0, 2, 1) @ params.fc2_w
@@ -531,7 +583,7 @@ def forward(
     if not want_cache:
         return probs.transpose(1, 0, 2)
     cache = {"x": x, "mask": mask, "xhat": xhat, "inv": inv, "drop": drop,
-             "z1": z, "lstm": (scan, w_in, w_rec, d1), "z2": z2,
+             "z1": z, "lstm": (arrays, w_in, w_rec), "z2": z2,
              "probs": probs}
     return probs.transpose(1, 0, 2), cache
 
@@ -549,35 +601,38 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 # Loss and gradients (backpropagation through time)
 # ---------------------------------------------------------------------------
 
-def _lagged_scan_backward(d_out: np.ndarray, scan: tuple,
-                          w_rec: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """BPTT through one ``_lagged_scan``.  d_out: (T+1, H, B) gradient
-    reaching layer 2's h from above at each combined step, row 0 zero;
-    w_rec: the unhalved recurrent weights.  Returns the gate gradients
-    (T+1, 8H, B) on ``_paired_rows``, written over the activations;
-    tanh(c) is overwritten too."""
-    s, c, act, tanh_c = scan
+def _lagged_scan_backward(a: SimpleNamespace,
+                          w_rec: np.ndarray) -> np.ndarray:
+    """BPTT through one ``_lagged_scan`` on the arrays ``a``.
+    ``a.d_out``: (T+1, H, B) gradient reaching layer 2's h from above at
+    each combined step, row 0 zero; w_rec: the unhalved recurrent
+    weights.  Returns the gate gradients (T+1, 8H, B) on ``_paired_rows``,
+    written over the activations ``a.xw``; c and tanh(c) are overwritten
+    too."""
+    act, tanh_c, f_kept = a.xw, a.tanh_c, a.f_kept
+    c_prev = a.c[:-1]
     t1, eight_h, b = act.shape
     hd = eight_h // 8
     gates = act.reshape(t1, 4, 2 * hd, b)
     g, i, f, o = gates.transpose(1, 0, 2, 3)
     # Every factor that does not depend on the recurrence, for all steps
-    # at once, in the activations' place, with tanh(c) as scratch; the
+    # at once, in the activations' place, the forget gate kept aside,
+    # (1 - tanh(c)^2) o in c_prev's place and tanh(c) as scratch; the
     # loop scales the g, i, f blocks by dc and the o block by dh.
-    to_c = np.multiply(tanh_c, tanh_c)
-    np.subtract(1, to_c, out=to_c)
+    f_kept[...] = f
+    np.subtract(1, f, f)
+    f *= f_kept
+    f *= c_prev                                 # c_prev f (1 - f)
+    to_c = np.multiply(tanh_c, tanh_c, c_prev)
+    np.subtract(1, to_c, to_c)
     to_c *= o
     tanh_c *= o
-    np.subtract(1, o, out=o)
+    np.subtract(1, o, o)
     o *= tanh_c                                 # tanh(c) o (1 - o)
-    f_kept = f.copy()
-    np.subtract(1, f, out=f)
-    f *= f_kept
-    f *= c[:-1]                                 # c_prev f (1 - f)
-    gi = np.subtract(1, i, out=tanh_c)
+    gi = np.subtract(1, i, tanh_c)
     gi *= g
-    np.multiply(g, g, out=g)
-    np.subtract(1, g, out=g)
+    np.multiply(g, g, g)
+    np.subtract(1, g, g)
     g *= i                                      # i (1 - g^2)
     i *= gi                                     # g i (1 - i)
     # The gradient reaching the state [h1*d1 | h1 | h2]; its last 2H
@@ -588,42 +643,46 @@ def _lagged_scan_backward(d_out: np.ndarray, scan: tuple,
     dc = np.zeros((2 * hd, b))
     tmp = np.empty((2 * hd, b))
     w_rec_t = w_rec.T
+    add, multiply, dot = np.add, np.multiply, np.dot
     for flat, gif, go, tc, fk, dk, d1k in zip(
             act[::-1], gates[::-1, :3], o[::-1], to_c[::-1], f_kept[::-1],
-            d_out[::-1], d1[::-1]):
-        du_h1d *= d1k
-        dh1 += du_h1d
-        dh2 += dk
-        np.multiply(dh, tc, out=tmp)
-        dc += tmp
-        gif *= dc
-        go *= dh
-        dc *= fk
-        np.dot(w_rec_t, flat, out=du)
+            a.d_out[::-1], a.d1[::-1]):
+        multiply(du_h1d, d1k, du_h1d)
+        add(dh1, du_h1d, dh1)
+        add(dh2, dk, dh2)
+        multiply(dh, tc, tmp)
+        add(dc, tmp, dc)
+        multiply(gif, dc, gif)
+        multiply(go, dh, go)
+        multiply(dc, fk, dc)
+        dot(w_rec_t, flat, du)
     return act
 
 
-def _lstm_gradients(lstm: tuple, z1: np.ndarray, d_out: np.ndarray):
+def _lstm_gradients(lstm: tuple, z1: np.ndarray):
     """Both LSTM layers' weight gradients, and the gradient reaching
     layer 1's inputs z1 (T, B, F), by BPTT through the forward cache's
-    ``lstm`` entry (scan, input weights, recurrent weights, mask between
-    the layers).  d_out: (T+1, H, B), as ``_lagged_scan_backward``."""
-    scan, w_in, w_rec, d1 = lstm
+    ``lstm`` entry (the scan's arrays, input weights, recurrent weights),
+    its ``d_out`` filled as ``_lagged_scan_backward`` reads it."""
+    a, w_in, w_rec = lstm
     t, b, _ = z1.shape
-    h = d_out.shape[1]
-    flat = _lagged_scan_backward(d_out, scan, w_rec, d1)
+    h = a.d_out.shape[1]
+    flat = _lagged_scan_backward(a, w_rec)
     # The gradients come back on _paired_rows; the blocks that feed the
     # other layer are dropped, and the lead-in and tail steps add exact
     # zeros.  The recurrent gradient sums over time in chunks, so that
     # the copies tensordot makes to bring time and batch together stay
-    # small.  Layer 1's input products take its 4H rows only.
+    # small.  Layer 1's input products take its 4H rows only, copied
+    # into the scratch block, (T*B, 4H).
     back = np.argsort(_paired_rows(h))
-    states = scan[0][:-1]
+    states = a.s[:-1]
     rec = sum(np.tensordot(states[k:k + 64], flat[k:k + 64],
                            ([0, 2], [0, 2]))
               for k in range(0, t + 1, 64))[:, back]
     bias = flat.sum(axis=0).sum(axis=1)[back]
-    flat1 = _layer_rows(flat[:t], 0).transpose(0, 3, 1, 2).reshape(t * b, -1)
+    flat1 = a.flat1
+    flat1.reshape(t, b, 4, h)[...] = _layer_rows(flat[:t], 0).transpose(
+        0, 3, 1, 2)
     grads = dict(lstm2_wx=rec[:h, 4 * h:], lstm2_wh=rec[2 * h:, 4 * h:],
                  lstm2_b=bias[4 * h:],
                  lstm1_wx=(z1.reshape(t * b, -1).T @ flat1)[
@@ -640,17 +699,23 @@ def loss_and_gradients(
     labels: np.ndarray,
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-step cross-entropy over unmasked steps, plus gradients.
 
     Gradients cover every trainable tensor (running batch-norm moments
-    excluded).  Padding steps contribute exactly zero.
+    excluded).  Padding steps contribute exactly zero.  ``workspace``
+    keeps the memory of the BPTT arrays from call to call (``train``
+    passes one); by default they take fresh memory, freed before batch
+    norm's backward pass.
     """
     labels = np.asarray(labels)
     if labels.ndim == 1:
         labels = labels[None, :]
     probs, cache = forward(params, config, static, sequence, mode="train",
-                           mask=mask, rng=rng, want_cache=True)
+                           mask=mask, rng=rng, want_cache=True,
+                           workspace=workspace)
     mask = cache["mask"]
     b, t, _ = probs.shape
     if labels.shape != (b, t):
@@ -679,27 +744,38 @@ def loss_and_gradients(
     grads["fc2_b"] = dlogits.sum(axis=(0, 1))
     # Layer 2's output at time k-1 is the lagged scan's step k; step 0 is
     # its lead-in.
-    h = config.inner_dim
-    dz = np.zeros((t + 1, h, b))
-    dz[1:] = (dlogits @ params.fc2_w.T).transpose(0, 2, 1)
+    lstm = cache.pop("lstm")
+    d_out = lstm[0].d_out
+    d_out[0] = 0.0
+    d_out[1:] = (dlogits @ params.fc2_w.T).transpose(0, 2, 1)
     if drop[2] is not None:
-        dz[1:] *= drop[2]
-    lstm, dz = _lstm_gradients(cache.pop("lstm"), cache["z1"], dz)
-    grads.update(lstm)
+        d_out[1:] *= drop[2]
+    lstm_grads, dz = _lstm_gradients(lstm, cache.pop("z1"))
+    del lstm, d_out
+    grads.update(lstm_grads)
     if drop[0] is not None:
         dz *= drop[0]
 
-    # Batch norm backward over the unmasked positions only.
-    xhat_v = cache["xhat"][mask]
-    dy_v = dz[mask]
-    grads["bn_gamma"] = (dy_v * xhat_v).sum(axis=0)
-    grads["bn_beta"] = dy_v.sum(axis=0)
-    dxhat_v = dy_v * params.bn_gamma
-    da1 = np.zeros_like(dz)
-    da1[mask] = (cache["inv"] / n_valid) * (
-        n_valid * dxhat_v
-        - dxhat_v.sum(axis=0)
-        - xhat_v * (dxhat_v * xhat_v).sum(axis=0))
+    # Batch norm backward over the unmasked positions only, in place:
+    #   da1 = inv/n (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)),
+    # dxhat = dy gamma, with the products and then da1 in dz's place.
+    xhat_v = cache.pop("xhat")[mask]
+    dxhat_v = dz[mask]
+    prod = np.multiply(dxhat_v, xhat_v, dz.reshape(-1)[:dxhat_v.size]
+                       .reshape(dxhat_v.shape))
+    grads["bn_gamma"] = prod.sum(axis=0)
+    grads["bn_beta"] = dxhat_v.sum(axis=0)
+    dxhat_v *= params.bn_gamma
+    dxhat_sum = dxhat_v.sum(axis=0)
+    np.multiply(dxhat_v, xhat_v, prod)
+    xhat_v *= prod.sum(axis=0)
+    dxhat_v *= n_valid
+    dxhat_v -= dxhat_sum
+    dxhat_v -= xhat_v
+    dxhat_v *= cache["inv"] / n_valid
+    da1 = dz
+    da1[...] = 0.0
+    da1[mask] = dxhat_v
     grads["fc1_w"] = np.tensordot(cache["x"], da1, sum_tb)
     grads["fc1_b"] = da1.sum(axis=(0, 1))
     return loss, grads
@@ -827,12 +903,6 @@ def sample_accuracies(snapshots: list[FdnnParams], config: FdnnConfig,
     return [c / total for c in correct]
 
 
-def sample_accuracy(params: FdnnParams, config: FdnnConfig,
-                    examples: list[SequenceExample]) -> float:
-    """Fraction of steps classified correctly (strict threshold)."""
-    return sample_accuracies([params], config, examples)[0]
-
-
 def train(
     config: FdnnConfig,
     train_set: list[SequenceExample],
@@ -844,7 +914,8 @@ def train(
     Each epoch's end state is kept; after the last epoch (or, if the
     loss diverges, before ``TrainingDiverged`` is raised) every snapshot
     is scored on the validation set at once (``sample_accuracies``).  So
-    ``EpochLog.wall_seconds`` counts training only."""
+    ``EpochLog.wall_seconds`` counts training only.  Every batch runs in
+    one ``_Workspace``, sized for the largest batch seen."""
     if not train_set or not val_set:
         raise FdnnError("train and validation sets must be non-empty")
     params = init_params(config)
@@ -854,6 +925,7 @@ def train(
     adam_m = {f: np.zeros_like(getattr(params, f)) for f in TRAINABLE_FIELDS}
     adam_v = {f: np.zeros_like(getattr(params, f)) for f in TRAINABLE_FIELDS}
     step_count = 0
+    workspace = _Workspace()
 
     snapshots: list[FdnnParams] = []
     log: list[EpochLog] = []
@@ -873,8 +945,10 @@ def train(
             batch = [train_set[j] for j in order[i:i + config.batch_size]]
             static, seq, labels, mask = _pad_batch(batch)
             loss, grads = loss_and_gradients(
-                params, config, static, seq, labels, mask, rng=drop_rng)
+                params, config, static, seq, labels, mask, rng=drop_rng,
+                workspace=workspace)
             if not np.isfinite(loss):
+                del workspace
                 score()
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", log)
@@ -903,6 +977,7 @@ def train(
                  for n in norms])),
         ))
         snapshots.append(params.copy())
+    del workspace
     accuracies = score()
     if not snapshots:
         return params, log

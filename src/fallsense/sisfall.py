@@ -224,42 +224,61 @@ def parse_trial_file(data: bytes | str) -> np.ndarray:
     spaces around it, trailing semicolons and blank lines are tolerated
     (all occur in the public distribution).  Raises TrialParseError with
     the 1-based line number on any malformed row.
+
+    One pass over the whole text: each line is cleaned, the kept lines
+    are joined and split into fields once, and ``int()`` reads every
+    field.  Only a refused text is scanned again line by line
+    (``_first_fault``), to name its first bad line.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise TrialParseError(f"trial file is not text: {exc}") from None
-    rows: list[list[int]] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        line = line.strip().rstrip(";").strip()
+    lines = [line.strip().rstrip(";").strip() for line in data.splitlines()]
+    kept = list(filter(None, lines))
+    # Each kept line after the first starts a field with its "\n", so the
+    # lines hold 9 fields each iff there are 9 fields a line and every
+    # ninth field starts one.  int() also reads digit-group underscores
+    # and non-ASCII digits; it strips the whitespace str.strip() does
+    # except "\x1f", the one such character a line can hold inside it.
+    text = ",\n".join(kept)
+    fields = text.replace("\x1f", " ").split(",")
+    if (kept and "_" not in text and text.isascii()
+            and len(fields) == 9 * len(kept)
+            and "".join(fields[9::9]).count("\n") == len(kept) - 1):
+        try:
+            return np.fromiter(map(int, fields), np.int32,
+                               len(fields)).reshape(-1, 9)
+        except (ValueError, OverflowError):
+            pass
+    raise _first_fault(lines) from None
+
+
+def _first_fault(lines: list[str]) -> TrialParseError:
+    """The error of the first malformed one of these cleaned lines, else
+    of the first row outside int32, else of an empty file."""
+    info = np.iinfo(np.int32)
+    out_of_range = None
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 9:
-            raise TrialParseError(
+            return TrialParseError(
                 f"line {lineno}: expected 9 fields, got {len(fields)}")
         try:
-            # int() also reads digit-group underscores and non-ASCII digits
             if "_" in line or not line.isascii():
                 raise ValueError
-            rows.append([int(f) for f in fields])
+            row = [int(f) for f in fields]
         except ValueError:
-            raise TrialParseError(
-                f"line {lineno}: non-integer field in {line!r}") from None
-        linenos.append(lineno)
-    if not rows:
-        raise TrialParseError("empty trial file")
-    try:
-        return np.array(rows, dtype=np.int32)
-    except OverflowError:
-        info = np.iinfo(np.int32)
-        bad = next(i for i, row in enumerate(rows)
-                   if not info.min <= min(row) <= max(row) <= info.max)
-        raise TrialParseError(
-            f"line {linenos[bad]}: count outside int32 in {rows[bad]}"
-        ) from None
+            return TrialParseError(
+                f"line {lineno}: non-integer field in {line!r}")
+        if out_of_range is None and not (
+                info.min <= min(row) <= max(row) <= info.max):
+            out_of_range = TrialParseError(
+                f"line {lineno}: count outside int32 in {row}")
+    return out_of_range or TrialParseError("empty trial file")
 
 
 def load_trial(path: Path | str,

@@ -459,7 +459,7 @@ def test_b10_overfit_and_stream_equivalence(overfit_pipeline):
     bit-exactly in fast mode."""
     (pairs, examples, params, cfg, stats,
      fdnn_path, kan_path) = overfit_pipeline
-    acc = fdnn_mod.sample_accuracy(params, cfg, examples)
+    acc = fdnn_mod.sample_accuracies([params], cfg, examples)[0]
     assert acc >= 0.99
 
     compared = 0

@@ -154,6 +154,105 @@ class TestParseTrialFileFuzz:
         assert got.tolist() == want
 
 
+def line_parse_trial_file(data: bytes | str) -> np.ndarray:
+    """The line-by-line trial parser ``parse_trial_file`` replaced: the
+    reference for its arrays and its error messages."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TrialParseError(f"trial file is not text: {exc}") from None
+    rows: list[list[int]] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        line = line.strip().rstrip(";").strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 9:
+            raise TrialParseError(
+                f"line {lineno}: expected 9 fields, got {len(fields)}")
+        try:
+            # int() also reads digit-group underscores and non-ASCII digits
+            if "_" in line or not line.isascii():
+                raise ValueError
+            rows.append([int(f) for f in fields])
+        except ValueError:
+            raise TrialParseError(
+                f"line {lineno}: non-integer field in {line!r}") from None
+        linenos.append(lineno)
+    if not rows:
+        raise TrialParseError("empty trial file")
+    try:
+        return np.array(rows, dtype=np.int32)
+    except OverflowError:
+        info = np.iinfo(np.int32)
+        bad = next(i for i, row in enumerate(rows)
+                   if not info.min <= min(row) <= max(row) <= info.max)
+        raise TrialParseError(
+            f"line {linenos[bad]}: count outside int32 in {rows[bad]}"
+        ) from None
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except TrialParseError as exc:
+        return str(exc)
+
+
+# Whitespace str.strip() removes and int() does not ("\x1c"-"\x1f"),
+# line breaks of str.splitlines(), non-ASCII spaces and digits.
+_odd_chars = st.sampled_from(
+    list("\x1c\x1d\x1e\x1f\x0b\x0c\r\x85\xa0\u2028\u3000\u0663_;, \t+-"))
+_rows_with_odd_chars = st.lists(
+    st.lists(st.one_of(st.integers(-2 ** 33, 2 ** 33).map(str),
+                       st.text(_odd_chars, max_size=2),
+                       st.tuples(st.text(_odd_chars, max_size=2),
+                                 st.integers(-99, 99),
+                                 st.text(_odd_chars, max_size=2)
+                                 ).map(lambda p: f"{p[0]}{p[1]}{p[2]}")),
+             min_size=7, max_size=10).map(",".join),
+    max_size=5).map("\n".join)
+
+
+class TestParseTrialFileMatchesLineParser:
+    """``parse_trial_file`` gives the line-by-line parser's array, or its
+    error message, on any text."""
+
+    @given(st.one_of(_trial_texts, _rows_with_odd_chars,
+                     st.text(max_size=40)), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_same_array_or_same_message(self, text, as_bytes):
+        data = text.encode("utf-8") if as_bytes else text
+        want = _outcome(line_parse_trial_file, data)
+        got = _outcome(parse_trial_file, data)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text", [
+        "1,2,3,4,5,6,7,8,9\n\xa0\n",            # a stripped non-ASCII line
+        "\x1f1,2,3,4,5,6,7,8, 9\x1f;\x1f",       # strip() takes "\x1f"
+        "1,2,3,4,5,6,7,8,9\x1f\x1f",
+        "1,\x1f2\x1f,3,4,5,6,7,8,9",              # int() alone would not
+        "1,2\x1f3,3,4,5,6,7,8,9",
+        "1,2,3,4,5,6,7,8,9\x1c1,2,3,4,5,6,7,8,9",  # a line break
+        "2147483648,0,0,0,0,0,0,0,0\n1,2,3\n",     # field count first
+        "1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7,8,9,10",    # 18 fields, misaligned
+        "1,2,3,4,5,6,7,8,9,1\n2,3,4,5,6,7,8,9",
+        "2147483648,0,0,0,0,0,0,0,0\n" + "9" * 20 + ",0,0,0,0,0,0,0,0",
+    ])
+    def test_edge_cases(self, text):
+        want = _outcome(line_parse_trial_file, text)
+        got = _outcome(parse_trial_file, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+
 class TestCalibrate:
     def test_zero_counts_map_to_zero(self):
         s = calibrate_trial(np.zeros((1, 9), dtype=int))
