@@ -217,10 +217,13 @@ def falling_probability(z) -> float:
     classes >= 2) on floats.  Every exponent is <= 0, so no logit
     overflows; a NaN logit gives NaN."""
     m = max(z)
-    total = 0.0
-    for v in z:
-        total += math.exp(v - m)
-    return math.exp(z[1] - m) / total
+    p = math.exp(z[1] - m)
+    # The sum from 0.0 in logit order: 0.0 + e0 is e0, and every e >= 0.
+    total = math.exp(z[0] - m) + p
+    if len(z) > 2:
+        for v in z[2:]:
+            total += math.exp(v - m)
+    return p / total
 
 
 def _folded_weights(params: FdnnParams, config: FdnnConfig):
@@ -248,8 +251,9 @@ class InferStep:
     state, so layer 1 is ``[x | h1 | 1] @ W1``, layer 2
     ``[h1 | 1 | h2] @ W2`` and fc2 ``[1 | h2] @ W3``, each one matmul on a
     view of it, whose columns are in ``gate_layout``; ``_lstm_cell``
-    finishes each layer.  A call returns ``falling_probability`` of each
-    row's logits.
+    finishes each layer.  ``inputs`` is the buffer's ``x`` columns, the
+    (rows, input_dim) view that the next step reads.  A call returns
+    ``falling_probability`` of each row's logits.
 
     ``params`` is one parameter set for every row, or a list of one set
     per row; each distinct set is folded once.
@@ -280,7 +284,7 @@ class InferStep:
         buf[:, d + h] = 1.0
         h1, h2 = buf[:, d:d + h], buf[:, d + h + 1:]
         c1, c2 = np.zeros((rows, h)), np.zeros((rows, h))
-        self._x = buf[:, :d]
+        self.inputs = buf[:, :d]
         self._logits = np.empty((rows, config.classes))
         # Each product's operands, as one-row stacks at rows > 1.
         self._matmul, one = ((np.dot, ()) if rows == 1
@@ -295,9 +299,9 @@ class InferStep:
                 z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
                 z[:, h:], c, c, np.empty((rows, h)), h_out, sig_half)))
 
-    def _advance(self, x: np.ndarray) -> None:
-        """One step of every row; the logits land in ``self._logits``."""
-        self._x[...] = x
+    def _advance(self) -> None:
+        """One step of every row from ``inputs``; the logits land in
+        ``self._logits``."""
         matmul = self._matmul
         for inputs, w, z, cell in self._cells:
             matmul(inputs, w, z)
@@ -307,12 +311,20 @@ class InferStep:
 
     def __call__(self, x: np.ndarray) -> list[float]:
         """P(falling) after one step of each row."""
-        self._advance(x)
+        self.inputs[...] = x
+        self._advance()
         return [falling_probability(z) for z in self._logits.tolist()]
 
-    def step(self, x: np.ndarray) -> float:
-        """P(falling) of row 0 after one step: the stream's detector call."""
-        self._advance(x)
+    def step(self, x: np.ndarray | None = None) -> float:
+        """P(falling) of row 0 after one step: the stream's detector call.
+
+        The step reads ``inputs[0]``, which ``x`` is copied into when
+        given; the stream writes its standardized row there itself and
+        passes none.
+        """
+        if x is not None:
+            self.inputs[...] = x
+        self._advance()
         return falling_probability(self._logits.tolist()[0])
 
 
@@ -822,7 +834,11 @@ def _pad_batch(examples: list[SequenceExample]):
 def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale the gradients in place to a global norm of at most
     ``max_norm`` (when positive); returns the norm before clipping."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    # A loop from 0.0, not sum(), which compensates floats on 3.12+.
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    total = np.sqrt(total)
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():

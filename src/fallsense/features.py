@@ -307,8 +307,12 @@ def mrmr_select(
         best_score = -np.inf
         best_red = 0.0
         for i in remaining:
-            red = (sum(mi_pair(i, j) for j in chosen_idx) / len(chosen_idx)
-                   if chosen_idx else 0.0)
+            # A loop from 0.0, not sum(), which compensates floats on 3.12+.
+            red = 0.0
+            for j in chosen_idx:
+                red += mi_pair(i, j)
+            if chosen_idx:
+                red /= len(chosen_idx)
             score = relevance[i] - red
             if score > best_score:
                 best_i, best_score, best_red = i, score, red

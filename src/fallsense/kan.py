@@ -583,11 +583,14 @@ def fit_records(
         train_rmse = rmse(kan_eval_batch(in_ms, xs), train_y)
         val_rmse = rmse(kan_eval_batch(in_ms, xv), yv) if len(yv) \
             else train_rmse
+        # A loop from 0.0, not sum(), which compensates floats on 3.12+.
+        abs_residual = 0.0
+        for info in infos:
+            abs_residual += abs(info.residual)
         log.append(FitEpochLog(
             epoch, train_rmse, val_rmse,
             degenerate=sum(info.degenerate for info in infos),
-            mean_abs_residual=y_scale * sum(
-                abs(info.residual) for info in infos) / len(infos)))
+            mean_abs_residual=y_scale * abs_residual / len(infos)))
         if val_rmse < best_rmse:
             best_rmse = val_rmse
             best_model = in_ms

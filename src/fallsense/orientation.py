@@ -13,6 +13,16 @@ would dwarf the arithmetic.  The stream takes the two steps once per
 sample, and ``estimate_orientation`` scans them over a trial's rows, so
 batch frames and streamed frames share one filter definition.
 
+Each step is one function body.  The rotation-vector exponential, the
+quaternion product and its normalization (``_rotate``), the rotation
+matrix entries (``_rotation``, ``_up_row``), the congruence M P M^T and
+the new state's construction are written out inline, with the helpers'
+float operations in the helpers' order: at this size a Python call and
+its argument tuples cost as much as the arithmetic they wrap, and the
+steps run twice per sample.  The helpers stay for ``quat_from_rotvec``,
+``quat_to_matrix`` and ``tilt``; the tests keep the helper-composed steps
+as the bit-for-bit reference for the inline ones.
+
 Quaternions are scalar-first [w, x, y, z], unit norm, canonical sign
 (w >= 0), and rotate body-frame vectors into the world frame.  The world
 z axis points up (opposite gravity).
@@ -74,7 +84,7 @@ def _rotate(q, vx: float, vy: float, vz: float):
     dq = exp(v), the exact exponential map.  Returns both 4-tuples.
 
     One body for the exponential, the product and the normalization,
-    which both filter steps take once per sample.
+    whose arithmetic both filter steps write out inline in this order.
     """
     angle = math.sqrt(vx * vx + vy * vy + vz * vz)
     if angle < 1e-12:
@@ -226,16 +236,6 @@ class FilterState:
         self.cov = (p00, p01, p02, p11, p12, p22)
         self.config = FilterConfig() if config is None else config
 
-    @classmethod
-    def _of(cls, quat: tuple[float, ...], cov: tuple[float, ...],
-            config: FilterConfig) -> FilterState:
-        """A state from float tuples as they are: the steps' constructor."""
-        state = object.__new__(cls)
-        state.quat = quat
-        state.cov = cov
-        state.config = config
-        return state
-
     def __repr__(self) -> str:
         return (f"FilterState(quat={self.quat}, cov={self.cov}, "
                 f"config={self.config})")
@@ -258,46 +258,70 @@ def _check_dt(dt: float) -> None:
         raise OrientationError(f"dt must be positive and finite, got {dt}")
 
 
-def _congruence(m, p) -> tuple[float, ...]:
-    """Upper triangle of M P M^T; M is a row-major 9-tuple, P an upper
-    triangle."""
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
-    p00, p01, p02, p11, p12, p22 = p
-    a00 = m00 * p00 + m01 * p01 + m02 * p02     # A = M P
-    a01 = m00 * p01 + m01 * p11 + m02 * p12
-    a02 = m00 * p02 + m01 * p12 + m02 * p22
-    a10 = m10 * p00 + m11 * p01 + m12 * p02
-    a11 = m10 * p01 + m11 * p11 + m12 * p12
-    a12 = m10 * p02 + m11 * p12 + m12 * p22
-    a20 = m20 * p00 + m21 * p01 + m22 * p02
-    a21 = m20 * p01 + m21 * p11 + m22 * p12
-    a22 = m20 * p02 + m21 * p12 + m22 * p22
-    return (a00 * m00 + a01 * m01 + a02 * m02,
-            a00 * m10 + a01 * m11 + a02 * m12,
-            a00 * m20 + a01 * m21 + a02 * m22,
-            a10 * m10 + a11 * m11 + a12 * m12,
-            a10 * m20 + a11 * m21 + a12 * m22,
-            a20 * m20 + a21 * m21 + a22 * m22)
-
-
 def predict_step(state: FilterState, omega_dps,
                  dt: float) -> FilterState:
     """Advance the attitude by the exact exponential of the body rates
     (deg/s, an array row or a 3-sequence of floats)."""
-    _check_dt(dt)
-    wx, wy, wz = _floats(omega_dps)
+    # Written as "not (valid)" so that NaN is rejected too.
+    if not 0.0 < dt < math.inf:
+        raise OrientationError(f"dt must be positive and finite, got {dt}")
+    wx, wy, wz = (omega_dps.tolist() if isinstance(omega_dps, np.ndarray)
+                  else omega_dps)
     if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
         raise OrientationError("non-finite gyro sample")
     scale = DEG * dt
-    q, dq = _rotate(state.quat, wx * scale, wy * scale, wz * scale)
+    vx, vy, vz = wx * scale, wy * scale, wz * scale
+    # dq = exp(v), as ``_rotate`` takes it.
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if angle < 1e-12:
+        dw, dx, dy, dz = 1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz
+    else:
+        half = 0.5 * angle
+        s = math.sin(half) / angle
+        dw, dx, dy, dz = math.cos(half), vx * s, vy * s, vz * s
+    qw, qx, qy, qz = state.quat
+    w = qw * dw - qx * dx - qy * dy - qz * dz   # q * dq
+    x = qw * dx + qx * dw + qy * dz - qz * dy
+    y = qw * dy - qx * dz + qy * dw + qz * dx
+    z = qw * dz + qx * dy - qy * dx + qz * dw
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise OrientationError("cannot normalize zero/non-finite quaternion")
+    if w < 0.0:
+        n = -n
     # Body-side error state: delta_next = R(dq)^T delta + noise, so
     # P <- F P F^T + Q with F = R(dq)^T and Q = gyro_noise dt I.
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(dq)
-    p00, p01, p02, p11, p12, p22 = _congruence(
-        (r00, r10, r20, r01, r11, r21, r02, r12, r22), state.cov)
-    qn = state.config.gyro_noise * dt
-    return FilterState._of(q, (p00 + qn, p01, p02, p11 + qn, p12, p22 + qn),
-                           state.config)
+    f00 = 1 - 2 * (dy * dy + dz * dz)
+    f01 = 2 * (dx * dy + dw * dz)
+    f02 = 2 * (dx * dz - dw * dy)
+    f10 = 2 * (dx * dy - dw * dz)
+    f11 = 1 - 2 * (dx * dx + dz * dz)
+    f12 = 2 * (dy * dz + dw * dx)
+    f20 = 2 * (dx * dz + dw * dy)
+    f21 = 2 * (dy * dz - dw * dx)
+    f22 = 1 - 2 * (dx * dx + dy * dy)
+    p00, p01, p02, p11, p12, p22 = state.cov
+    a00 = f00 * p00 + f01 * p01 + f02 * p02     # A = F P
+    a01 = f00 * p01 + f01 * p11 + f02 * p12
+    a02 = f00 * p02 + f01 * p12 + f02 * p22
+    a10 = f10 * p00 + f11 * p01 + f12 * p02
+    a11 = f10 * p01 + f11 * p11 + f12 * p12
+    a12 = f10 * p02 + f11 * p12 + f12 * p22
+    a20 = f20 * p00 + f21 * p01 + f22 * p02
+    a21 = f20 * p01 + f21 * p11 + f22 * p12
+    a22 = f20 * p02 + f21 * p12 + f22 * p22
+    cfg = state.config
+    qn = cfg.gyro_noise * dt
+    out = object.__new__(FilterState)   # not __init__, which reads arrays
+    out.quat = (w / n, x / n, y / n, z / n)
+    out.cov = (a00 * f00 + a01 * f01 + a02 * f02 + qn,     # A F^T + Q
+               a00 * f10 + a01 * f11 + a02 * f12,
+               a00 * f20 + a01 * f21 + a02 * f22,
+               a10 * f10 + a11 * f11 + a12 * f12 + qn,
+               a10 * f20 + a11 * f21 + a12 * f22,
+               a20 * f20 + a21 * f21 + a22 * f22 + qn)
+    out.config = cfg
+    return out
 
 
 def update_step(state: FilterState, accel_g) -> FilterState:
@@ -308,7 +332,8 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     dynamic motion and leave the state untouched (the same object is
     returned).
     """
-    ax, ay, az = _floats(accel_g)
+    ax, ay, az = (accel_g.tolist() if isinstance(accel_g, np.ndarray)
+                  else accel_g)
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
         raise OrientationError("non-finite accelerometer sample")
     norm = math.sqrt(ax * ax + ay * ay + az * az)
@@ -316,12 +341,16 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     if not (cfg.gate_low_g <= norm <= cfg.gate_high_g):
         return state
 
-    # Predicted up in the body frame: R(q)^T e_z, the third row of R(q).
-    vx, vy, vz = _up_row(state.quat)
+    # Predicted up in the body frame: R(q)^T e_z, the third row of R(q),
+    # as ``_up_row`` reads it.
+    qw, qx, qy, qz = state.quat
+    vx = 2 * (qx * qz - qw * qy)
+    vy = 2 * (qy * qz + qw * qx)
+    vz = 1 - 2 * (qx * qx + qy * qy)
     ex, ey, ez = ax / norm - vx, ay / norm - vy, az / norm - vz  # innovation
     # h(dtheta) ~ v + [v]_x dtheta, so H = [v]_x = [[0, -vz, vy],
     # [vz, 0, -vx], [-vy, vx, 0]] and R = accel_noise I.
-    p00, p01, p02, p11, p12, p22 = p = state.cov
+    p00, p01, p02, p11, p12, p22 = state.cov
     b00 = p02 * vy - p01 * vz                   # B = P H^T
     b01 = p00 * vz - p02 * vx
     b02 = p01 * vx - p00 * vy
@@ -363,23 +392,63 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     k21 = b20 * c01 + b21 * c11 + b22 * c12
     k22 = b20 * c02 + b21 * c12 + b22 * c22
 
-    q = _rotate(state.quat, k00 * ex + k01 * ey + k02 * ez,
-                k10 * ex + k11 * ey + k12 * ez,
-                k20 * ex + k21 * ey + k22 * ez)[0]
+    # q turned by dtheta = K e, as ``_rotate`` turns it.
+    tx = k00 * ex + k01 * ey + k02 * ez
+    ty = k10 * ex + k11 * ey + k12 * ez
+    tz = k20 * ex + k21 * ey + k22 * ez
+    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if angle < 1e-12:
+        dw, dx, dy, dz = 1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz
+    else:
+        half = 0.5 * angle
+        s = math.sin(half) / angle
+        dw, dx, dy, dz = math.cos(half), tx * s, ty * s, tz * s
+    w = qw * dw - qx * dx - qy * dy - qz * dz   # q * dq
+    x = qw * dx + qx * dw + qy * dz - qz * dy
+    y = qw * dy - qx * dz + qy * dw + qz * dx
+    z = qw * dz + qx * dy - qy * dx + qz * dw
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise OrientationError("cannot normalize zero/non-finite quaternion")
+    if w < 0.0:
+        n = -n
 
-    # Joseph form: P <- (I - K H) P (I - K H)^T + K R K^T.
-    j00, j01, j02, j11, j12, j22 = _congruence(
-        (1.0 - k01 * vz + k02 * vy, k00 * vz - k02 * vx, k01 * vx - k00 * vy,
-         k12 * vy - k11 * vz, 1.0 + k10 * vz - k12 * vx, k11 * vx - k10 * vy,
-         k22 * vy - k21 * vz, k20 * vz - k22 * vx, 1.0 + k21 * vx - k20 * vy),
-        p)
-    return FilterState._of(q, (
-        j00 + r * (k00 * k00 + k01 * k01 + k02 * k02),
-        j01 + r * (k00 * k10 + k01 * k11 + k02 * k12),
-        j02 + r * (k00 * k20 + k01 * k21 + k02 * k22),
-        j11 + r * (k10 * k10 + k11 * k11 + k12 * k12),
-        j12 + r * (k10 * k20 + k11 * k21 + k12 * k22),
-        j22 + r * (k20 * k20 + k21 * k21 + k22 * k22)), cfg)
+    # Joseph form: P <- M P M^T + K R K^T with M = I - K H.
+    m00 = 1.0 - k01 * vz + k02 * vy
+    m01 = k00 * vz - k02 * vx
+    m02 = k01 * vx - k00 * vy
+    m10 = k12 * vy - k11 * vz
+    m11 = 1.0 + k10 * vz - k12 * vx
+    m12 = k11 * vx - k10 * vy
+    m20 = k22 * vy - k21 * vz
+    m21 = k20 * vz - k22 * vx
+    m22 = 1.0 + k21 * vx - k20 * vy
+    a00 = m00 * p00 + m01 * p01 + m02 * p02     # A = M P
+    a01 = m00 * p01 + m01 * p11 + m02 * p12
+    a02 = m00 * p02 + m01 * p12 + m02 * p22
+    a10 = m10 * p00 + m11 * p01 + m12 * p02
+    a11 = m10 * p01 + m11 * p11 + m12 * p12
+    a12 = m10 * p02 + m11 * p12 + m12 * p22
+    a20 = m20 * p00 + m21 * p01 + m22 * p02
+    a21 = m20 * p01 + m21 * p11 + m22 * p12
+    a22 = m20 * p02 + m21 * p12 + m22 * p22
+    out = object.__new__(FilterState)   # not __init__, which reads arrays
+    out.quat = (w / n, x / n, y / n, z / n)
+    out.cov = (
+        a00 * m00 + a01 * m01 + a02 * m02
+        + r * (k00 * k00 + k01 * k01 + k02 * k02),
+        a00 * m10 + a01 * m11 + a02 * m12
+        + r * (k00 * k10 + k01 * k11 + k02 * k12),
+        a00 * m20 + a01 * m21 + a02 * m22
+        + r * (k00 * k20 + k01 * k21 + k02 * k22),
+        a10 * m10 + a11 * m11 + a12 * m12
+        + r * (k10 * k10 + k11 * k11 + k12 * k12),
+        a10 * m20 + a11 * m21 + a12 * m22
+        + r * (k10 * k20 + k11 * k21 + k12 * k22),
+        a20 * m20 + a21 * m21 + a22 * m22
+        + r * (k20 * k20 + k21 * k21 + k22 * k22))
+    out.config = cfg
+    return out
 
 
 def init_state(accel_mean_g: np.ndarray,

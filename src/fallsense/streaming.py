@@ -6,6 +6,12 @@ falling) one impact-time evaluation.  Real-time mode paces samples at the
 200 Hz period; fast mode runs unpaced.  Event values are identical in
 both modes.
 
+The tick does no more than it must: the frame's detector entries are
+written and standardized in the detector's own input row
+(``InferStep.inputs``), so its ``step`` copies nothing, and each tick
+keeps its event as a plain tuple; the ``StreamEvent`` list is built once
+after the last sample.
+
 The orientation filter starts like the batch estimator
 (``orientation.filter_start``: the accelerometer mean over the first half
 second), so a streamed trial reproduces the batch detector outputs bit for
@@ -157,16 +163,16 @@ def stream_trial(
         maxlen=kan_model.config.window_samples)
 
     # Each sample's 19-entry frame is one list of Python floats, built from
-    # these rows and the filter's quaternion; the detector reads its first
-    # 18 entries, standardized in place in ``inputs``.
+    # these rows and the filter's quaternion; its first 18 entries are
+    # written into the detector's own input row and standardized there.
     static = subject.static_vector().tolist()
     accel = trial.accel_adxl345.tolist()
     accel2 = trial.accel_mma8451q.tolist()
     gyro = trial.gyro_itg3200.tolist()
     n_fdnn = len(FDNN_FEATURES)
-    inputs = np.empty(n_fdnn)
+    inputs = detector.inputs[0]
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
-    events: list[StreamEvent] = []
+    ticks: list[tuple] = []     # each event's fields, one tuple per sample
     latencies: list[float] = []
     realtime = mode == "realtime"
     clock = time.perf_counter_ns
@@ -199,7 +205,7 @@ def stream_trial(
         inputs[:] = frame[:n_fdnn]
         np.subtract(inputs, mean, out=inputs)
         np.divide(inputs, std, out=inputs)
-        p_fall = detector.step(inputs)
+        p_fall = detector.step()
         decision = p_fall > threshold
 
         recent.append(frame)
@@ -217,8 +223,9 @@ def stream_trial(
             tti = kan_mod.predict_smoothed_row(kernel, smoothed)
         latency_us = (clock() - t0) / 1000.0
         latencies.append(latency_us)
-        events.append(StreamEvent(k, p_fall, decision, tti, latency_us))
+        ticks.append((k, p_fall, decision, tti, latency_us))
 
+    events = list(map(StreamEvent._make, ticks))
     latencies = np.array(latencies)
     report = LatencyReport(
         mean_us=float(latencies.mean()),

@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -628,6 +630,19 @@ class TestFallingProbability:
         want = fdnn.softmax_rows(np.array([logits]))[0, 1]
         assert abs(fdnn.falling_probability(logits) - want) <= 1e-15
 
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_of_the_loop_from_zero(self, logits):
+        # every exponential summed from 0.0 in logit order, entry 1's
+        # exponential over the sum: computing that exponential once gives
+        # the same bits
+        m = max(logits)
+        total = 0.0
+        for v in logits:
+            total += math.exp(v - m)
+        assert fdnn.falling_probability(logits) == math.exp(
+            logits[1] - m) / total
+
     @pytest.mark.parametrize("logits, want", [
         ([0.0, 1e4], 1.0), ([1e4, 0.0], 0.0), ([-1e4, 0.0], 1.0),
         ([0.0, -1e4], 0.0), ([0.0, 1e4, 0.0], 1.0), ([1e4, 0.0, -1e4], 0.0),
@@ -1069,6 +1084,29 @@ def _log_rows(log):
     but the epoch number and ``wall_seconds``."""
     return [(r.train_loss, r.val_accuracy, r.grad_norm_mean, r.grad_norm_max,
              r.clipped_fraction) for r in log]
+
+
+class TestClipGradients:
+    # one gradient of norm 1 and ten whose squares are each under half an
+    # ulp of 1: a left-to-right sum stays at 1.0, a compensated one (Python
+    # 3.12+'s ``sum()``, or ``math.fsum``) does not
+    GRADS = {"big": np.ones(1), **{f"small{k}": np.full(1, 0.775e-8)
+                                   for k in range(10)}}
+
+    def test_norm_is_the_left_to_right_sum(self, monkeypatch):
+        squares = [float((g * g).sum()) for g in self.GRADS.values()]
+        total = 0.0
+        for v in squares:
+            total += v
+        assert total == 1.0 and math.fsum(squares) != total  # has teeth
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        grads = {k: g.copy() for k, g in self.GRADS.items()}
+        assert fdnn._clip_gradients(grads, 0.0) == np.sqrt(total)
+
+    def test_clips_to_max_norm(self):
+        grads = {"a": np.array([3.0, 4.0])}
+        assert fdnn._clip_gradients(grads, 1.0) == 5.0
+        assert np.array_equal(grads["a"], np.array([3.0, 4.0]) * (1.0 / 5.0))
 
 
 class TestTrainScoresSnapshotsAtOnce:

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,10 +137,11 @@ class TestClosedFormMatchesMatrixForm:
 
 
 # ---------------------------------------------------------------------------
-# The float compositions the steps took before ``_rotate`` and ``_up_row``
-# fused them, kept as references: the exponential, the product and the
-# normalization as three calls, and the third row read off all nine
-# entries of R(q).  A step with these swapped in gives the same bits.
+# The steps as they were composed of helpers before their bodies were
+# inlined, kept as the bit-for-bit reference: the exponential, the product
+# and the normalization as three calls, the third row read off all nine
+# entries of R(q), the congruence M P M^T as a call, and a state built by
+# its own constructor.  The inlined steps give the same bits.
 # ---------------------------------------------------------------------------
 
 def _ref_rotvec_quat(vx, vy, vz):
@@ -168,14 +168,141 @@ def _ref_rotate(q, vx, vy, vz):
     return quat_normalize(_ref_quat_multiply(q, dq)), dq
 
 
+def _ref_rotation(q):
+    w, x, y, z = q
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
 def _ref_up_row(q):
-    return orientation._rotation(q)[6:]
+    return _ref_rotation(q)[6:]
 
 
-def _composed_steps():
-    """The filter steps with the reference compositions in place."""
-    return mock.patch.multiple(orientation, _rotate=_ref_rotate,
-                               _up_row=_ref_up_row)
+def _ref_congruence(m, p):
+    """Upper triangle of M P M^T; M is a row-major 9-tuple, P an upper
+    triangle."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    p00, p01, p02, p11, p12, p22 = p
+    a00 = m00 * p00 + m01 * p01 + m02 * p02     # A = M P
+    a01 = m00 * p01 + m01 * p11 + m02 * p12
+    a02 = m00 * p02 + m01 * p12 + m02 * p22
+    a10 = m10 * p00 + m11 * p01 + m12 * p02
+    a11 = m10 * p01 + m11 * p11 + m12 * p12
+    a12 = m10 * p02 + m11 * p12 + m12 * p22
+    a20 = m20 * p00 + m21 * p01 + m22 * p02
+    a21 = m20 * p01 + m21 * p11 + m22 * p12
+    a22 = m20 * p02 + m21 * p12 + m22 * p22
+    return (a00 * m00 + a01 * m01 + a02 * m02,
+            a00 * m10 + a01 * m11 + a02 * m12,
+            a00 * m20 + a01 * m21 + a02 * m22,
+            a10 * m10 + a11 * m11 + a12 * m12,
+            a10 * m20 + a11 * m21 + a12 * m22,
+            a20 * m20 + a21 * m21 + a22 * m22)
+
+
+def _ref_state(quat, cov, config):
+    state = object.__new__(FilterState)
+    state.quat = quat
+    state.cov = cov
+    state.config = config
+    return state
+
+
+def _ref_floats(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _ref_predict_step(state, omega_dps, dt):
+    if not 0.0 < dt < math.inf:
+        raise OrientationError(f"dt must be positive and finite, got {dt}")
+    wx, wy, wz = _ref_floats(omega_dps)
+    if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
+        raise OrientationError("non-finite gyro sample")
+    scale = DEG * dt
+    q, dq = _ref_rotate(state.quat, wx * scale, wy * scale, wz * scale)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _ref_rotation(dq)
+    p00, p01, p02, p11, p12, p22 = _ref_congruence(
+        (r00, r10, r20, r01, r11, r21, r02, r12, r22), state.cov)
+    qn = state.config.gyro_noise * dt
+    return _ref_state(q, (p00 + qn, p01, p02, p11 + qn, p12, p22 + qn),
+                      state.config)
+
+
+def _ref_update_step(state, accel_g):
+    ax, ay, az = _ref_floats(accel_g)
+    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
+        raise OrientationError("non-finite accelerometer sample")
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    cfg = state.config
+    if not (cfg.gate_low_g <= norm <= cfg.gate_high_g):
+        return state
+    vx, vy, vz = _ref_up_row(state.quat)
+    ex, ey, ez = ax / norm - vx, ay / norm - vy, az / norm - vz
+    p00, p01, p02, p11, p12, p22 = p = state.cov
+    b00 = p02 * vy - p01 * vz
+    b01 = p00 * vz - p02 * vx
+    b02 = p01 * vx - p00 * vy
+    b10 = p12 * vy - p11 * vz
+    b11 = p01 * vz - p12 * vx
+    b12 = p11 * vx - p01 * vy
+    b20 = p22 * vy - p12 * vz
+    b21 = p02 * vz - p22 * vx
+    b22 = p12 * vx - p02 * vy
+    r = cfg.accel_noise
+    s00 = b20 * vy - b10 * vz + r
+    s01 = b21 * vy - b11 * vz
+    s02 = b22 * vy - b12 * vz
+    s11 = b01 * vz - b21 * vx + r
+    s12 = b02 * vz - b22 * vx
+    s22 = b12 * vx - b02 * vy + r
+    c00 = s11 * s22 - s12 * s12
+    c01 = s02 * s12 - s01 * s22
+    c02 = s01 * s12 - s02 * s11
+    c11 = s00 * s22 - s02 * s02
+    c12 = s01 * s02 - s00 * s12
+    c22 = s00 * s11 - s01 * s01
+    inv_det = 1.0 / (s00 * c00 + s01 * c01 + s02 * c02)
+    c00 *= inv_det
+    c01 *= inv_det
+    c02 *= inv_det
+    c11 *= inv_det
+    c12 *= inv_det
+    c22 *= inv_det
+    k00 = b00 * c00 + b01 * c01 + b02 * c02
+    k01 = b00 * c01 + b01 * c11 + b02 * c12
+    k02 = b00 * c02 + b01 * c12 + b02 * c22
+    k10 = b10 * c00 + b11 * c01 + b12 * c02
+    k11 = b10 * c01 + b11 * c11 + b12 * c12
+    k12 = b10 * c02 + b11 * c12 + b12 * c22
+    k20 = b20 * c00 + b21 * c01 + b22 * c02
+    k21 = b20 * c01 + b21 * c11 + b22 * c12
+    k22 = b20 * c02 + b21 * c12 + b22 * c22
+    q = _ref_rotate(state.quat, k00 * ex + k01 * ey + k02 * ez,
+                    k10 * ex + k11 * ey + k12 * ez,
+                    k20 * ex + k21 * ey + k22 * ez)[0]
+    j00, j01, j02, j11, j12, j22 = _ref_congruence(
+        (1.0 - k01 * vz + k02 * vy, k00 * vz - k02 * vx, k01 * vx - k00 * vy,
+         k12 * vy - k11 * vz, 1.0 + k10 * vz - k12 * vx, k11 * vx - k10 * vy,
+         k22 * vy - k21 * vz, k20 * vz - k22 * vx, 1.0 + k21 * vx - k20 * vy),
+        p)
+    return _ref_state(q, (
+        j00 + r * (k00 * k00 + k01 * k01 + k02 * k02),
+        j01 + r * (k00 * k10 + k01 * k11 + k02 * k12),
+        j02 + r * (k00 * k20 + k01 * k21 + k02 * k22),
+        j11 + r * (k10 * k10 + k11 * k11 + k12 * k12),
+        j12 + r * (k10 * k20 + k11 * k21 + k12 * k22),
+        j22 + r * (k20 * k20 + k21 * k21 + k22 * k22)), cfg)
+
+
+def _same_step(out, ref, state):
+    """The same bits, and a gated sample leaves the same object, which
+    the benchmark's rejection counter reads."""
+    assert (out is state) == (ref is state)
+    assert out.quat == ref.quat and out.cov == ref.cov
+    assert out.config is ref.config
 
 
 # Rotation vectors down to 1e-16 rad, so the first-order branch
@@ -185,47 +312,114 @@ _rotvecs = st.builds(lambda d, e: tuple((np.array(d) * 10.0 ** e).tolist()),
 # q about pi about x turned further about x: the product's w is negative,
 # so the normalization flips the sign.
 _FLIP = (tuple(quat_normalize((0.01, 1.0, 0.0, 0.0))), (0.5, 0.0, 0.0))
+_FLIP_STATE = FilterState(np.array(_FLIP[0]), np.eye(3))
+# An accelerometer sample that turns _FLIP_STATE's attitude through
+# w < 0 in the update.
+_FLIP_ACCEL = (0.0, -1.0, 0.0)
+# Gates whose bounds are exact square roots, so a sample can sit on them.
+_EXACT_GATES = FilterConfig(gate_low_g=0.5, gate_high_g=2.0)
 
 
 class TestFusedStepsMatchComposedChain:
     @given(filter_states(), _rotvecs)
-    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), _FLIP[1])
-    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), (1e-13, 0.0, 0.0))
-    @example(FilterState(np.array(_FLIP[0]), np.eye(3)), (0.0, 0.0, 0.0))
+    @example(_FLIP_STATE, _FLIP[1])
+    @example(_FLIP_STATE, (1e-13, 0.0, 0.0))
+    @example(_FLIP_STATE, (0.0, 0.0, 0.0))
     @settings(max_examples=300, deadline=None)
     def test_rotate_and_up_row(self, state, v):
         assert orientation._rotate(state.quat, *v) == _ref_rotate(
             state.quat, *v)
         assert orientation._up_row(state.quat) == _ref_up_row(state.quat)
+        assert orientation._rotation(state.quat) == _ref_rotation(state.quat)
 
     def test_flip_example_has_a_negative_product(self):
         q, v = _FLIP
         assert _ref_quat_multiply(q, _ref_rotvec_quat(*v))[0] < 0.0
 
+    def test_update_flip_example_has_a_negative_product(self):
+        # the same correction, recomputed through the matrix form: q * dq
+        # has w < 0 before the normalization flips it
+        state = _FLIP_STATE
+        v = quat_to_matrix(state.q).T @ WORLD_UP
+        H = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
+                      [-v[1], v[0], 0.0]])
+        S = H @ state.P @ H.T + state.config.accel_noise * np.eye(3)
+        dtheta = state.P @ H.T @ np.linalg.solve(S, np.array(_FLIP_ACCEL)
+                                                 - v)
+        assert _ref_quat_multiply(
+            state.quat, _ref_rotvec_quat(*dtheta.tolist()))[0] < 0.0
+
     @given(filter_states(), _rotvecs)
+    @example(_FLIP_STATE, _FLIP[1])                     # w < 0 flip
+    @example(_FLIP_STATE, (1e-13, 0.0, 0.0))            # first order
+    @example(_FLIP_STATE, (0.0, 0.0, 0.0))
     @settings(max_examples=300, deadline=None)
     def test_predict_bits(self, state, v):
         omega = np.array(v) / (DEG * 0.005)
-        out = predict_step(state, omega, 0.005)
-        with _composed_steps():
-            ref = predict_step(state, omega, 0.005)
-        assert out.quat == ref.quat and out.cov == ref.cov
+        for sample in (omega, omega.tolist()):          # array or list
+            _same_step(predict_step(state, sample, 0.005),
+                       _ref_predict_step(state, sample, 0.005), state)
 
     @given(filter_states(), _vec3, st.floats(0.0, 2.0), st.booleans())
+    @example(_FLIP_STATE, _FLIP_ACCEL, 1.0, False)      # w < 0 flip
+    @example(FilterState(IDENTITY, np.eye(3)), (0.0, 0.0, 1.0), 1.0, False)
     @settings(max_examples=300, deadline=None)
     def test_update_bits(self, state, direction, magnitude, along_up):
-        # along the predicted up, the innovation (so dtheta) is ~1e-16
+        # along the predicted up, the innovation (so dtheta) is ~1e-16;
+        # exactly along it, dtheta is 0 (the first-order branch)
         accel = (np.array(_ref_up_row(state.quat)) * magnitude if along_up
                  else _accel(direction, magnitude))
-        out = update_step(state, accel)
-        with _composed_steps():
-            ref = update_step(state, accel)
+        for sample in (accel, accel.tolist()):          # array or list
+            out = update_step(state, sample)
+            _same_step(out, _ref_update_step(state, sample), state)
         ax, ay, az = accel.tolist()
         gated = not 0.7 <= math.sqrt(ax * ax + ay * ay + az * az) <= 1.3
-        # a gated sample leaves the state object itself, which the
-        # benchmark's rejection counter reads
-        assert (out is state) == (ref is state) == gated
-        assert out.quat == ref.quat and out.cov == ref.cov
+        assert (out is state) == gated
+
+    @pytest.mark.parametrize("g", [0.5, 2.0])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_update_at_the_gate_bounds(self, g, nudge):
+        # a sample on a bound is trusted, one ulp outside it is gated
+        state = FilterState(np.array(_FLIP[0]), np.eye(3) * 0.01,
+                            _EXACT_GATES)
+        az = g if nudge == 0 else math.nextafter(g, g + nudge)
+        accel = (0.0, 0.0, az)
+        out = update_step(state, accel)
+        _same_step(out, _ref_update_step(state, accel), state)
+        outside = (nudge < 0) if g == 0.5 else (nudge > 0)
+        assert (out is state) == outside
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_raise_the_same_messages(self, axis, bad):
+        state = FilterState(IDENTITY, np.eye(3))
+        sample = [0.0, 0.0, 1.0]
+        sample[axis] = bad
+        cases = [(predict_step, _ref_predict_step, (sample, 0.005)),
+                 (update_step, _ref_update_step, (sample,)),
+                 (predict_step, _ref_predict_step, (np.array(sample), 0.005)),
+                 (update_step, _ref_update_step, (np.array(sample),)),
+                 (predict_step, _ref_predict_step, ([0.0] * 3, bad)),
+                 (predict_step, _ref_predict_step, ([0.0] * 3, -0.005))]
+        for step, ref, args in cases:
+            with pytest.raises(OrientationError) as got:
+                step(state, *args)
+            with pytest.raises(OrientationError) as want:
+                ref(state, *args)
+            assert str(got.value) == str(want.value)
+
+    def test_non_finite_attitude_raises_the_same_message(self):
+        state = FilterState(IDENTITY, np.eye(3))
+        state.quat = (math.inf, 0.0, 0.0, 0.0)
+        for step, ref, args in ((predict_step, _ref_predict_step,
+                                 ((0.0, 0.0, 0.0), 0.005)),
+                                (update_step, _ref_update_step,
+                                 ((0.0, 0.0, 1.0),))):
+            with pytest.raises(OrientationError) as got:
+                step(state, *args)
+            with pytest.raises(OrientationError) as want:
+                ref(state, *args)
+            assert str(got.value) == str(want.value)
 
 
 class TestFilterConfig:

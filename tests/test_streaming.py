@@ -104,9 +104,12 @@ class TestStreamTrial:
         for annotated, _ in (pairs[0], pairs[-1]):       # a fall, a walk
             rows = []
 
-            def captured(self, x):
-                rows.append(x.copy())
-                return real_step(self, x)
+            def captured(self, x=None):
+                # the stream writes the row into the detector's own input
+                # row and passes none; capture that row as the step reads it
+                assert x is None
+                rows.append(self.inputs[0].copy())
+                return real_step(self)
 
             monkeypatch.setattr(FdnnStream, "step", captured)
             stream_trial(fdnn_path, kan_path, annotated.trial, subject,
@@ -356,7 +359,7 @@ class TestStreamTrial:
         bad = dataclasses.replace(trial, **{attr: values})
         steps = []
         monkeypatch.setattr(FdnnStream, "step",
-                            lambda self, x: steps.append(x))
+                            lambda self, x=None: steps.append(x))
         with pytest.raises(StreamError,
                            match=f"{sensor}: non-finite sample at index 300"):
             stream_trial(fdnn_path, kan_path, bad, subject,
