@@ -217,13 +217,10 @@ def falling_probability(z) -> float:
     classes >= 2) on floats.  Every exponent is <= 0, so no logit
     overflows; a NaN logit gives NaN."""
     m = max(z)
-    p = math.exp(z[1] - m)
-    # The sum from 0.0 in logit order: 0.0 + e0 is e0, and every e >= 0.
-    total = math.exp(z[0] - m) + p
-    if len(z) > 2:
-        for v in z[2:]:
-            total += math.exp(v - m)
-    return p / total
+    total = 0.0
+    for v in z:
+        total += math.exp(v - m)
+    return math.exp(z[1] - m) / total
 
 
 def _folded_weights(params: FdnnParams, config: FdnnConfig):
@@ -315,15 +312,9 @@ class InferStep:
         self._advance()
         return [falling_probability(z) for z in self._logits.tolist()]
 
-    def step(self, x: np.ndarray | None = None) -> float:
-        """P(falling) of row 0 after one step: the stream's detector call.
-
-        The step reads ``inputs[0]``, which ``x`` is copied into when
-        given; the stream writes its standardized row there itself and
-        passes none.
-        """
-        if x is not None:
-            self.inputs[...] = x
+    def step(self) -> float:
+        """P(falling) of row 0 after one step from ``inputs[0]``, which the
+        caller has written: the stream's detector call, with no copy."""
         self._advance()
         return falling_probability(self._logits.tolist()[0])
 

@@ -13,15 +13,15 @@ would dwarf the arithmetic.  The stream takes the two steps once per
 sample, and ``estimate_orientation`` scans them over a trial's rows, so
 batch frames and streamed frames share one filter definition.
 
-Each step is one function body.  The rotation-vector exponential, the
-quaternion product and its normalization (``_rotate``), the rotation
-matrix entries (``_rotation``, ``_up_row``), the congruence M P M^T and
-the new state's construction are written out inline, with the helpers'
-float operations in the helpers' order: at this size a Python call and
-its argument tuples cost as much as the arithmetic they wrap, and the
-steps run twice per sample.  The helpers stay for ``quat_from_rotvec``,
-``quat_to_matrix`` and ``tilt``; the tests keep the helper-composed steps
-as the bit-for-bit reference for the inline ones.
+Each step is one function body.  The rotation-vector exponential (as
+``quat_from_rotvec`` takes it), the quaternion product and its
+normalization (as ``quat_normalize`` takes it), the rotation matrix
+entries (``_rotation``, ``_up_row``), the congruence M P M^T and the new
+state's construction are written out inline: at this size a Python call
+and its argument tuples cost as much as the arithmetic they wrap, and the
+steps run twice per sample.  The tests keep helper-composed steps as the
+bit-for-bit reference, so every float operation here stays in their
+order.
 
 Quaternions are scalar-first [w, x, y, z], unit norm, canonical sign
 (w >= 0), and rotate body-frame vectors into the world frame.  The world
@@ -55,10 +55,8 @@ class OrientationError(ValueError):
 # The filter runs once per sample on 3-vectors and 3x3 matrices, where
 # NumPy's per-call overhead dwarfs the arithmetic, so it works on Python
 # floats: ``quat_normalize`` takes any 4-sequence and returns a 4-tuple,
-# and ``quat_from_rotvec``/``quat_to_matrix`` wrap the scalar
-# ``_rotate``/``_rotation`` in arrays for other callers.
-
-_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+# and ``quat_to_matrix`` wraps the scalar ``_rotation`` in an array for
+# other callers.
 
 
 def _floats(values):
@@ -76,35 +74,6 @@ def quat_normalize(q) -> tuple[float, float, float, float]:
     if w < 0.0:
         n = -n
     return (w / n, x / n, y / n, z / n)
-
-
-def _rotate(q, vx: float, vy: float, vz: float):
-    """The attitude ``q`` turned by the rotation vector v (radians, body
-    frame): ``q * dq`` normalized to unit norm and canonical sign, with
-    dq = exp(v), the exact exponential map.  Returns both 4-tuples.
-
-    One body for the exponential, the product and the normalization,
-    whose arithmetic both filter steps write out inline in this order.
-    """
-    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if angle < 1e-12:
-        # First-order expansion; the normalization below absorbs it.
-        dw, dx, dy, dz = 1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz
-    else:
-        half = 0.5 * angle
-        s = math.sin(half) / angle
-        dw, dx, dy, dz = math.cos(half), vx * s, vy * s, vz * s
-    aw, ax, ay, az = q
-    w = aw * dw - ax * dx - ay * dy - az * dz
-    x = aw * dx + ax * dw + ay * dz - az * dy
-    y = aw * dy - ax * dz + ay * dw + az * dx
-    z = aw * dz + ax * dy - ay * dx + az * dw
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0 or not math.isfinite(n):
-        raise OrientationError("cannot normalize zero/non-finite quaternion")
-    if w < 0.0:
-        n = -n
-    return (w / n, x / n, y / n, z / n), (dw, dx, dy, dz)
 
 
 def _rotation(q) -> tuple[float, ...]:
@@ -126,7 +95,16 @@ def _up_row(q) -> tuple[float, float, float]:
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Exact exponential map of a rotation vector (radians)."""
-    return np.array(_rotate(_IDENTITY, v[0], v[1], v[2])[1])
+    vx, vy, vz = v[0], v[1], v[2]
+    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+        raise OrientationError("non-finite rotation vector")
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if angle < 1e-12:
+        # First-order expansion, unit norm to double precision.
+        return np.array([1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz])
+    half = 0.5 * angle
+    s = math.sin(half) / angle
+    return np.array([math.cos(half), vx * s, vy * s, vz * s])
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -252,12 +230,6 @@ class FilterState:
         return np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
 
 
-def _check_dt(dt: float) -> None:
-    # Written as "not (valid)" so that NaN is rejected too.
-    if not 0.0 < dt < math.inf:
-        raise OrientationError(f"dt must be positive and finite, got {dt}")
-
-
 def predict_step(state: FilterState, omega_dps,
                  dt: float) -> FilterState:
     """Advance the attitude by the exact exponential of the body rates
@@ -271,7 +243,7 @@ def predict_step(state: FilterState, omega_dps,
         raise OrientationError("non-finite gyro sample")
     scale = DEG * dt
     vx, vy, vz = wx * scale, wy * scale, wz * scale
-    # dq = exp(v), as ``_rotate`` takes it.
+    # dq = exp(v), as ``quat_from_rotvec`` takes it.
     angle = math.sqrt(vx * vx + vy * vy + vz * vz)
     if angle < 1e-12:
         dw, dx, dy, dz = 1.0, 0.5 * vx, 0.5 * vy, 0.5 * vz
@@ -392,7 +364,7 @@ def update_step(state: FilterState, accel_g) -> FilterState:
     k21 = b20 * c01 + b21 * c11 + b22 * c12
     k22 = b20 * c02 + b21 * c12 + b22 * c22
 
-    # q turned by dtheta = K e, as ``_rotate`` turns it.
+    # q turned by dtheta = K e: q * exp(dtheta), normalized.
     tx = k00 * ex + k01 * ey + k02 * ez
     ty = k10 * ex + k11 * ey + k12 * ez
     tz = k20 * ex + k21 * ey + k22 * ez
@@ -503,7 +475,8 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
     (accelerometer) for every sample: the start and the two steps the
     stream takes, on the same float rows.  Returns an (N, 4) array.
     """
-    _check_dt(dt)
+    if not 0.0 < dt < math.inf:                 # NaN is rejected too
+        raise OrientationError(f"dt must be positive and finite, got {dt}")
     accel = np.atleast_2d(np.asarray(accel_g, dtype=float))
     gyro = np.atleast_2d(np.asarray(gyro_dps, dtype=float))
     n = accel.shape[0]

@@ -630,19 +630,6 @@ class TestFallingProbability:
         want = fdnn.softmax_rows(np.array([logits]))[0, 1]
         assert abs(fdnn.falling_probability(logits) - want) <= 1e-15
 
-    @given(st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=5))
-    @settings(max_examples=300, deadline=None)
-    def test_bits_of_the_loop_from_zero(self, logits):
-        # every exponential summed from 0.0 in logit order, entry 1's
-        # exponential over the sum: computing that exponential once gives
-        # the same bits
-        m = max(logits)
-        total = 0.0
-        for v in logits:
-            total += math.exp(v - m)
-        assert fdnn.falling_probability(logits) == math.exp(
-            logits[1] - m) / total
-
     @pytest.mark.parametrize("logits, want", [
         ([0.0, 1e4], 1.0), ([1e4, 0.0], 0.0), ([-1e4, 0.0], 1.0),
         ([0.0, -1e4], 0.0), ([0.0, 1e4, 0.0], 1.0), ([1e4, 0.0, -1e4], 0.0),
@@ -664,7 +651,10 @@ class TestFallingProbability:
         params = _gated_model(rng, config, 5.0)
         static, seq = rng.normal(size=2), rng.normal(size=(60, 4))
         stream = FdnnStream(params, config)
-        streamed = [stream.step(np.r_[static, row]) for row in seq]
+        streamed = []
+        for row in seq:
+            stream.inputs[0] = np.r_[static, row]
+            streamed.append(stream.step())
         trace = predict_trace(params, config, static, seq)
         assert np.array_equal(streamed, trace.p_falling)
         # unsaturated, so the third class's logit counts

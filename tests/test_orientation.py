@@ -327,10 +327,15 @@ class TestFusedStepsMatchComposedChain:
     @example(_FLIP_STATE, (0.0, 0.0, 0.0))
     @settings(max_examples=300, deadline=None)
     def test_rotate_and_up_row(self, state, v):
-        assert orientation._rotate(state.quat, *v) == _ref_rotate(
-            state.quat, *v)
+        assert tuple(quat_from_rotvec(np.array(v)).tolist()) == \
+            _ref_rotvec_quat(*v)
         assert orientation._up_row(state.quat) == _ref_up_row(state.quat)
         assert orientation._rotation(state.quat) == _ref_rotation(state.quat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rotvec_non_finite_raises(self, bad):
+        with pytest.raises(OrientationError, match="non-finite rotation"):
+            quat_from_rotvec(np.array([0.1, bad, 0.0]))
 
     def test_flip_example_has_a_negative_product(self):
         q, v = _FLIP

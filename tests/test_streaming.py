@@ -104,10 +104,9 @@ class TestStreamTrial:
         for annotated, _ in (pairs[0], pairs[-1]):       # a fall, a walk
             rows = []
 
-            def captured(self, x=None):
+            def captured(self):
                 # the stream writes the row into the detector's own input
-                # row and passes none; capture that row as the step reads it
-                assert x is None
+                # row; capture that row as the step reads it
                 rows.append(self.inputs[0].copy())
                 return real_step(self)
 
@@ -326,10 +325,15 @@ class TestStreamTrial:
         rows = np.hstack([
             np.tile(example.static, (len(example.sequence), 1)),
             example.sequence])
-        stream = FdnnStream(params, cfg)
-        first = [stream.step(r) for r in rows]
-        fresh = FdnnStream(params, cfg)
-        assert [fresh.step(r) for r in rows] == first
+        def replay(stream):
+            out = []
+            for r in rows:
+                stream.inputs[0] = r
+                out.append(stream.step())
+            return out
+
+        first = replay(FdnnStream(params, cfg))
+        assert replay(FdnnStream(params, cfg)) == first
         trace = fdnn_mod.predict_trace(params, cfg, example.static,
                                        example.sequence)
         assert np.array_equal(first, trace.p_falling)
@@ -359,7 +363,7 @@ class TestStreamTrial:
         bad = dataclasses.replace(trial, **{attr: values})
         steps = []
         monkeypatch.setattr(FdnnStream, "step",
-                            lambda self, x=None: steps.append(x))
+                            lambda self: steps.append(self))
         with pytest.raises(StreamError,
                            match=f"{sensor}: non-finite sample at index 300"):
             stream_trial(fdnn_path, kan_path, bad, subject,
