@@ -8,17 +8,31 @@ only the node values bracketing the record's evaluation points move.
 
 With 5 inputs the model is 11 branches of a few dozen nodes, so a row
 costs far more in NumPy call overhead than in arithmetic.  Single rows
-therefore run on one scalar kernel, ``KanKernel``: a snapshot of the
-model's grids and node values as nested Python lists (plus the input
-standardizer), bracketed in O(1) from each grid's first node and mean
-step and then walked to the exact node, so any strictly increasing grid
-is bracketed as ``searchsorted`` would.  The stream's single-row reads
-and ``fit_records``' Kaczmarz writes both run on it; a fit brackets each
-record's inputs once (``KanKernel.record``), and the sweeps write the
-node values back to the model's arrays once per pass.  Its arithmetic
-keeps a fixed order (inner sums as s_j + (u*a + t*b), gradient norms in
-NumPy's pairwise summation order), so reads and writes are bit-identical
-to the per-scalar NumPy form the tests keep as a reference.
+therefore run on one kernel, ``KanKernel``: a snapshot of the model's
+grids and node values (plus the input standardizer), bracketed in O(1)
+from each grid's first node and mean step and then walked to the exact
+node, so any strictly increasing grid is bracketed as ``searchsorted``
+would.  The stream's single-row reads and ``fit_records``' Kaczmarz
+writes both run on it, each on the layout that suits it:
+
+- Reads walk nested Python lists.  A read touches two inner nodes per
+  input and two outer nodes per branch, and on lists that costs less
+  than the NumPy calls that would gather them.
+- Writes hold the inner node values in one NumPy table of
+  (input, node) rows by branch columns.  A Kaczmarz step forms 2d*(2d+1)
+  inner products and moves as many inner nodes, and in list
+  comprehensions that element work was most of a step.  On the table it
+  is one gather, a few whole-block ufuncs and one scatter per record.
+  The outer walk, the gram and the outer update stay on Python floats,
+  one grid bracket per branch.  A read after a write copies the table
+  into lists again.
+
+A fit brackets all records' inputs in one call (``KanKernel.records``),
+and the sweeps write the node values back to the model's arrays once per
+pass.  The arithmetic keeps a fixed order (inner sums as
+s_j + (u*a + t*b), gradient norms in NumPy's pairwise summation order),
+so reads and writes are bit-identical to the per-scalar NumPy form the
+tests keep as a reference.
 
 Reads have one arithmetic in two layouts: ``kan_eval_batch`` runs the
 kernel's bracket, inner-sum order and outer form over whole columns, so a
@@ -85,6 +99,15 @@ class KanConfig:
                 f"{MAX_SMOOTHING_SAMPLES * SAMPLE_PERIOD_S * 1000:g} ms")
         if self.warmup not in ("epoch", "static"):
             raise KanError(f"unknown warmup mode {self.warmup!r}")
+        if self.epochs < 1:
+            raise KanError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 < self.inner_span < math.inf:
+            raise KanError(
+                f"inner_span must be finite and > 0, got {self.inner_span}")
+        for name in ("init_scale", "damping"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise KanError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def window_samples(self) -> int:
@@ -130,7 +153,7 @@ class UpdateInfo:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernel
+# Single-row kernel
 # ---------------------------------------------------------------------------
 
 def _grid_spec(grid: list[float]) -> tuple:
@@ -190,21 +213,27 @@ def _pairwise_sum(values: list[float]) -> float:
 
 
 class KanKernel:
-    """A model's grids and node values as nested lists, with its input
-    standardizer: the one evaluator of single rows and the state the
-    Kaczmarz sweeps update.
+    """A model's grids and node values with its input standardizer: the
+    one evaluator of single rows and the state the Kaczmarz sweeps update.
 
-    Inner values are held per input and node as a list over branches
-    (``inner_values[i][k][j]``), outer grids and values per branch.
-    ``store`` writes the node values back to the model's arrays.
+    The inner node values live in one (d*n, 2d+1) float64 table: row
+    ``i*n + k`` is input i's node k across the branches.  A Kaczmarz step
+    gathers a record's 2d bracketing rows, forms the inner sums and
+    scatters the rows back updated in a few whole-block NumPy calls,
+    which cost less than the same element work in list comprehensions.
+    ``eval`` reads a nested-list copy of the table (``[i][k][j]``), made
+    on the first read after a write, because one read touches too few
+    nodes to pay for NumPy calls.  Outer grids and values are nested
+    lists, read and written in Python by both.  ``store`` writes the node
+    values back to the model's arrays.
 
     ``eval`` and ``step`` walk their grid brackets inline, as ``_bracket``
     does, with no call per bracket: at these sizes the calls cost more
     than the arithmetic.
     """
 
-    __slots__ = ("names", "mean", "std", "damping", "inner", "inner_values",
-                 "outer", "outer_values")
+    __slots__ = ("names", "mean", "std", "damping", "inner", "table",
+                 "_lists", "outer", "outer_values", "_work")
 
     def __init__(self, model: KanModel):
         self.names = model.feature_names
@@ -212,13 +241,22 @@ class KanKernel:
         self.std = model.stats.std.tolist()
         self.damping = model.config.damping
         self.inner = _grid_spec(model.inner_grid.tolist())
-        self.inner_values = model.inner_values.transpose(0, 2, 1).tolist()
+        d, b, n = model.inner_values.shape
+        self.table = model.inner_values.transpose(0, 2, 1).copy().reshape(
+            d * n, b)
+        self._lists = None
         self.outer = [_grid_spec(g) for g in model.outer_grids.tolist()]
         self.outer_values = model.outer_values.tolist()
+        # step's buffers: products (2d, b), its two halves, their sums
+        # (d, b), and the scaled slopes (b,)
+        products = np.empty((2 * d, b))
+        self._work = (products, products[:d], products[d:],
+                      np.empty((d, b)), np.empty(b))
 
     def store(self, model: KanModel) -> None:
-        model.inner_values[...] = np.array(
-            self.inner_values).transpose(0, 2, 1)
+        d, b, n = model.inner_values.shape
+        model.inner_values[...] = self.table.reshape(d, n, b).transpose(
+            0, 2, 1)
         model.outer_values[...] = self.outer_values
 
     def standardize(self, row) -> list[float]:
@@ -234,9 +272,13 @@ class KanKernel:
 
     def eval(self, x) -> float:
         """Prediction in ms for one standardized row (can be negative)."""
+        inner = self._lists
+        if inner is None:
+            inner = self._lists = self.table.reshape(
+                len(self.mean), -1, len(self.outer)).tolist()
         grid, gaps, lo, hi, inv_step, last = self.inner
         s = [0.0] * len(self.outer)
-        for xi, nodes in zip(x, self.inner_values):
+        for xi, nodes in zip(x, inner):
             if xi > lo:
                 if xi < hi:
                     k = min(int((xi - lo) * inv_step), last)
@@ -274,71 +316,102 @@ class KanKernel:
             y += (1.0 - t) * ov[k] + t * ov[k + 1]
         return y
 
-    def record(self, x) -> tuple[list[tuple[int, float, float]], float]:
-        """One standardized row's inner brackets (k, t, 1 - t) per input,
-        and its inner gradient weight, the sum over inputs of
-        (1 - t)^2 + t^2.  Both depend only on the row and the inner grid,
-        which no fit changes, so a fit computes them once per record."""
-        brackets = []
-        for xi in x:
-            k, t = _bracket(self.inner, xi)
-            brackets.append((k, t, 1.0 - t))
-        weight = _pairwise_sum([u * u + t * t for _, t, u in brackets])
-        return brackets, weight
+    def records(self, xs: np.ndarray) -> list[tuple]:
+        """Each row of an (M, d) standardized matrix as a record
+        ``(rows, weights, elements, inner_weight)``: the 2d table rows its
+        inputs bracket (``i*n + k_i`` for every input, then
+        ``i*n + k_i + 1``), their weights (1 - t_i, then t_i) repeated
+        across the branches, the flat table indices of those rows'
+        elements, and the inner gradient weight, the sum over inputs of
+        (1 - t)^2 + t^2 in ``_pairwise_sum``'s order.  All depend only on
+        the row and the inner grid, which no fit changes, so a fit makes
+        them once per record."""
+        ks, ts = _brackets(np.array(self.inner[0]), xs)
+        b = len(self.outer)
+        left = ks + np.arange(0, self.table.shape[0], len(self.inner[0]))
+        rows = np.concatenate([left, left + 1], axis=1)
+        us = 1.0 - ts
+        weights = np.repeat(np.concatenate([us, ts], axis=1)[:, :, None], b,
+                            axis=2)
+        elements = rows[:, :, None] * b + np.arange(b)
+        inner = [_pairwise_sum(w) for w in (us * us + ts * ts).tolist()]
+        return list(zip(rows, weights, elements, inner))
+
+    def record(self, x) -> tuple:
+        """``records`` of one standardized row."""
+        return self.records(np.array([x], dtype=float))[0]
 
     def step(self, record, y: float, mu: float) -> UpdateInfo:
         """One projected Gauss-Newton step for a (``record``, target) pair.
         Only the node values bracketing the record's evaluation points
         change; a record whose gradient vanishes is degenerate and leaves
-        the state untouched."""
-        brackets, inner_weight = record
-        s = [0.0] * len(self.outer)
-        for nodes, (k, t, u) in zip(self.inner_values, brackets):
-            s = [sj + (u * a + t * b)
-                 for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
+        the state untouched.
+
+        The inner sums add u*a + t*b per input from 0.0, and each inner
+        node moves by (step * slope) * its weight, as the per-scalar form
+        does, so the NumPy blocks give its bits."""
+        rows, weights, elements, inner_weight = record
+        products, left, right, pairs, scaled = self._work
+        nodes = self.table.take(rows, 0)
+        np.multiply(nodes, weights, out=products)
+        s = np.add.reduce(np.add(left, right, out=pairs), axis=0,
+                          initial=0.0).tolist()
         pred = 0.0
-        outer, weights, slopes = [], [], []
+        outer, grams, slopes = [], [], []
         for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
                 s, self.outer, self.outer_values):
             # Clamped regions are flat: no gradient flows to inner nodes.
             if sj > lo:
                 if sj < hi:
-                    k = min(int((sj - lo) * inv_step), last)
+                    k = int((sj - lo) * inv_step)
+                    if k > last:
+                        k = last
                     while grid[k] > sj:
                         k -= 1
                     while grid[k + 1] <= sj:
                         k += 1
-                    t = (sj - grid[k]) / gaps[k]
-                    slope = (ov[k + 1] - ov[k]) / gaps[k]
+                    gap = gaps[k]
+                    a = ov[k]
+                    b = ov[k + 1]
+                    t = (sj - grid[k]) / gap
+                    slope = (b - a) / gap
                 else:
                     k, t, slope = last, 1.0, 0.0
+                    a = ov[k]
+                    b = ov[k + 1]
             elif sj <= lo:
                 k, t, slope = 0, 0.0, 0.0
+                a = ov[0]
+                b = ov[1]
             else:       # NaN: neither clamp applies
                 k, t = last, sj
-                slope = (ov[k + 1] - ov[k]) / gaps[k]
+                a = ov[k]
+                b = ov[k + 1]
+                slope = (b - a) / gaps[k]
             u = 1.0 - t
-            pred += u * ov[k] + t * ov[k + 1]
+            pred += u * a + t * b
             outer.append((ov, k, t, u))
-            weights.append(u * u + t * t)
+            grams.append(u * u + t * t)
             slopes.append(slope)
         r = y - pred
-        gram = _pairwise_sum(weights) \
+        gram = _pairwise_sum(grams) \
             + _pairwise_sum([sl * sl for sl in slopes]) * inner_weight
         if gram == 0.0:
-            return UpdateInfo(residual=r, gram=0.0, degenerate=True)
+            return UpdateInfo(r, 0.0, True)
         if r == 0.0:
-            return UpdateInfo(residual=0.0, gram=gram, degenerate=False)
+            return UpdateInfo(0.0, gram, False)
         step = mu * r / (gram + self.damping)
 
         for ov, k, t, u in outer:
             ov[k] += step * u
             ov[k + 1] += step * t
-        scaled = [step * sl for sl in slopes]
-        for nodes, (k, t, u) in zip(self.inner_values, brackets):
-            nodes[k] = [v + g * u for v, g in zip(nodes[k], scaled)]
-            nodes[k + 1] = [v + g * t for v, g in zip(nodes[k + 1], scaled)]
-        return UpdateInfo(residual=r, gram=gram, degenerate=False)
+        scaled[:] = slopes
+        scaled *= step
+        np.multiply(weights, scaled, out=products)
+        nodes += products
+        self.table.put(elements, nodes)
+        self._lists = None
+        return UpdateInfo(r, gram, False)
 
     def update(self, x, y: float, mu: float) -> UpdateInfo:
         """``step`` on one standardized row."""
@@ -351,12 +424,14 @@ def _brackets(grid: np.ndarray,
     with t = 0 or 1 at clamped ends and a NaN t for a NaN x.
 
     Searching the interior nodes gives ``searchsorted(grid, x,
-    side="right") - 1`` already clamped to the grid's intervals.
+    side="right") - 1`` already clamped to the grid's intervals.  x is
+    clamped to the grid first, so the ends give t = 0 or 1 exactly and a
+    huge x cannot overflow the division.
     """
+    x = np.clip(x, grid[0], grid[-1])
     k = np.searchsorted(grid[1:-1], x, side="right")
     left = grid[k]
-    t = (x - left) / (grid[k + 1] - left)
-    return k, np.minimum(np.maximum(t, 0.0), 1.0)
+    return k, (x - left) / (grid[k + 1] - left)
 
 
 def _inner_sums_batch(model: KanModel, xs: np.ndarray) -> np.ndarray:
@@ -552,18 +627,17 @@ def fit_records(
     _respan_outer(model, xs, ramp)
     # The sweeps move node values and re-span the outer grids, never the
     # inner grid, so each record's inner brackets are computed once.
-    record = KanKernel(model).record
-    records = [record(row) for row in xs.tolist()]
+    records = KanKernel(model).records(xs)
     targets = ys.tolist()
 
     def sweep() -> list[UpdateInfo]:
-        """One Kaczmarz pass over the records on the scalar kernel; the
+        """One Kaczmarz pass over the records on the kernel; the
         node values are written back to the model at its end."""
         order = rng.permutation(len(records)).tolist() if config.shuffle \
             else range(len(records))
         kernel = KanKernel(model)
-        infos = [kernel.step(records[i], targets[i], config.mu)
-                 for i in order]
+        step, mu = kernel.step, config.mu
+        infos = [step(records[i], targets[i], mu) for i in order]
         kernel.store(model)
         return infos
 

@@ -382,6 +382,28 @@ class TestTrainEvalKan:
         assert (trace_out / f"trajectory_{trial_id}.csv").is_file()
         assert (trace_out / f"trajectory_{trial_id}.svg").is_file()
 
+    @pytest.mark.parametrize("command, text", [
+        ("train-kan", '{"kan": {"epochs": 0}}'),
+        ("train-kan", '{"kan": {"inner_span": 0}}'),
+        ("train-kan", '{"kan": {"init_scale": NaN}}'),
+        ("train-kan", '{"kan": {"damping": -1.0}}'),
+        ("cv-kan", '{"kan_grid": [{"mu": 0.25}, {"epochs": 0}]}'),
+    ], ids=["epochs_zero", "span_zero", "init_nan", "damping_negative",
+            "grid_epochs_zero"])
+    def test_unfittable_config_is_validation_error(self, tmp_path,
+                                                   features_dir, command,
+                                                   text):
+        # each once loaded: epochs 0 failed after writing kan.ckpt,
+        # fit_log.csv and plan.json, and inner_span 0 wrote a kan.ckpt
+        # that eval-kan refuses
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = dispatch([command, "--config", str(bad),
+                       "--features", str(features_dir), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     def test_cv_kan(self, workspace, features_dir):
         root, config_path = workspace
         cfg = json.loads(config_path.read_text())

@@ -228,12 +228,38 @@ class TestLoadConfig:
         ('{"kan": {"seed": -3}}', "invalid kan section: seed must be"),
         ('{"kan_grid": [{"seed": -1}]}',
          "invalid kan_grid entry section: seed must be"),
+        # A fit that cannot run: no epoch to log, an inner grid that is
+        # not strictly increasing, or NaN or infinite node values.
+        ('{"kan": {"epochs": 0}}', "invalid kan section: epochs must be"),
+        ('{"kan": {"epochs": -2}}', "invalid kan section: epochs must be"),
+        ('{"kan": {"inner_span": 0}}', "inner_span must be finite and > 0"),
+        ('{"kan": {"inner_span": -3.0}}', "inner_span must be finite"),
+        ('{"kan": {"inner_span": NaN}}', "inner_span must be finite"),
+        ('{"kan": {"inner_span": Infinity}}', "inner_span must be finite"),
+        ('{"kan": {"init_scale": -0.01}}',
+         "init_scale must be finite and >= 0"),
+        ('{"kan": {"init_scale": NaN}}', "init_scale must be finite"),
+        ('{"kan": {"init_scale": Infinity}}', "init_scale must be finite"),
+        ('{"kan": {"damping": -1e-12}}', "damping must be finite and >= 0"),
+        ('{"kan": {"damping": NaN}}', "damping must be finite"),
+        ('{"kan": {"damping": Infinity}}', "damping must be finite"),
+        ('{"kan_grid": [{"epochs": 0}]}',
+         "invalid kan_grid entry section: epochs must be"),
+        ('{"kan_grid": [{"mu": 0.25}, {"inner_span": 0}]}',
+         "invalid kan_grid entry section: inner_span must be"),
+        ('{"kan_grid": [{"damping": NaN}]}',
+         "invalid kan_grid entry section: damping must be"),
     ], ids=["kan_window_inf", "init_window_inf", "kan_epochs_frac",
             "kan_nodes_frac", "split_seed_frac", "fdnn_seed_frac",
             "seed_str", "grid_str", "grid_entry_mu", "range_nan",
             "range_inf", "seed_negative", "split_seed_negative",
             "fdnn_seed_negative", "kan_seed_negative",
-            "grid_entry_seed_negative"])
+            "grid_entry_seed_negative", "kan_epochs_zero",
+            "kan_epochs_negative", "kan_span_zero", "kan_span_negative",
+            "kan_span_nan", "kan_span_inf", "kan_init_negative",
+            "kan_init_nan", "kan_init_inf", "kan_damping_negative",
+            "kan_damping_nan", "kan_damping_inf", "grid_entry_epochs_zero",
+            "grid_entry_span_zero", "grid_entry_damping_nan"])
     def test_unrunnable_values_rejected_at_load(self, tmp_path, text, match):
         p = tmp_path / "c.json"
         p.write_text(text)

@@ -205,16 +205,54 @@ class TestEval:
                 kan_eval_batch(m, np.array(rows)), single)
 
     def test_brackets_match_scalar_bracket(self):
+        # BIG, the largest finite float, overflows an unclamped division
+        BIG = np.finfo(float).max
         model, xs = training_style_model()
         model = random_grid_model(model, xs)
         for grid in [model.inner_grid, *model.outer_grids]:
             spec = kan._grid_spec(grid.tolist())
             probes = np.r_[grid, grid[[0, -1]] - 1e-12, grid[[0, -1]] + 1e-12,
-                           1e12, -1e12, math.inf, -math.inf, math.nan]
+                           1e12, -1e12, BIG, -BIG, math.inf, -math.inf,
+                           math.nan]
             k, t = kan._brackets(grid, probes)
             want = [kan._bracket(spec, x) for x in probes.tolist()]
             assert k.tolist() == [kw for kw, _ in want]
             assert np.array_equal(t, [tw for _, tw in want], equal_nan=True)
+
+    def test_records_match_per_row_brackets(self):
+        # every inner node and one ulp either side of it, both clamped
+        # ends, +/-inf and NaN, in each input column: the batched records
+        # (and record(), their one-row case) hold each row's _bracket
+        # brackets as table rows, weights and element indices, and its
+        # inner gradient weight in _pairwise_sum's order
+        model, xs = training_style_model()
+        model = random_grid_model(model, xs)
+        kernel = KanKernel(model)
+        n, b = model.inner_grid.size, model.branches
+        g = model.inner_grid.tolist()
+        probes = [*g, *np.nextafter(g, math.inf).tolist(),
+                  *np.nextafter(g, -math.inf).tolist(), g[0] - 1.0,
+                  g[-1] + 1.0, -1e12, 1e12, math.inf, -math.inf, math.nan]
+        rows = []
+        for p in probes:
+            for i in range(D):
+                row = xs[i].tolist()
+                row[i] = p
+                rows.append(row)
+        for row, got in zip(rows, kernel.records(np.array(rows))):
+            ks, ts = zip(*(kan._bracket(kernel.inner, xi) for xi in row))
+            us = [1.0 - t for t in ts]
+            table_rows = [i * n + k for i, k in enumerate(ks)]
+            table_rows += [r + 1 for r in table_rows]
+            for rec in (got, kernel.record(row)):
+                assert rec[0].tolist() == table_rows
+                assert np.array_equal(
+                    rec[1], np.repeat([[w] for w in us + list(ts)], b, 1),
+                    equal_nan=True)
+                assert rec[2].tolist() == [list(range(r * b, r * b + b))
+                                           for r in table_rows]
+                assert same_float(rec[3], kan._pairwise_sum(
+                    [u * u + t * t for u, t in zip(us, ts)]))
 
     def test_clamp_totality(self):
         model, _ = training_style_model()
@@ -328,6 +366,21 @@ class TestKaczmarz:
                         num = (yp - ym) / (2 * eps)
                         assert num == pytest.approx(grad_inner[i, j, node],
                                                     rel=1e-5, abs=1e-7)
+
+    def test_eval_after_update_sees_the_write(self):
+        # reads and writes alternate on one kernel (as demo 03 runs them):
+        # every read equals a fresh kernel's read of the stored model
+        model, xs = training_style_model(seed=14)
+        kernel = KanKernel(model)
+        rows = xs[:30].tolist()
+        for i, x in enumerate(rows):
+            kernel.eval(x)
+            kernel.update(x, 300.0 + 10.0 * i, model.config.mu)
+            stored = model.copy()
+            kernel.store(stored)
+            fresh = KanKernel(stored)
+            for probe in (x, *rows[:4]):
+                assert kernel.eval(probe) == fresh.eval(probe)
 
     def test_gram_never_degenerates(self):
         # Outer interpolation weights satisfy (1-t)^2 + t^2 >= 1/2 per
@@ -789,23 +842,27 @@ def ref_fit_records(config, train_x, train_y, val_x, val_y, names):
     stats = fit_standardizer(train_x, names)
     xs = apply_standardizer(stats, train_x)
     xv = apply_standardizer(stats, val_x)
-    y_shift = float(train_y.mean())
-    y_scale = max(float(train_y.std()), 1e-8)
-    ys = (train_y - y_shift) / y_scale
+    y_shift, y_scale, ys = 0.0, 1.0, train_y
+    if config.standardize_targets:
+        y_shift = float(train_y.mean())
+        y_scale = max(float(train_y.std()), 1e-8)
+        ys = (train_y - y_shift) / y_scale
 
     def to_ms(model):
         out = model.copy()
-        out.outer_values *= y_scale
-        out.outer_values += y_shift / out.branches
+        if config.standardize_targets:
+            out.outer_values *= y_scale
+            out.outer_values += y_shift / out.branches
         return out
 
     rng = np.random.default_rng(config.seed)
     ramp = kan._target_ramp_scale(ys)
     model = kan._init_model(config, names, stats, xs.shape[1], rng, ramp)
     kan._respan_outer(model, xs, ramp)
-    for idx in rng.permutation(xs.shape[0]):
-        ref_update_inplace(model, xs[idx], ys[idx], config.mu)
-    kan._respan_outer(model, xs)
+    if config.warmup == "epoch":
+        for idx in rng.permutation(xs.shape[0]):
+            ref_update_inplace(model, xs[idx], ys[idx], config.mu)
+        kan._respan_outer(model, xs)
     best_model, best_rmse, log = to_ms(model), np.inf, []
     for _ in range(config.epochs):
         infos = [ref_update_inplace(model, xs[idx], ys[idx], config.mu)
@@ -906,13 +963,15 @@ class TestKernelMatchesNumpyReference:
         # and node values
         model, rows = case
         kernel = KanKernel(model)
+        d, n = model.d, model.inner_grid.size
         for row in rows:
             x = np.array(row)
             assert same_float(kernel.eval(row), ref_kan_eval(model, x))
-            brackets, weight = kernel.record(row)
+            table_rows, weights, _, weight = kernel.record(row)
             _, inner_k, inner_t, _, _, _ = ref_eval_with_gradient(model, x)
-            assert [k for k, _, _ in brackets] == inner_k.tolist()
-            got_t = np.array([[t, u] for _, t, u in brackets])
+            assert (table_rows[:d] - n * np.arange(d)).tolist() == \
+                inner_k.tolist()
+            got_t = np.c_[weights[d:, 0], weights[:d, 0]]
             assert np.array_equal(got_t, np.c_[inner_t, 1.0 - inner_t],
                                   equal_nan=True)
             assert same_float(weight, float(
@@ -952,8 +1011,16 @@ class TestKernelMatchesNumpyReference:
         assert np.array_equal(model.inner_values, ref.inner_values)
         assert np.array_equal(model.outer_values, ref.outer_values)
 
-    def test_fit_records_on_synthetic_falls(self, synthetic_falls):
-        cfg = KanConfig(epochs=3, seed=4)
+    @pytest.mark.parametrize("standardize_targets", [True, False],
+                             ids=["std_y", "raw_y"])
+    @pytest.mark.parametrize("q_outer_nodes", [32, 64])
+    @pytest.mark.parametrize("warmup", ["epoch", "static"])
+    def test_fit_records_on_synthetic_falls(self, synthetic_falls, warmup,
+                                            q_outer_nodes,
+                                            standardize_targets):
+        cfg = KanConfig(epochs=3, seed=4, warmup=warmup,
+                        q_outer_nodes=q_outer_nodes,
+                        standardize_targets=standardize_targets)
         train, val = synthetic_falls[::2], synthetic_falls[1::2]
         window = cfg.window_samples
         tx, ty = kan.segment_records(train, window)
@@ -978,15 +1045,17 @@ class TestKernelMatchesNumpyReference:
 
 def composed_inner_sums(kernel, x):
     s = [0.0] * len(kernel.outer)
-    inner_k, inner_t = [], []
-    for xi, nodes in zip(x, kernel.inner_values):
+    inner_rows, inner_t = [], []
+    n = len(kernel.inner[0])
+    for i, xi in enumerate(x):
         k, t = kan._bracket(kernel.inner, xi)
+        row = i * n + k         # the kernel's table row of input i, node k
         u = 1.0 - t
-        s = [sj + (u * a + t * b)
-             for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
-        inner_k.append(k)
+        s = [sj + (u * a + t * b) for sj, a, b in zip(
+            s, kernel.table[row].tolist(), kernel.table[row + 1].tolist())]
+        inner_rows.append(row)
         inner_t.append(t)
-    return s, inner_k, inner_t
+    return s, inner_rows, inner_t
 
 
 def composed_eval(kernel, x):
@@ -999,7 +1068,7 @@ def composed_eval(kernel, x):
 
 
 def composed_update(kernel, x, y, mu):
-    s, inner_k, inner_t = composed_inner_sums(kernel, x)
+    s, inner_rows, inner_t = composed_inner_sums(kernel, x)
     pred = 0.0
     outer_k, outer_t, slopes = [], [], []
     for sj, spec, ov in zip(s, kernel.outer, kernel.outer_values):
@@ -1026,10 +1095,12 @@ def composed_update(kernel, x, y, mu):
         ov[k] += step * (1.0 - t)
         ov[k + 1] += step * t
     scaled = [step * sl for sl in slopes]
-    for nodes, k, t in zip(kernel.inner_values, inner_k, inner_t):
+    table = kernel.table
+    for row, t in zip(inner_rows, inner_t):
         u = 1.0 - t
-        nodes[k] = [v + g * u for v, g in zip(nodes[k], scaled)]
-        nodes[k + 1] = [v + g * t for v, g in zip(nodes[k + 1], scaled)]
+        table[row] = [v + g * u for v, g in zip(table[row].tolist(), scaled)]
+        table[row + 1] = [v + g * t
+                          for v, g in zip(table[row + 1].tolist(), scaled)]
     return kan.UpdateInfo(residual=r, gram=gram, degenerate=False)
 
 
