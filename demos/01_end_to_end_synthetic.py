@@ -14,7 +14,9 @@ from pathlib import Path
 
 from fallsense.cli import dispatch
 
-work = Path(tempfile.mkdtemp(prefix="fallsense_demo_"))
+# Removed when the demo ends (``cleanup`` below, or at exit).
+tmp = tempfile.TemporaryDirectory(prefix="fallsense_demo_")
+work = Path(tmp.name)
 print(f"working under {work}\n")
 
 config = work / "config.json"
@@ -65,3 +67,4 @@ for argv in steps:
 
 print("\nfinal summary:")
 print((work / "report" / "summary.json").read_text())
+tmp.cleanup()

@@ -50,7 +50,9 @@ params, _ = fdnn_mod.train(cfg, examples, examples)
 kan_model, _ = kan_mod.fit(KanConfig(),
                            collect_fall_segments(pairs), [])
 
-work = Path(tempfile.mkdtemp(prefix="fallsense_stream_"))
+# Removed when the demo ends (``cleanup`` below, or at exit).
+tmp = tempfile.TemporaryDirectory(prefix="fallsense_stream_")
+work = Path(tmp.name)
 fdnn_path, kan_path = work / "detector.ckpt", work / "impact.ckpt"
 fdnn_mod.save_checkpoint(fdnn_path, params, cfg, stats)
 kan_mod.save_checkpoint(kan_path, kan_model)
@@ -78,3 +80,4 @@ print(f"\nper-sample latency: mean {report.mean_us:.0f} us, "
       f"(budget 5000 us; misses: {report.deadline_misses})")
 print("note: the countdown tracks the ramp early and saturates close to "
       "impact; the full-corpus model shows the same late-fall flattening.")
+tmp.cleanup()

@@ -34,10 +34,12 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, dump_config, kan_grid_configs, load_config
 from .evaluation import MetricTable, ReportBundle, TrajectoryTrace
 from .features import (
+    FDNN_FEATURES,
     FeatureError,
     apply_standardizer,
     build_selection_report,
     extract_fall_segment,
+    fit_standardizer,
     load_frames,
     load_segment,
     save_frames,
@@ -126,14 +128,12 @@ def _cmd_features(args, config: RunConfig, out: Path) -> int:
         profile = require_profile(profiles, tid)
         tasks.append((str(path), spans.get(str(tid)), profile, config))
 
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_feature_worker, tasks)
-    else:
-        results = [_feature_worker(t) for t in tasks]
-
+    # Each trial's files are written as soon as it is done, in corpus
+    # order, so only the trials in flight are held; index.csv is written
+    # last, so that it stands for a complete feature set.
     index_rows = ["trial_id,subject,activity,repetition,n_samples,has_fall"]
-    for frames, segment in results:
+
+    def write(frames, segment):
         tid = frames.trial_id
         save_frames(frames_dir / f"{tid}.npz", frames)
         has_fall = int(np.any(frames.labels == 1))
@@ -141,8 +141,16 @@ def _cmd_features(args, config: RunConfig, out: Path) -> int:
                           f"{tid.repetition},{len(frames)},{has_fall}")
         if segment is not None:
             save_segment(segments_dir / f"{tid}.json", segment)
+
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
+            for result in pool.imap(_feature_worker, tasks):
+                write(*result)
+    else:
+        for task in tasks:
+            write(*_feature_worker(task))
     (out / "index.csv").write_text("\n".join(index_rows) + "\n")
-    print(f"wrote {len(results)} trials to {out}")
+    print(f"wrote {len(tasks)} trials to {out}")
     return 0
 
 
@@ -171,12 +179,13 @@ def _load_all_segments(features_dir: Path) -> list:
 
 def _cmd_select(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
-    from .features import FEATURE_NAMES, fit_standardizer
+    from .features import FEATURE_NAMES
 
     rows, targets = [], []
     for seg in _load_all_segments(features_dir):
         frames = load_frames(features_dir / "frames" / f"{seg.trial_id}.npz")
-        rows.append(frames.data[seg.start_index:seg.end_index + 1, :])
+        # A copy, so that the trial's other rows are not kept.
+        rows.append(frames.data[seg.start_index:seg.end_index + 1].copy())
         targets.append(tti_targets(len(seg)))
     if not rows:
         raise CliError("no fall segments found; run features on fall trials")
@@ -197,9 +206,14 @@ def _cmd_select(args, config: RunConfig, out: Path) -> int:
 # train / eval FDNN
 # ---------------------------------------------------------------------------
 
-def _load_frame_sets(features_dir: Path, ids) -> list:
-    return [load_frames(features_dir / "frames" / f"{tid}.npz")
-            for tid in ids]
+def _detector_inputs(features_dir: Path, ids) -> list:
+    """Each trial's (N, 18) detector inputs, copied out of its frames so
+    that the frames themselves are not kept, with its labels."""
+    inputs = []
+    for tid in ids:
+        frames = load_frames(features_dir / "frames" / f"{tid}.npz")
+        inputs.append((np.array(frames.fdnn_matrix()), frames.labels))
+    return inputs
 
 
 def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
@@ -211,11 +225,14 @@ def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
         raise CliError("no fall trials in the feature set")
     split = split_sequences(fall_ids, config.split)
 
-    train_frames = _load_frame_sets(features_dir, split.train)
-    val_frames = _load_frame_sets(features_dir, split.validation)
-    stats = pipeline.fit_frame_standardizer(train_frames)
-    train_set = [pipeline.frames_to_example(f, stats) for f in train_frames]
-    val_set = [pipeline.frames_to_example(f, stats) for f in val_frames]
+    # One copy of each trial's inputs: the standardizer is fitted over
+    # them trial by trial, and each is then standardized in place.
+    train = _detector_inputs(features_dir, split.train)
+    val = _detector_inputs(features_dir, split.validation)
+    stats = fit_standardizer([x for x, _ in train], FDNN_FEATURES)
+    train_set = [pipeline.detector_example(x, y, stats) for x, y in train]
+    val_set = [pipeline.detector_example(x, y, stats) for x, y in val]
+    del train, val
 
     params, log = fdnn_mod.train(config.fdnn, train_set, val_set)
     fdnn_mod.save_checkpoint(out / "fdnn.ckpt", params, config.fdnn, stats)
@@ -231,23 +248,46 @@ def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
     return 0
 
 
+def _split_ids(path: Path, name: str) -> list[TrialId]:
+    """The trial ids under ``name`` in a ``train-fdnn`` split file."""
+    split = json.loads(path.read_text())
+    if not isinstance(split, dict):
+        raise CliError(f"{path} is not a JSON object of splits")
+    if name not in split:
+        raise CliError(f"{path} has no {name!r} split")
+    ids = split[name]
+    if not isinstance(ids, list) or not all(isinstance(t, str) for t in ids):
+        raise CliError(f"{path}: the {name!r} split is not a list of "
+                       f"trial ids")
+    return [TrialId.parse(t) for t in ids]
+
+
 def _cmd_eval_fdnn(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
     params, fcfg, stats, _ = fdnn_mod.load_checkpoint(args.checkpoint)
     index = _read_index(features_dir)
 
-    fall_ids = None
     if args.split_file:
-        split = json.loads(Path(args.split_file).read_text())
-        fall_ids = [TrialId.parse(t) for t in split[args.split]]
+        fall_ids = _split_ids(Path(args.split_file), args.split)
     else:
         fall_ids = [r["trial_id"] for r in index if r["has_fall"]]
-
     adl_ids = [r["trial_id"] for r in index
                if not r["trial_id"].is_fall]
-    scores = pipeline.score_trials(
-        params, fcfg, stats,
-        _load_frame_sets(features_dir, [*fall_ids, *adl_ids]))
+    ids = [*fall_ids, *adl_ids]
+    lengths = {r["trial_id"]: r["n_samples"] for r in index}
+    for tid in fall_ids:
+        if tid not in lengths:
+            raise CliError(f"trial {tid} of the split is not in "
+                           f"{features_dir / 'index.csv'}")
+
+    # Scored a padded scan at a time, loading only that scan's trials.
+    scores = [None] * len(ids)
+    for chunk in fdnn_mod.scan_chunks([lengths[t] for t in ids]):
+        frames = (load_frames(features_dir / "frames" / f"{ids[k]}.npz")
+                  for k in chunk)
+        for k, score in zip(chunk, pipeline.score_trials(
+                params, fcfg, stats, frames)):
+            scores[k] = score
     fall_scores, adl_scores = scores[:len(fall_ids)], scores[len(fall_ids):]
 
     fall_tpr = eval_mod.metric_table(pipeline.tpr_entries(fall_scores))

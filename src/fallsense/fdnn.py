@@ -412,10 +412,12 @@ class _Workspace:
         its cells ``c`` (T+2, 2H, B) and ``tanh_c`` (T+1, 2H, B), side by
         side in one buffer whose prefix holds, in turn, the input
         projection ``proj`` (T, B, 4H) before the scan and the layer-1
-        gate gradients ``flat1`` (T*B, 4H) after BPTT; the backward's
-        ``f_kept`` (T+1, 2H, B); the gradient reaching layer 2's output
-        ``d_out`` (T+1, H, B); and the mask between the layers ``d1``
-        (T+1, H, B), a broadcast 1 without dropout."""
+        gate gradients ``flat1`` (T*B, 4H) after BPTT; the gradient
+        reaching layer 2's output ``d_out`` (T+1, H, B); and the mask
+        between the layers ``d1`` (T+1, H, B), a broadcast 1 without
+        dropout.  In slabs of (T+1)*8H*B floats that is 2 (2.125 with
+        dropout), BPTT's factors included: they overwrite the scan's
+        arrays."""
         t1 = t + 1
         cells = self._array("cells", (2 * t1 + 1) * 2 * h * b)
         c = cells[:(t1 + 1) * 2 * h * b].reshape(t1 + 1, 2 * h, b)
@@ -425,7 +427,6 @@ class _Workspace:
             s=self._array("s", t1 + 1, 3 * h, b),
             c=c, tanh_c=cells[c.size:].reshape(t1, 2 * h, b),
             proj=proj, flat1=proj.reshape(t * b, 4 * h),
-            f_kept=self._array("f_kept", t1, 2 * h, b),
             d_out=self._array("d_out", t1, h, b),
             d1=(self._array("d1", t1, h, b) if dropout
                 else np.broadcast_to(1.0, (t1, h, b))))
@@ -604,6 +605,10 @@ def predict_trace(params: FdnnParams, config: FdnnConfig,
 # Loss and gradients (backpropagation through time)
 # ---------------------------------------------------------------------------
 
+# Steps per block of BPTT's step-free factors, a cap on its scratch.
+_BPTT_STEPS = 64
+
+
 def _lagged_scan_backward(a: SimpleNamespace,
                           w_rec: np.ndarray) -> np.ndarray:
     """BPTT through one ``_lagged_scan`` on the arrays ``a``.
@@ -612,32 +617,40 @@ def _lagged_scan_backward(a: SimpleNamespace,
     weights.  Returns the gate gradients (T+1, 8H, B) on ``_paired_rows``,
     written over the activations ``a.xw``; c and tanh(c) are overwritten
     too."""
-    act, tanh_c, f_kept = a.xw, a.tanh_c, a.f_kept
+    act, tanh_c = a.xw, a.tanh_c
     c_prev = a.c[:-1]
     t1, eight_h, b = act.shape
     hd = eight_h // 8
     gates = act.reshape(t1, 4, 2 * hd, b)
     g, i, f, o = gates.transpose(1, 0, 2, 3)
-    # Every factor that does not depend on the recurrence, for all steps
-    # at once, in the activations' place, the forget gate kept aside,
-    # (1 - tanh(c)^2) o in c_prev's place and tanh(c) as scratch; the
-    # loop scales the g, i, f blocks by dc and the o block by dh.
-    f_kept[...] = f
-    np.subtract(1, f, f)
-    f *= f_kept
-    f *= c_prev                                 # c_prev f (1 - f)
-    to_c = np.multiply(tanh_c, tanh_c, c_prev)
-    np.subtract(1, to_c, to_c)
-    to_c *= o
-    tanh_c *= o
-    np.subtract(1, o, o)
-    o *= tanh_c                                 # tanh(c) o (1 - o)
-    gi = np.subtract(1, i, tanh_c)
-    gi *= g
-    np.multiply(g, g, g)
-    np.subtract(1, g, g)
-    g *= i                                      # i (1 - g^2)
-    i *= gi                                     # g i (1 - i)
+    # Every factor that does not depend on the recurrence, a block of
+    # steps at a time, in the activations' place; the loop scales the g,
+    # i, f blocks by dc and the o block by dh.  (1 - tanh(c)^2) o goes to
+    # c_prev's place once c_prev f (1 - f) is formed, and the forget gate,
+    # which the loop reads too, to tanh(c)'s, which nothing reads after
+    # the o block's factor: so BPTT needs only a block of scratch.
+    scratch = np.empty((min(t1, _BPTT_STEPS), 2 * hd, b))
+    for k in range(0, t1, _BPTT_STEPS):
+        span = np.s_[k:k + _BPTT_STEPS]
+        gk, ik, fk, ok, tc, cp = (g[span], i[span], f[span], o[span],
+                                  tanh_c[span], c_prev[span])
+        to_c = np.multiply(tc, tc, scratch[:len(tc)])
+        np.subtract(1, to_c, to_c)
+        to_c *= ok                              # (1 - tanh(c)^2) o
+        tc *= ok
+        np.subtract(1, ok, ok)
+        ok *= tc                                # tanh(c) o (1 - o)
+        tc[...] = fk
+        np.subtract(1, fk, fk)
+        fk *= tc
+        fk *= cp                                # c_prev f (1 - f)
+        cp[...] = to_c
+        gi = np.subtract(1, ik, to_c)
+        gi *= gk
+        np.multiply(gk, gk, gk)
+        np.subtract(1, gk, gk)
+        gk *= ik                                # i (1 - g^2)
+        ik *= gi                                # g i (1 - i)
     # The gradient reaching the state [h1*d1 | h1 | h2]; its last 2H
     # rows are the gradient reaching the cell's h.
     du = np.zeros((3 * hd, b))
@@ -648,7 +661,7 @@ def _lagged_scan_backward(a: SimpleNamespace,
     w_rec_t = w_rec.T
     add, multiply, dot = np.add, np.multiply, np.dot
     for flat, gif, go, tc, fk, dk, d1k in zip(
-            act[::-1], gates[::-1, :3], o[::-1], to_c[::-1], f_kept[::-1],
+            act[::-1], gates[::-1, :3], o[::-1], c_prev[::-1], tanh_c[::-1],
             a.d_out[::-1], a.d1[::-1]):
         multiply(du_h1d, d1k, du_h1d)
         add(dh1, du_h1d, dh1)
@@ -844,6 +857,16 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 SCAN_ROWS = 64
 
 
+def scan_chunks(lengths: list[int]) -> list[list[int]]:
+    """The indices of sequences of these lengths, shortest first (ties in
+    index order), cut into chunks of ``SCAN_ROWS``: the padded scans that
+    ``predict_traces`` runs, so a caller can load one chunk's sequences
+    at a time."""
+    by_length = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return [by_length[k:k + SCAN_ROWS]
+            for k in range(0, len(by_length), SCAN_ROWS)]
+
+
 def _scan_pairs(snapshots: list[FdnnParams], config: FdnnConfig,
                 examples: list[SequenceExample]):
     """Yield ``(s, i, p)`` for every (snapshot s, example i) pair, ``p``
@@ -857,14 +880,12 @@ def _scan_pairs(snapshots: list[FdnnParams], config: FdnnConfig,
     ``len(examples) % SCAN_ROWS`` examples of each snapshot, is pooled
     into chunks that mix snapshots (a per-row weight stack costs more per
     row than a shared matrix, so pooling pays only for partial chunks)."""
-    by_length = sorted(range(len(examples)),
-                       key=lambda i: len(examples[i].sequence))
-    full = len(by_length) - len(by_length) % SCAN_ROWS
-    pooled = [(s, i) for i in by_length[full:]
+    one = scan_chunks([len(e.sequence) for e in examples])
+    full = [c for c in one if len(c) == SCAN_ROWS]
+    pooled = [(s, i) for c in one[len(full):] for i in c
               for s in range(len(snapshots))]
-    chunks = [[(s, i) for i in by_length[start:start + SCAN_ROWS]]
-              for s in range(len(snapshots))
-              for start in range(0, full, SCAN_ROWS)]
+    chunks = [[(s, i) for i in c]
+              for s in range(len(snapshots)) for c in full]
     chunks += [pooled[start:start + SCAN_ROWS]
                for start in range(0, len(pooled), SCAN_ROWS)]
     for chunk in chunks:

@@ -8,6 +8,7 @@ metric tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .features import (
     FallSegment,
     FeatureFrames,
     StandardizationStats,
-    apply_standardizer,
     build_feature_frames,
     extract_fall_segment,
     fit_standardizer,
@@ -58,19 +58,29 @@ def orient_and_frame(
 # ---------------------------------------------------------------------------
 
 def fit_frame_standardizer(frames: list[FeatureFrames]) -> StandardizationStats:
-    """Standardizer over the 18 detector inputs, training frames only."""
-    stacked = np.vstack([f.fdnn_matrix() for f in frames])
-    return fit_standardizer(stacked, FDNN_FEATURES)
+    """Standardizer over the 18 detector inputs, training frames only,
+    summed trial after trial rather than over a stacked copy."""
+    return fit_standardizer([f.fdnn_matrix() for f in frames], FDNN_FEATURES)
+
+
+def detector_example(inputs: np.ndarray, labels: np.ndarray,
+                     stats: StandardizationStats) -> fdnn_mod.SequenceExample:
+    """One trial's detector example from its own (N, 18) float array of
+    inputs (``FeatureFrames.fdnn_matrix``), standardized in place with
+    ``apply_standardizer``'s bits, so no second copy is made."""
+    inputs -= stats.mean
+    inputs /= stats.std
+    return fdnn_mod.SequenceExample(
+        static=inputs[0, :4],
+        sequence=inputs[:, 4:],
+        labels=(labels == FALL).astype(np.intp),
+    )
 
 
 def frames_to_example(frames: FeatureFrames,
                       stats: StandardizationStats) -> fdnn_mod.SequenceExample:
-    x = apply_standardizer(stats, frames.fdnn_matrix())
-    return fdnn_mod.SequenceExample(
-        static=x[0, :4],
-        sequence=x[:, 4:],
-        labels=(frames.labels == FALL).astype(np.intp),
-    )
+    return detector_example(np.array(frames.fdnn_matrix(), dtype=float),
+                            frames.labels, stats)
 
 
 @dataclass
@@ -83,15 +93,20 @@ class TrialScore:
 
 def score_trials(params: fdnn_mod.FdnnParams, config: fdnn_mod.FdnnConfig,
                  stats: StandardizationStats,
-                 frames: list[FeatureFrames]) -> list[TrialScore]:
+                 frames: Iterable[FeatureFrames]) -> list[TrialScore]:
     """Each trial's confusion counts and rates, from
-    ``fdnn.predict_traces``: its own ``predict_trace`` bits."""
-    examples = [frames_to_example(f, stats) for f in frames]
+    ``fdnn.predict_traces``: its own ``predict_trace`` bits.  Each trial's
+    frames are dropped once its example is built, so an iterator that
+    loads them holds one trial's frames at a time."""
+    ids, examples = [], []
+    for f in frames:
+        ids.append(f.trial_id)
+        examples.append(frames_to_example(f, stats))
     traces = fdnn_mod.predict_traces(params, config, examples)
     counts = [confusion(t.decisions, e.labels)
               for t, e in zip(traces, examples)]
-    return [TrialScore(f.trial_id, *rates(c), counts=c)
-            for f, c in zip(frames, counts)]
+    return [TrialScore(tid, *rates(c), counts=c)
+            for tid, c in zip(ids, counts)]
 
 
 def tpr_entries(scores: list[TrialScore]) -> list[TrialMetric]:

@@ -9,11 +9,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fallsense import fdnn
+from fallsense import fdnn, pipeline
 from fallsense.cli import dispatch
 from fallsense.config import dump_config, load_config
 from fallsense.features import FeatureFrames, load_frames, save_frames
@@ -349,6 +351,124 @@ class TestEvalFdnnScansTogether:
                      "adl_tnr.csv"):
             assert ((tmp_path / "together" / name).read_bytes()
                     == (tmp_path / "alone" / name).read_bytes()), name
+
+
+class TestEvalFdnnSplitFile:
+    @pytest.mark.parametrize("text", [
+        '{"train": [], "validation": []}', '{"test": ["F01_SA01_R01", 7]}',
+        '["F01_SA01_R01"]', '{"test": ["F15_SE15_R05"]}'],
+        ids=["no_split", "non_string_id", "not_object", "not_in_index"])
+    def test_bad_split_file_is_refused(self, workspace, features_dir,
+                                       fdnn_dir, tmp_path, capsys, text):
+        _, config = workspace
+        split = tmp_path / "split.json"
+        split.write_text(text)
+        out = tmp_path / "out"
+        rc = dispatch(["eval-fdnn", "--config", str(config),
+                       "--features", str(features_dir),
+                       "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
+                       "--split-file", str(split), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.is_dir() and not any(out.iterdir())
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The tracemalloc peak of one CLI run, in bytes above what was held
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert dispatch(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpus_sizes(workspace, tmp_path_factory):
+    """Feature sets of 20 and 80 trials, and the tracemalloc peak of the
+    ``features`` run that wrote each.  The trials are copies of one
+    synthetic fall (its first 3.5 s, past the impact) and one ADL (its
+    first 1.5 s) under the names of SA01's first 2 (or 8) fall and ADL
+    codes, 5 repetitions each.  Under tracemalloc the orientation filter's
+    per-sample loop runs about 80 times slower, so the traced runs take a
+    stand-in (identity quaternions); the filter holds one trial either
+    way."""
+    _, config = workspace
+    root = tmp_path_factory.mktemp("corpus_sizes")
+    cfg = json.loads(config.read_text())
+    cfg["synth"] = {"subjects": 1, "falls_per_subject": 1,
+                    "adls_per_subject": 1, "repetitions": 1,
+                    "duration_s": 5.0}
+    (root / "config.json").write_text(json.dumps(cfg))
+    config = str(root / "config.json")
+    synth = root / "synth"
+    assert dispatch(["synth", "--config", config, "--seed", "5",
+                     "--out", str(synth)]) == 0
+    fall, adl = (b"".join((synth / "corpus" / "SA01" / f"{code}_SA01_R01.txt")
+                          .read_bytes().splitlines(keepends=True)[:rows])
+                 for code, rows in (("F01", 700), ("D01", 300)))
+    span = (synth / "annotations.csv").read_text().splitlines()[1]
+    span = span.split(",", 1)[1]
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "estimate_orientation",
+                   lambda accel, gyro, config=None:
+                   np.tile([1.0, 0.0, 0.0, 0.0], (len(accel), 1)))
+        for n in (20, 80):
+            corpus = root / f"corpus{n}"
+            (corpus / "SA01").mkdir(parents=True)
+            spans = ["trial_id,start_index,end_index"]
+            for code in range(1, n // 10 + 1):
+                for rep in range(1, 6):
+                    tid = f"F{code:02d}_SA01_R{rep:02d}"
+                    (corpus / "SA01" / f"{tid}.txt").write_bytes(fall)
+                    (corpus / "SA01" / f"D{tid[1:]}.txt").write_bytes(adl)
+                    spans.append(f"{tid},{span}")
+            (corpus / "annotations.csv").write_text("\n".join(spans) + "\n")
+            out = root / f"features{n}"
+            peak = _traced_peak([
+                "features", "--config", config, "--root", str(corpus),
+                "--subjects", str(synth / "subjects.csv"),
+                "--annotations", str(corpus / "annotations.csv"),
+                "--jobs", "1", "--out", str(out)])
+            assert len(list((out / "frames").glob("*.npz"))) == n
+            runs[n] = (out, peak)
+    return config, runs
+
+
+class TestCorpusStagesHoldOneTrial:
+    """``features`` writes each trial when it is done and ``eval-fdnn``
+    loads one padded scan's trials at a time, so neither traced peak grows
+    with the trial count: from 20 to 80 trials each may rise by 0.5 MiB
+    (measured: 0.01 and 0.22 MiB, the latter each trial's score and index
+    row).  Holding every trial, as both stages once did, they rose by 4.8
+    and 9.5 MiB."""
+
+    GROWTH = 2**19
+
+    def test_features(self, corpus_sizes):
+        _, runs = corpus_sizes
+        (_, small), (_, large) = runs[20], runs[80]
+        assert large <= small + self.GROWTH, f"{small} -> {large} bytes"
+
+    def test_eval_fdnn(self, corpus_sizes, fdnn_dir, tmp_path, monkeypatch):
+        # Scans of 8 rows, so both sizes fill whole scans.
+        config, runs = corpus_sizes
+        monkeypatch.setattr(fdnn, "SCAN_ROWS", 8)
+        small, large = (_traced_peak([
+            "eval-fdnn", "--config", config, "--features", str(runs[n][0]),
+            "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
+            "--out", str(tmp_path / f"eval{n}")]) for n in (20, 80))
+        metrics = json.loads((tmp_path / "eval80" / "metrics.json")
+                             .read_text())
+        assert metrics["n_fall_trials"] + metrics["n_adl_trials"] == 80
+        assert large <= small + self.GROWTH, f"{small} -> {large} bytes"
 
 
 class TestTrainEvalKan:

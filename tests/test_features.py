@@ -147,6 +147,24 @@ class TestStandardizer:
     def test_empty_rejected(self):
         with pytest.raises(FeatureError):
             fit_standardizer(np.empty((0, 3)))
+        with pytest.raises(FeatureError):
+            fit_standardizer([np.empty((0, 3)), np.empty((0, 3))])
+
+    @pytest.mark.parametrize("width", [18, 5, 1])
+    def test_list_gives_the_stacked_bits(self, width):
+        # Trials of unequal length, some empty and some longer than one
+        # block of the running column sums, as views of wider frames and
+        # in Fortran order.
+        rng = np.random.default_rng(2)
+        lengths = (5, 0, 9000, 1, 4096, 333)
+        parts = [(rng.normal(size=(n, width + 1))
+                  * rng.lognormal(size=(n, 1)) + 50.0)[:, :width]
+                 for n in lengths]
+        parts[2] = np.asfortranarray(parts[2])
+        stats = fit_standardizer(parts)
+        stacked = np.vstack(parts)
+        assert stats.mean.tobytes() == stacked.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == stacked.std(axis=0).tobytes()
 
 
 class TestCorrelationSelect:
