@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 # One BLAS thread by default: the models are small, and a threaded BLAS
@@ -143,6 +142,8 @@ def _cmd_features(args, config: RunConfig, out: Path) -> int:
             save_segment(segments_dir / f"{tid}.json", segment)
 
     if args.jobs > 1:
+        # Imported here, so that no other start pays for it (~10 ms).
+        from multiprocessing import Pool
         with Pool(args.jobs) as pool:
             for result in pool.imap(_feature_worker, tasks):
                 write(*result)
@@ -472,102 +473,95 @@ def _cmd_report(args, config: RunConfig, out: Path) -> int:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_FEATURES_DIR = _arg("--features", required=True)
+_CHECKPOINT = _arg("--checkpoint", required=True)
+
+# name: (help, handler, its own arguments).  Every command but ``verify``
+# writes files and takes --config, --seed and --out before its own.
+COMMANDS = {
+    "verify": ("count and sanity-check a corpus", _cmd_verify, [
+        _arg("root"),
+        _arg("--deep", action="store_true",
+             help="fully parse every trial file")]),
+    "features": ("calibrate, orient, and build feature frames",
+                 _cmd_features, [
+        _arg("--root", required=True, help="corpus root"),
+        _arg("--subjects", required=True, help="subject metadata CSV"),
+        _arg("--annotations", help="normalized fall-span CSV"),
+        _arg("--jobs", type=int, default=os.cpu_count() or 1,
+             help="parallel trial workers (default: all cores)")]),
+    "select": ("correlation + mRMR feature audit", _cmd_select, [
+        _arg("--features", required=True,
+             help="features output directory")]),
+    "train-fdnn": ("train the fall detector", _cmd_train_fdnn,
+                   [_FEATURES_DIR]),
+    "eval-fdnn": ("score the detector into tables", _cmd_eval_fdnn, [
+        _FEATURES_DIR, _CHECKPOINT,
+        _arg("--split-file", help="split.json from train-fdnn"),
+        _arg("--split", default="test",
+             choices=["train", "validation", "test"])]),
+    "train-kan": ("fit the impact-time model", _cmd_train_kan,
+                  [_FEATURES_DIR]),
+    "cv-kan": ("cross-validate hyperparameters", _cmd_cv_kan,
+               [_FEATURES_DIR]),
+    "eval-kan": ("test-fold RMSE heatmap", _cmd_eval_kan,
+                 [_FEATURES_DIR, _CHECKPOINT]),
+    "trace": ("trajectory for one fall segment", _cmd_trace, [
+        _FEATURES_DIR, _CHECKPOINT,
+        _arg("--trial", required=True,
+             help="trial id, e.g. F03_SA18_R03")]),
+    "stream": ("replay a trial through both models", _cmd_stream, [
+        _arg("--fdnn", required=True, help="detector checkpoint"),
+        _arg("--kan", required=True, help="impact-model checkpoint"),
+        _arg("--trial", required=True, help="trial file path"),
+        _arg("--subjects", required=True),
+        _arg("--mode", default="fast", choices=["fast", "realtime"])]),
+    "synth": ("write a synthetic corpus", _cmd_synth, []),
+    "report": ("render CSV/SVG/JSON reports", _cmd_report, [
+        _arg("--fdnn-eval", help="eval-fdnn output directory"),
+        _arg("--kan-eval", help="eval-kan output directory"),
+        _arg("--trace", action="append",
+             help="trajectory CSV (repeatable)")]),
+}
+_COMMON = [
+    _arg("--config", help="JSON config file"),
+    _arg("--seed", type=int, help="override the global seed"),
+    _arg("--out", required=True, help="output directory"),
+]
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, or with ``command``'s alone.
+    Its usage line lists every command either way, so a parse error after
+    the command name reads the same."""
     parser = argparse.ArgumentParser(
         prog="fallsense",
         description="Waist-IMU fall detection and impact-time estimation")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the global seed")
-        p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("verify", help="count and sanity-check a corpus")
-    p.add_argument("root")
-    p.add_argument("--deep", action="store_true",
-                   help="fully parse every trial file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("features",
-                       help="calibrate, orient, and build feature frames")
-    common(p)
-    p.add_argument("--root", required=True, help="corpus root")
-    p.add_argument("--subjects", required=True, help="subject metadata CSV")
-    p.add_argument("--annotations", help="normalized fall-span CSV")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel trial workers (default: all cores)")
-    p.set_defaults(func=_cmd_features)
-
-    p = sub.add_parser("select", help="correlation + mRMR feature audit")
-    common(p)
-    p.add_argument("--features", required=True,
-                   help="features output directory")
-    p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("train-fdnn", help="train the fall detector")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.set_defaults(func=_cmd_train_fdnn)
-
-    p = sub.add_parser("eval-fdnn", help="score the detector into tables")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split-file", help="split.json from train-fdnn")
-    p.add_argument("--split", default="test",
-                   choices=["train", "validation", "test"])
-    p.set_defaults(func=_cmd_eval_fdnn)
-
-    p = sub.add_parser("train-kan", help="fit the impact-time model")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.set_defaults(func=_cmd_train_kan)
-
-    p = sub.add_parser("cv-kan", help="cross-validate hyperparameters")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.set_defaults(func=_cmd_cv_kan)
-
-    p = sub.add_parser("eval-kan", help="test-fold RMSE heatmap")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=_cmd_eval_kan)
-
-    p = sub.add_parser("trace", help="trajectory for one fall segment")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--trial", required=True, help="trial id, e.g. F03_SA18_R03")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("stream", help="replay a trial through both models")
-    common(p)
-    p.add_argument("--fdnn", required=True, help="detector checkpoint")
-    p.add_argument("--kan", required=True, help="impact-model checkpoint")
-    p.add_argument("--trial", required=True, help="trial file path")
-    p.add_argument("--subjects", required=True)
-    p.add_argument("--mode", default="fast", choices=["fast", "realtime"])
-    p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser("synth", help="write a synthetic corpus")
-    common(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("report", help="render CSV/SVG/JSON reports")
-    common(p)
-    p.add_argument("--fdnn-eval", help="eval-fdnn output directory")
-    p.add_argument("--kan-eval", help="eval-kan output directory")
-    p.add_argument("--trace", action="append",
-                   help="trajectory CSV (repeatable)")
-    p.set_defaults(func=_cmd_report)
-
+    # argparse names the subcommand argument after its metavar in its
+    # errors, so the metavar is set only where it is needed, for the one
+    # command's parser.
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in (arguments if name == "verify"
+                              else _COMMON + arguments):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    # Only the named command's parser is built; no command, --help or an
+    # unknown name gets the whole parser, which lists them all.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     if not argv:
         parser.print_usage()
         return 1

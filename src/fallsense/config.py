@@ -8,6 +8,7 @@ next to its outputs, so any run can be reproduced from that snapshot.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import dataclass, field, fields
@@ -60,16 +61,20 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
+# Each config class's field types, resolved once per class; every caller
+# gets the same dict, so it is only read.
+_type_hints = functools.cache(typing.get_type_hints)
+
 # The object-valued keys of a run config, each its own dataclass.
 _SECTION_TYPES = {name: kind for name, kind in
-                  typing.get_type_hints(RunConfig).items()
+                  _type_hints(RunConfig).items()
                   if dataclasses.is_dataclass(kind)}
 
 
 def _check_integers(cls, data: dict, where: str) -> None:
     """Refuse a fraction, bool or string given for an int field, and a
     negative seed (NumPy's generators take none)."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for name, value in data.items():
         if hints[name] is int and (not isinstance(value, int)
                                    or isinstance(value, bool)):

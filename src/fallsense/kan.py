@@ -281,7 +281,9 @@ class KanKernel:
         for xi, nodes in zip(x, inner):
             if xi > lo:
                 if xi < hi:
-                    k = min(int((xi - lo) * inv_step), last)
+                    k = int((xi - lo) * inv_step)
+                    if k > last:
+                        k = last
                     while grid[k] > xi:
                         k -= 1
                     while grid[k + 1] <= xi:
@@ -301,7 +303,9 @@ class KanKernel:
                 s, self.outer, self.outer_values):
             if sj > lo:
                 if sj < hi:
-                    k = min(int((sj - lo) * inv_step), last)
+                    k = int((sj - lo) * inv_step)
+                    if k > last:
+                        k = last
                     while grid[k] > sj:
                         k -= 1
                     while grid[k + 1] <= sj:

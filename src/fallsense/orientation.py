@@ -112,10 +112,19 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return np.array(_rotation(q)).reshape(3, 3)
 
 
-def unit_body_up(body_up) -> tuple[float, float, float]:
-    """The body-up axis scaled to unit length.  Raises OrientationError
-    unless it has 3 finite entries and a non-zero (finite) norm: any other
-    axis gives no tilt."""
+class UnitAxis(tuple):
+    """A body-up axis that ``unit_body_up`` has already scaled to unit
+    length, so that passing it again costs no second normalization."""
+
+    __slots__ = ()
+
+
+def unit_body_up(body_up) -> UnitAxis:
+    """The body-up axis scaled to unit length; a ``UnitAxis`` is returned
+    as it is.  Raises OrientationError unless it has 3 finite entries and
+    a non-zero (finite) norm: any other axis gives no tilt."""
+    if isinstance(body_up, UnitAxis):
+        return body_up
     try:
         ux, uy, uz = map(float, _floats(body_up))
     except (TypeError, ValueError):
@@ -125,7 +134,7 @@ def unit_body_up(body_up) -> tuple[float, float, float]:
         raise OrientationError(
             f"body_up must be 3 finite numbers with a non-zero norm, "
             f"got {body_up!r}")
-    return (ux / norm, uy / norm, uz / norm)
+    return UnitAxis((ux / norm, uy / norm, uz / norm))
 
 
 def tilt(q, up: tuple[float, float, float] | None = None) -> float:
@@ -156,7 +165,7 @@ def tilt(q, up: tuple[float, float, float] | None = None) -> float:
 def tilt_angles(quats, body_up: np.ndarray | None = None) -> np.ndarray:
     """``tilt`` per row of an (N, 4) quaternion series (an array or a
     sequence of 4-sequences), with ``body_up`` scaled to unit length
-    once."""
+    once per call, or not at all if it is a ``UnitAxis``."""
     up = None if body_up is None else unit_body_up(body_up)
     return np.array([tilt(q, up) for q in _floats(quats)], dtype=float)
 

@@ -6,11 +6,16 @@ falling) one impact-time evaluation.  Real-time mode paces samples at the
 200 Hz period; fast mode runs unpaced.  Event values are identical in
 both modes.
 
-The tick does no more than it must: the frame's detector entries are
-written and standardized in the detector's own input row
-(``InferStep.inputs``), so its ``step`` copies nothing, and each tick
-keeps its event as a plain tuple; the ``StreamEvent`` list is built once
-after the last sample.
+What does not change within a trial is done once per trial, before the
+first tick: the checkpoints are read, the body-up axis is scaled to unit
+length (a ``UnitAxis``, which each tick's tilt takes as it is), and the 4
+static detector inputs are written and standardized in the detector's
+own input row (``InferStep.inputs``).  A tick then runs the filter
+steps, the tilt and its derivative, builds the frame, packs the frame's
+14 dynamic detector entries into that row and standardizes them there
+(so ``step`` copies nothing), steps the detector and, if the impact model
+runs, reads it.  Each tick keeps its event as a plain tuple; the
+``StreamEvent`` list is built once after the last sample.
 
 The orientation filter starts like the batch estimator
 (``orientation.filter_start``: the accelerometer mean over the first half
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -126,7 +132,7 @@ def stream_trial(
         raise StreamError(f"derivative order must be 1 or 2, got {deriv_order}")
     if body_up is not None:
         try:
-            unit_body_up(body_up)
+            body_up = unit_body_up(body_up)     # once, not every tick
         except OrientationError as exc:
             raise StreamError(str(exc)) from None
     n = len(trial)
@@ -154,7 +160,6 @@ def stream_trial(
 
     detector = fdnn_mod.InferStep(params, fcfg)
     threshold = fcfg.threshold
-    mean, std = fstats.mean, fstats.std
     dt = SAMPLE_PERIOD_S
     state, window = filter_start(trial.accel_adxl345, filter_config, dt)
     kernel = kan_mod.KanKernel(kan_model)
@@ -163,14 +168,22 @@ def stream_trial(
         maxlen=kan_model.config.window_samples)
 
     # Each sample's 19-entry frame is one list of Python floats, built from
-    # these rows and the filter's quaternion; its first 18 entries are
-    # written into the detector's own input row and standardized there.
+    # these rows and the filter's quaternion; its first 18 entries are the
+    # detector's own input row, standardized there.  The 4 static entries
+    # are written and standardized once; a tick packs the 14 dynamic ones
+    # and standardizes those alone, with the same two ufuncs.
     static = subject.static_vector().tolist()
     accel = trial.accel_adxl345.tolist()
     accel2 = trial.accel_mma8451q.tolist()
     gyro = trial.gyro_itg3200.tolist()
-    n_fdnn = len(FDNN_FEATURES)
-    inputs = detector.inputs[0]
+    n_static, n_fdnn = len(static), len(FDNN_FEATURES)
+    fixed = detector.inputs[0, :n_static]
+    dynamic = detector.inputs[0, n_static:]
+    fixed[:] = static
+    np.subtract(fixed, fstats.mean[:n_static], out=fixed)
+    np.divide(fixed, fstats.std[:n_static], out=fixed)
+    mean, std = fstats.mean[n_static:], fstats.std[n_static:]
+    pack = struct.Struct(f"={n_fdnn - n_static}d").pack_into
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     ticks: list[tuple] = []     # each event's fields, one tuple per sample
     latencies: list[float] = []
@@ -202,9 +215,9 @@ def stream_trial(
         frame = [*static, *accel[k], *accel2[k], *gyro[k], *state.quat,
                  theta, deriv]
 
-        inputs[:] = frame[:n_fdnn]
-        np.subtract(inputs, mean, out=inputs)
-        np.divide(inputs, std, out=inputs)
+        pack(dynamic, 0, *frame[n_static:n_fdnn])
+        np.subtract(dynamic, mean, out=dynamic)
+        np.divide(dynamic, std, out=dynamic)
         p_fall = detector.step()
         decision = p_fall > threshold
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fallsense import fdnn, pipeline
-from fallsense.cli import dispatch
+from fallsense.cli import build_parser, dispatch
 from fallsense.config import dump_config, load_config
 from fallsense.features import FeatureFrames, load_frames, save_frames
 
@@ -194,6 +194,53 @@ class TestUsage:
         assert rc == 1
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+# Every subcommand, in the order the top-level help lists them.
+ALL_COMMANDS = ("verify", "features", "select", "train-fdnn", "eval-fdnn",
+                "train-kan", "cv-kan", "eval-kan", "trace", "stream",
+                "synth", "report")
+
+
+class TestParserPerCommand:
+    """``dispatch`` builds only the named command's parser; what it
+    prints reads as it does from the parser with every command."""
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_command_help(self, command, capsys):
+        assert dispatch([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: fallsense {command} ")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert dispatch(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(ALL_COMMANDS) + "}" in out
+        section = out.split("positional arguments:\n")[1].split("\n\n")[0]
+        listed = [line.split()[0] for line in section.splitlines()
+                  if line.startswith("    ")]
+        assert listed == list(ALL_COMMANDS)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["stream", "--mode", "slow"],
+         "argument --mode: invalid choice: 'slow'"),
+        (["stream", "--out", "o", "--fdnn", "d", "--kan", "k", "--trial",
+          "t", "--subjects", "s", "--mode", "slow"],
+         "argument --mode: invalid choice: 'slow'"),
+        # left over after the command: the top-level parser's error
+        (["stream", "--out", "o", "--fdnn", "d", "--kan", "k", "--trial",
+          "t", "--subjects", "s", "extra"], "unrecognized arguments: extra"),
+    ], ids=["unknown_command", "bad_mode", "bad_mode_full", "extra"])
+    def test_errors_read_as_from_the_whole_parser(self, argv, message,
+                                                   capsys):
+        assert dispatch(argv) == 1
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert message in got.err
+        assert (got.out, got.err) == (want.out, want.err)
+
 
 class TestSynth:
     def test_outputs(self, synth_dir):

@@ -79,6 +79,38 @@ def random_grid_model(model, xs, seed=7):
     return out
 
 
+def overshooting_grid(x, n, seed):
+    """An uneven n-node grid whose last node is one ulp above x, and on
+    which the mean-step guess for x, ``int((x - lo) * inv_step)``, rounds
+    up to one past the last interval, so that the guess must be clamped."""
+    hi = math.nextafter(x, math.inf)
+    steps = np.cumsum(np.random.default_rng(seed).uniform(0.2, 1.0, n - 1))
+    fractions = np.r_[0.0, steps / steps[-1]]
+    for width in np.linspace(0.5, 8.0, 751):
+        grid = (hi - width * (1.0 - fractions)).tolist()
+        _, _, lo, _, inv_step, last = kan._grid_spec(grid)
+        if grid[-1] == hi and int((x - lo) * inv_step) > last:
+            return grid
+    raise AssertionError(f"no overshooting grid ends just above {x}")
+
+
+def walk_branch(spec, x):
+    """The branch of ``KanKernel.eval``'s bracket walk that x takes on a
+    grid: a clamp (either end or the guess), NaN, or the guess from the
+    mean step being exact or walked up or down to the left node."""
+    grid, _, lo, hi, inv_step, last = spec
+    if not x > lo:
+        return "nan" if math.isnan(x) else "left end"
+    if not x < hi:
+        return "right end"
+    guess = int((x - lo) * inv_step)
+    if guess > last:
+        return "guess clamped"
+    k = int(np.searchsorted(grid, x, side="right")) - 1
+    return ("exact guess" if guess == k
+            else "walk down" if guess > k else "walk up")
+
+
 def pwl(grid, values, x):
     """Value, node indices and node weights of the piecewise-linear
     function (grid, values) at x, through the kernel's bracket."""
@@ -203,6 +235,71 @@ class TestEval:
             # exact, with NaN required at the same positions
             np.testing.assert_array_equal(
                 kan_eval_batch(m, np.array(rows)), single)
+
+    def test_batch_matches_scalar_on_every_walk_branch(self):
+        # hand-built rows that take every branch of both of eval's bracket
+        # walks: exact nodes, guesses walked up and down (uneven grids),
+        # one ulp below the last node where the mean-step guess rounds up
+        # past the last interval and is clamped, both end clamps and NaN
+        model, xs = training_style_model()
+        x_top = 1.7
+        model.inner_grid = np.array(overshooting_grid(
+            x_top, model.inner_grid.size, seed=4))
+        model.inner_values[...] = np.random.default_rng(4).normal(
+            0.0, 1.0, model.inner_values.shape)
+        g = model.inner_grid.tolist()
+        probes = [*g, *np.linspace(g[0], g[-1], 41).tolist(), x_top,
+                  g[0] - 1.0, g[-1] + 1.0, -math.inf, math.inf, math.nan]
+        rows = []
+        for p in probes:
+            for i in range(D):
+                row = xs[i].tolist()
+                row[i] = p
+                rows.append(row)
+        inner_spec = kan._grid_spec(g)
+        inner_hit = {walk_branch(inner_spec, x) for row in rows for x in row}
+
+        # Each branch's outer grid placed around the sum of one base row:
+        # past the grid's ends, on them, on a node, inside an interval
+        # (a different one per branch) and one ulp below the last node.
+        q = model.outer_grids.shape[1]
+        offsets = np.r_[0.0, np.cumsum(
+            np.random.default_rng(5).uniform(0.2, 1.0, q - 1))]
+        cases = ("overshoot", "node", "inside", "left", "right", "at lo",
+                 "at hi")
+
+        def placed_grid(sj, case, j):
+            if case == "overshoot":
+                return overshooting_grid(sj, q, seed=j)
+            m = j % (q - 1)
+            anchor = {"node": offsets[m],
+                      "inside": (offsets[m] + offsets[m + 1]) / 2,
+                      "left": offsets[0] + 1.0, "right": offsets[-1] - 1.0,
+                      "at lo": offsets[0], "at hi": offsets[-1]}[case]
+            return (sj + (offsets - anchor)).tolist()
+
+        base = xs[D]
+        rows.append(base.tolist())
+        s = kan._inner_sums_batch(model, base[None, :])[0].tolist()
+        outer_hit = set()
+        for shift in range(len(cases)):
+            placed = model.copy()
+            placed.outer_grids = np.array([
+                placed_grid(sj, cases[(j + shift) % len(cases)], j)
+                for j, sj in enumerate(s)])
+            assert np.all(np.diff(placed.outer_grids, axis=1) > 0)
+            sums = kan._inner_sums_batch(placed, np.array(rows)).tolist()
+            outer_hit |= {walk_branch(kan._grid_spec(grid), sj)
+                          for row_sums in sums
+                          for grid, sj in zip(
+                              placed.outer_grids.tolist(), row_sums)}
+            single = [KanKernel(placed).eval(row) for row in rows]
+            np.testing.assert_array_equal(
+                kan_eval_batch(placed, np.array(rows)), single)
+        every = {"left end", "right end", "nan", "guess clamped",
+                 "exact guess", "walk down", "walk up"}
+        assert inner_hit == every
+        assert outer_hit == every
 
     def test_brackets_match_scalar_bracket(self):
         # BIG, the largest finite float, overflows an unclamped division

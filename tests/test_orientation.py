@@ -12,6 +12,7 @@ from fallsense.orientation import (
     FilterConfig,
     FilterState,
     OrientationError,
+    UnitAxis,
     angular_derivative,
     estimate_orientation,
     init_state,
@@ -21,6 +22,7 @@ from fallsense.orientation import (
     quat_to_matrix,
     tilt,
     tilt_angles,
+    unit_body_up,
     update_step,
 )
 
@@ -686,6 +688,31 @@ class TestTiltAngle:
         want = tilt_angles(q, (0.0, 0.0, 1.0))
         for body_up in ((0.0, 0.0, 1e-200), (0.0, 0.0, 1e200)):
             assert np.array_equal(tilt_angles(q, body_up), want)
+
+
+    def test_unit_axis_is_handed_back_as_it_is(self):
+        # the stream scales its axis once per trial and gives the result
+        # to every tick's tilt_angles, which must not scale it again
+        axis = unit_body_up((0.3, -2.0, 0.7))
+        assert isinstance(axis, UnitAxis)
+        assert unit_body_up(axis) is axis
+
+    @pytest.mark.parametrize("body_up", [
+        (0.3, -2.0, 0.7), np.array([1e-3, 2.0, -5.0]), [0.0, -1.0, 0.0]])
+    def test_unit_body_up_is_one_normalization(self, body_up):
+        ux, uy, uz = (float(v) for v in body_up)
+        norm = math.hypot(ux, uy, uz)
+        assert unit_body_up(body_up) == (ux / norm, uy / norm, uz / norm)
+
+    @pytest.mark.parametrize("body_up", [
+        (0.3, -2.0, 0.7), (0.0, -1.0, 0.0), (0.0, 0.0, 1e-200),
+        (-4.0, 1e-3, 2.5)])
+    def test_unit_axis_gives_the_same_tilts(self, body_up):
+        rng = np.random.default_rng(8)
+        quats = np.array([quat_from_rotvec(rng.normal(size=3))
+                          for _ in range(50)])
+        assert np.array_equal(tilt_angles(quats, body_up),
+                              tilt_angles(quats, unit_body_up(body_up)))
 
 
 class TestAngularDerivative:
