@@ -9,6 +9,7 @@ subset.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -149,58 +150,26 @@ class StandardizationStats:
     names: tuple[str, ...] | None = None
 
 
-# Rows per block of ``_stacked_moments``' column sums.
-_SUM_ROWS = 4096
-
-
-def _stacked_column_sum(blocks) -> np.ndarray:
-    """The column sums of ``blocks`` stacked, each block a C-contiguous
-    array of its own with at least 2 columns (its first row is
-    overwritten).  NumPy sums such a matrix down axis 0 row after row, so
-    the running sum carried into each block's first row gives the bits
-    of the stack's sum."""
-    total = None
-    for block in blocks:
-        if total is not None:
-            block[0] += total
-        total = block.sum(axis=0)
-    return total
-
-
-def _stacked_moments(matrices: list[np.ndarray]):
-    """``np.mean`` and ``np.std`` down axis 0 of ``np.vstack(matrices)``,
-    bit for bit, holding one block of rows at a time."""
-    parts = [np.asarray(m, dtype=float) for m in matrices]
-    if any(m.ndim != 2 for m in parts):
-        raise FeatureError("a standardizer is fitted on (rows, columns) data")
-    if not sum(m.size for m in parts):
-        raise FeatureError("cannot fit a standardizer on empty data")
-    if parts[0].shape[1] < 2:       # NumPy sums one column pairwise
-        stacked = np.vstack(parts)
-        return stacked.mean(axis=0), stacked.std(axis=0)
-    n = sum(len(m) for m in parts)
-    spans = [(m, k) for m in parts for k in range(0, len(m), _SUM_ROWS)]
-    mean = _stacked_column_sum(
-        m[k:k + _SUM_ROWS].copy() for m, k in spans) / n
-    sq = _stacked_column_sum(
-        np.square(np.subtract(m[k:k + _SUM_ROWS], mean, order="C"))
-        for m, k in spans)
-    return mean, np.sqrt(sq / n)
-
-
 def fit_standardizer(matrix: np.ndarray | list[np.ndarray],
                      names: tuple[str, ...] | None = None) -> StandardizationStats:
-    """Column means and population stds of ``matrix``.  A list of
-    matrices (one per trial, say) stands for their row stack, whose bits
-    it gives without building it."""
-    if isinstance(matrix, list):
-        mean, std = _stacked_moments(matrix)
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.size == 0:
-            raise FeatureError("cannot fit a standardizer on empty data")
-        mean, std = matrix.mean(axis=0), matrix.std(axis=0)
-    return StandardizationStats(mean=mean, std=np.maximum(std, STD_FLOOR),
+    """Column means and population stds of ``matrix``, or of the rows of
+    a list of matrices (one per trial, say) without stacking them.  Each
+    matrix's column sums, added in list order, give the mean; each one's
+    summed squared deviations from it, added the same way, the variance.
+    One matrix so gets ``np.mean``'s and ``np.std``'s bits."""
+    parts = [np.asarray(m, dtype=float)
+             for m in (matrix if isinstance(matrix, list) else [matrix])]
+    if any(m.ndim != 2 or m.shape[1] != parts[0].shape[1] for m in parts):
+        raise FeatureError(
+            "a standardizer is fitted on (rows, columns) data of one width")
+    if not sum(m.size for m in parts):
+        raise FeatureError("cannot fit a standardizer on empty data")
+    n = sum(len(m) for m in parts)
+    mean = functools.reduce(np.add, [m.sum(axis=0) for m in parts]) / n
+    sq = functools.reduce(
+        np.add, [np.square(m - mean).sum(axis=0) for m in parts])
+    return StandardizationStats(mean=mean,
+                                std=np.maximum(np.sqrt(sq / n), STD_FLOOR),
                                 names=names)
 
 

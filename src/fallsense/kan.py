@@ -13,19 +13,14 @@ grids and node values (plus the input standardizer), bracketed in O(1)
 from each grid's first node and mean step and then walked to the exact
 node, so any strictly increasing grid is bracketed as ``searchsorted``
 would.  The stream's single-row reads and ``fit_records``' Kaczmarz
-writes both run on it, each on the layout that suits it:
-
-- Reads walk nested Python lists.  A read touches two inner nodes per
-  input and two outer nodes per branch, and on lists that costs less
-  than the NumPy calls that would gather them.
-- Writes hold the inner node values in one NumPy table of
-  (input, node) rows by branch columns.  A Kaczmarz step forms 2d*(2d+1)
-  inner products and moves as many inner nodes, and in list
-  comprehensions that element work was most of a step.  On the table it
-  is one gather, a few whole-block ufuncs and one scatter per record.
-  The outer walk, the gram and the outer update stay on Python floats,
-  one grid bracket per branch.  A read after a write copies the table
-  into lists again.
+writes both run on it, on one layout: the inner node values in one NumPy
+table of (input, node) rows by branch columns.  A read and a Kaczmarz
+step both gather the 2d rows their inputs bracket and form the 2d+1
+inner sums in a few whole-block ufuncs (element work that in list
+comprehensions was most of a step); a step then moves those 2d*(2d+1)
+nodes and scatters them back.  Both walk the outer grids on Python
+floats, one bracket per branch.  The table is the only copy of the
+inner nodes, so a read after a write sees the write.
 
 A fit brackets all records' inputs in one call (``KanKernel.records``),
 and the sweeps write the node values back to the model's arrays once per
@@ -217,15 +212,12 @@ class KanKernel:
     one evaluator of single rows and the state the Kaczmarz sweeps update.
 
     The inner node values live in one (d*n, 2d+1) float64 table: row
-    ``i*n + k`` is input i's node k across the branches.  A Kaczmarz step
-    gathers a record's 2d bracketing rows, forms the inner sums and
-    scatters the rows back updated in a few whole-block NumPy calls,
-    which cost less than the same element work in list comprehensions.
-    ``eval`` reads a nested-list copy of the table (``[i][k][j]``), made
-    on the first read after a write, because one read touches too few
-    nodes to pay for NumPy calls.  Outer grids and values are nested
-    lists, read and written in Python by both.  ``store`` writes the node
-    values back to the model's arrays.
+    ``i*n + k`` is input i's node k across the branches.  ``eval`` and
+    ``step`` both gather a row's 2d bracketing rows and form the inner
+    sums in a few whole-block NumPy calls; ``step`` then scatters the rows
+    back updated.  Outer grids and values are nested lists, read and
+    written in Python by both.  ``store`` writes the node values back to
+    the model's arrays.
 
     ``eval`` and ``step`` walk their grid brackets inline, as ``_bracket``
     does, with no call per bracket: at these sizes the calls cost more
@@ -233,7 +225,7 @@ class KanKernel:
     """
 
     __slots__ = ("names", "mean", "std", "damping", "inner", "table",
-                 "_lists", "outer", "outer_values", "_work")
+                 "outer", "outer_values", "_work")
 
     def __init__(self, model: KanModel):
         self.names = model.feature_names
@@ -244,11 +236,10 @@ class KanKernel:
         d, b, n = model.inner_values.shape
         self.table = model.inner_values.transpose(0, 2, 1).copy().reshape(
             d * n, b)
-        self._lists = None
         self.outer = [_grid_spec(g) for g in model.outer_grids.tolist()]
         self.outer_values = model.outer_values.tolist()
-        # step's buffers: products (2d, b), its two halves, their sums
-        # (d, b), and the scaled slopes (b,)
+        # eval's and step's buffers: products (2d, b), its two halves,
+        # their sums (d, b), and step's scaled slopes (b,)
         products = np.empty((2 * d, b))
         self._work = (products, products[:d], products[d:],
                       np.empty((d, b)), np.empty(b))
@@ -272,13 +263,11 @@ class KanKernel:
 
     def eval(self, x) -> float:
         """Prediction in ms for one standardized row (can be negative)."""
-        inner = self._lists
-        if inner is None:
-            inner = self._lists = self.table.reshape(
-                len(self.mean), -1, len(self.outer)).tolist()
         grid, gaps, lo, hi, inv_step, last = self.inner
-        s = [0.0] * len(self.outer)
-        for xi, nodes in zip(x, inner):
+        n = last + 2
+        rows, weights = [], []
+        row = 0                 # input i's first node: table row i*n
+        for xi in x:
             if xi > lo:
                 if xi < hi:
                     k = int((xi - lo) * inv_step)
@@ -295,9 +284,16 @@ class KanKernel:
                 k, t = 0, 0.0
             else:       # NaN
                 k, t = last, xi
-            u = 1.0 - t
-            s = [sj + (u * a + t * b)
-                 for sj, a, b in zip(s, nodes[k], nodes[k + 1])]
+            rows.append(row + k)
+            weights.append(t)
+            row += n
+        products, left, right, pairs, _ = self._work
+        np.multiply(
+            self.table.take(rows + [r + 1 for r in rows], 0),
+            np.array([1.0 - t for t in weights] + weights)[:, None],
+            out=products)
+        s = np.add.reduce(np.add(left, right, out=pairs), axis=0,
+                          initial=0.0).tolist()
         y = 0.0
         for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
                 s, self.outer, self.outer_values):
@@ -414,7 +410,6 @@ class KanKernel:
         np.multiply(weights, scaled, out=products)
         nodes += products
         self.table.put(elements, nodes)
-        self._lists = None
         return UpdateInfo(r, gram, False)
 
     def update(self, x, y: float, mu: float) -> UpdateInfo:

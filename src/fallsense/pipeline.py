@@ -58,8 +58,8 @@ def orient_and_frame(
 # ---------------------------------------------------------------------------
 
 def fit_frame_standardizer(frames: list[FeatureFrames]) -> StandardizationStats:
-    """Standardizer over the 18 detector inputs, training frames only,
-    summed trial after trial rather than over a stacked copy."""
+    """Standardizer over the 18 detector inputs, training frames only:
+    each trial's sums added in list order, with no stacked copy."""
     return fit_standardizer([f.fdnn_matrix() for f in frames], FDNN_FEATURES)
 
 

@@ -121,11 +121,13 @@ def stream_trial(
     Latency is pure processing time; real-time pacing waits are not
     counted.  By default the impact estimator runs only while the
     detector reports falling; ``kan_gating=False`` evaluates it on every
-    sample instead.  A ``body_up`` or ``deriv_order`` that gives no tilt,
-    a trial too short for the tilt derivative (under ``deriv_order + 1``
-    samples, which the batch path refuses too) or one with a non-finite
-    sample raises StreamError before the checkpoints are read.
+    sample instead.  Settings that ``StreamSettings`` refuses, a
+    ``body_up`` or ``deriv_order`` that gives no tilt, a trial too short
+    for the tilt derivative (under ``deriv_order + 1`` samples, which the
+    batch path refuses too) or one with a non-finite sample raise
+    StreamError before the checkpoints are read.
     """
+    StreamSettings(deadline_us, kan_gating)     # the config path's checks
     if mode not in ("realtime", "fast"):
         raise StreamError(f"unknown mode {mode!r}")
     if deriv_order not in (1, 2):

@@ -156,8 +156,11 @@ def generate_synthetic_trial(
     theta = _tilt_profile(spec, n)
     mag = _magnitude_profile(spec, n, onset_i, impact_i)
 
+    # Norms in float arithmetic, added left to right: np.linalg.norm is a
+    # BLAS dot whose last bits depend on the BLAS kernel.
     axis = np.asarray(spec.tilt_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    ax, ay, az = axis
+    axis = axis / math.sqrt(ax * ax + ay * ay + az * az)
 
     quats = np.empty((n, 4))
     up_body = np.empty((n, 3))
@@ -165,8 +168,9 @@ def generate_synthetic_trial(
         q = quat_from_rotvec(axis * theta[k])
         if q[0] < 0:
             q = -q
-        quats[k] = q / np.linalg.norm(q)
-        up_body[k] = quat_to_matrix(quats[k]).T @ np.array([0.0, 0.0, 1.0])
+        w, x, y, z = q
+        quats[k] = q / math.sqrt(w * w + x * x + y * y + z * z)
+        up_body[k] = quat_to_matrix(quats[k])[2]        # R^T e_z
 
     accel = mag[:, None] * up_body
     accel_adxl = accel + rng.normal(0.0, spec.noise_g, size=(n, 3))

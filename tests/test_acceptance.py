@@ -401,10 +401,10 @@ def test_b13_realtime_stream_demo_runs():
     stdout = _run_demo("04_realtime_stream.py")
     for line in ("  t=    0 ms  P(falling)=0.430",
                  "  t= 1500 ms  P(falling)=0.022  <- fall starts",
-                 "  t= 1600 ms  P(falling)=0.778  countdown  635.4 ms",
-                 "  t= 1800 ms  P(falling)=0.785  countdown  416.1 ms",
-                 "  t= 2000 ms  P(falling)=0.801  countdown   84.2 ms",
-                 "  t= 2100 ms  P(falling)=0.825  countdown   43.5 ms"
+                 "  t= 1600 ms  P(falling)=0.778  countdown  656.6 ms",
+                 "  t= 1800 ms  P(falling)=0.785  countdown  401.8 ms",
+                 "  t= 2000 ms  P(falling)=0.801  countdown   99.0 ms",
+                 "  t= 2100 ms  P(falling)=0.825  countdown   39.8 ms"
                  "  <- impact",
                  "  t= 2200 ms  P(falling)=0.010",
                  "  t= 3800 ms  P(falling)=0.011"):

@@ -150,21 +150,53 @@ class TestStandardizer:
         with pytest.raises(FeatureError):
             fit_standardizer([np.empty((0, 3)), np.empty((0, 3))])
 
-    @pytest.mark.parametrize("width", [18, 5, 1])
-    def test_list_gives_the_stacked_bits(self, width):
-        # Trials of unequal length, some empty and some longer than one
-        # block of the running column sums, as views of wider frames and
-        # in Fortran order.
+    @staticmethod
+    def trial_parts(width):
+        # Trials of unequal length, some empty and one long, as views of
+        # wider frames and one in Fortran order.
         rng = np.random.default_rng(2)
         lengths = (5, 0, 9000, 1, 4096, 333)
         parts = [(rng.normal(size=(n, width + 1))
                   * rng.lognormal(size=(n, 1)) + 50.0)[:, :width]
                  for n in lengths]
         parts[2] = np.asfortranarray(parts[2])
+        return parts
+
+    @pytest.mark.parametrize("width", [18, 5, 1])
+    def test_list_adds_per_trial_sums_in_list_order(self, width):
+        parts = self.trial_parts(width)
+        n = sum(len(m) for m in parts)
+        total = parts[0].sum(axis=0)
+        for m in parts[1:]:
+            total = total + m.sum(axis=0)
+        mean = total / n
+        sq = np.square(parts[0] - mean).sum(axis=0)
+        for m in parts[1:]:
+            sq = sq + np.square(m - mean).sum(axis=0)
         stats = fit_standardizer(parts)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == np.sqrt(sq / n).tobytes()
+        # the stacked moments, to rounding
         stacked = np.vstack(parts)
-        assert stats.mean.tobytes() == stacked.mean(axis=0).tobytes()
-        assert stats.std.tobytes() == stacked.std(axis=0).tobytes()
+        np.testing.assert_allclose(stats.mean, stacked.mean(axis=0),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(stats.std, stacked.std(axis=0),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("width", [18, 5, 1])
+    def test_one_matrix_gives_numpy_bits(self, width):
+        parts = [p for p in self.trial_parts(width) if len(p)]
+        for m in (*parts, *map(np.ascontiguousarray, parts),
+                  *map(np.asfortranarray, parts)):
+            for matrix in (m, [m]):
+                stats = fit_standardizer(matrix)
+                assert stats.mean.tobytes() == np.mean(m, axis=0).tobytes()
+                want = np.maximum(np.std(m, axis=0), feat.STD_FLOOR)
+                assert stats.std.tobytes() == want.tobytes()
+
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(FeatureError, match="one width"):
+            fit_standardizer([np.ones((3, 2)), np.ones((3, 1))])
 
 
 class TestCorrelationSelect:

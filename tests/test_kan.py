@@ -479,6 +479,24 @@ class TestKaczmarz:
             for probe in (x, *rows[:4]):
                 assert kernel.eval(probe) == fresh.eval(probe)
 
+    def test_eval_reads_the_table_written_in_place(self):
+        # reads and writes share one node table, so rows overwritten in
+        # place after a first read are what the next read sees
+        model, xs = training_style_model(seed=15)
+        placed = random_grid_model(model, xs)
+        kernel = KanKernel(placed)
+        rows = xs[:40]
+        kernel.eval(rows[0].tolist())
+        rng = np.random.default_rng(15)
+        kernel.table[::2] = rng.normal(0.0, 1.0, kernel.table[::2].shape)
+        kernel.table[1] *= -3.0
+        stored = placed.copy()
+        kernel.store(stored)
+        want = kan_eval_batch(stored, rows)
+        got = np.array([kernel.eval(x) for x in rows.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != kan_eval_batch(placed, rows).tobytes()
+
     def test_gram_never_degenerates(self):
         # Outer interpolation weights satisfy (1-t)^2 + t^2 >= 1/2 per
         # branch, so the Kaczmarz denominator is bounded away from zero

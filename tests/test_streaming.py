@@ -128,6 +128,21 @@ class TestStreamTrial:
             stream_trial(tmp_path / "missing.ckpt", tmp_path / "missing.kan",
                          annotated.trial, subject, body_up=body_up)
 
+    # The checks the config path makes (StreamSettings): a NaN deadline
+    # would count no miss, a negative one every sample, and "no" or 0
+    # would leave the impact-model gate on.
+    @pytest.mark.parametrize("settings", [
+        {"kan_gating": "no"}, {"kan_gating": 0},
+        {"deadline_us": math.nan}, {"deadline_us": -5.0}],
+        ids=["gating_no", "gating_0", "deadline_nan", "deadline_negative"])
+    def test_unusable_settings_refused_up_front(self, subject, tmp_path,
+                                                settings):
+        annotated, _ = generate_synthetic_trial(
+            SyntheticSpec(kind="walk", duration_s=1.0), seed=6)
+        with pytest.raises(StreamError, match="deadline_us|kan_gating"):
+            stream_trial(tmp_path / "missing.ckpt", tmp_path / "missing.kan",
+                         annotated.trial, subject, **settings)
+
     def test_fast_and_realtime_identical(self, trained, subject):
         fdnn_path, kan_path, *_ = trained
         annotated, _ = generate_synthetic_trial(
