@@ -187,6 +187,10 @@ def gate_layout(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return order, half
 
 
+# ``_lstm_cell``'s ufuncs, bound once: one global lookup a call, not two.
+_tanh, _multiply, _add = np.tanh, np.multiply, np.add
+
+
 def _lstm_cell(z, g, i, f, o, sig, c_prev, c, tanh_c, h,
                half=0.5) -> None:
     """One LSTM step in place.  z: (rows, 4H) pre-activations in
@@ -196,14 +200,14 @@ def _lstm_cell(z, g, i, f, o, sig, c_prev, c, tanh_c, h,
     ``half`` is 0.5 for tanh/2 + 1/2: the scans pass an array of 0.5 in
     sig's shape, built once, which NumPy applies faster than a Python
     float, with the same bits."""
-    np.tanh(z, z)
-    np.multiply(sig, half, sig)
-    np.add(sig, half, sig)
-    np.multiply(f, c_prev, c)
-    np.multiply(i, g, tanh_c)
-    np.add(c, tanh_c, c)
-    np.tanh(c, tanh_c)
-    np.multiply(o, tanh_c, h)
+    _tanh(z, z)
+    _multiply(sig, half, sig)
+    _add(sig, half, sig)
+    _multiply(f, c_prev, c)
+    _multiply(i, g, tanh_c)
+    _add(c, tanh_c, c)
+    _tanh(c, tanh_c)
+    _multiply(o, tanh_c, h)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

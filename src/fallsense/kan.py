@@ -159,29 +159,6 @@ def _grid_spec(grid: list[float]) -> tuple:
     return grid, gaps, lo, hi, inv_step, last
 
 
-def _bracket(spec: tuple, x: float) -> tuple[int, float]:
-    """Left node index k and interpolation weight t of x on a grid.
-
-    k is ``searchsorted(grid, x, side="right") - 1`` clamped to the grid's
-    intervals: guessed from the mean step, then walked to the exact node.
-    Clamped ends give t = 0 or t = 1; a NaN x gives the last interval and
-    a NaN t.
-    """
-    grid, gaps, lo, hi, inv_step, last = spec
-    if x > lo:
-        if x < hi:
-            k = min(int((x - lo) * inv_step), last)
-            while grid[k] > x:
-                k -= 1
-            while grid[k + 1] <= x:
-                k += 1
-            return k, (x - grid[k]) / gaps[k]
-        return last, 1.0
-    if x <= lo:
-        return 0, 0.0
-    return last, x
-
-
 def _pairwise_sum(values: list[float]) -> float:
     """The sum in the order NumPy's ``ndarray.sum()`` adds a contiguous
     float64 vector: in sequence below 8 entries, over 8 interleaved
@@ -219,18 +196,23 @@ class KanKernel:
     written in Python by both.  ``store`` writes the node values back to
     the model's arrays.
 
-    ``eval`` and ``step`` walk their grid brackets inline, as ``_bracket``
-    does, with no call per bracket: at these sizes the calls cost more
-    than the arithmetic.
+    Reads and ``step`` walk their grid brackets inline, with no call per
+    bracket: at these sizes the calls cost more than the arithmetic.  A
+    bracket is the left node k = ``searchsorted(grid, x, side="right") -
+    1`` clamped to the grid's intervals, guessed from the mean step and
+    walked to the exact node, and the weight t; clamped ends give t = 0 or
+    1 and a NaN x the last interval and t = NaN.  A read of a raw feature
+    row (``predict_smoothed_row``) standardizes each input in its walk.
     """
 
-    __slots__ = ("names", "mean", "std", "damping", "inner", "table",
-                 "outer", "outer_values", "_work")
+    __slots__ = ("names", "mean", "std", "_unit", "damping", "inner",
+                 "table", "outer", "outer_values", "_work")
 
     def __init__(self, model: KanModel):
         self.names = model.feature_names
         self.mean = model.stats.mean.tolist()
         self.std = model.stats.std.tolist()
+        self._unit = ([0.0] * len(self.mean), [1.0] * len(self.std))
         self.damping = model.config.damping
         self.inner = _grid_spec(model.inner_grid.tolist())
         d, b, n = model.inner_values.shape
@@ -250,48 +232,52 @@ class KanKernel:
             0, 2, 1)
         model.outer_values[...] = self.outer_values
 
-    def standardize(self, row) -> list[float]:
-        """One raw feature row standardized; non-finite results raise."""
-        if len(row) != len(self.mean):
-            raise KanError(
-                f"input must have {len(self.mean)} entries, got {len(row)}")
-        x = [(v - m) / s for v, m, s in zip(row, self.mean, self.std)]
-        if not all(map(math.isfinite, x)):
-            name = self.names[[math.isfinite(v) for v in x].index(False)]
-            raise KanError(f"non-finite standardized input {name!r}")
-        return x
-
     def eval(self, x) -> float:
         """Prediction in ms for one standardized row (can be negative)."""
+        return self._read(x, False)
+
+    def _read(self, x, raw: bool) -> float:
+        """Prediction in ms for one row.  A ``raw`` feature row is
+        standardized input by input, as (v - m) / s, inside the bracket
+        walk, and a non-finite result raises KanError naming the feature.
+        A standardized row goes through the same walk with mean 0 and std
+        1, which leave every bit, NaN and infinities included, as it is."""
+        mean, std = (self.mean, self.std) if raw else self._unit
+        if len(x) != len(mean):
+            raise KanError(
+                f"input must have {len(mean)} entries, got {len(x)}")
         grid, gaps, lo, hi, inv_step, last = self.inner
         n = last + 2
-        rows, weights = [], []
+        # Each input's bracketing table rows and their weights 1 - t, t.
+        left_rows, right_rows, us, ts = [], [], [], []
         row = 0                 # input i's first node: table row i*n
-        for xi in x:
-            if xi > lo:
-                if xi < hi:
-                    k = int((xi - lo) * inv_step)
-                    if k > last:
-                        k = last
-                    while grid[k] > xi:
-                        k -= 1
-                    while grid[k + 1] <= xi:
-                        k += 1
-                    t = (xi - grid[k]) / gaps[k]
-                else:
-                    k, t = last, 1.0
-            elif xi <= lo:
-                k, t = 0, 0.0
-            else:       # NaN
-                k, t = last, xi
-            rows.append(row + k)
-            weights.append(t)
+        for v, m, sd in zip(x, mean, std):
+            xi = (v - m) / sd
+            if lo < xi < hi:
+                k = int((xi - lo) * inv_step)
+                if k > last:
+                    k = last
+                while grid[k] > xi:
+                    k -= 1
+                while grid[k + 1] <= xi:
+                    k += 1
+                t = (xi - grid[k]) / gaps[k]
+            else:
+                if raw and not -math.inf < xi < math.inf:
+                    name = self.names[len(us)]
+                    raise KanError(f"non-finite standardized input {name!r}")
+                # Clamped ends; a NaN takes the last interval and t = NaN.
+                k, t = ((0, 0.0) if xi <= lo else (last, 1.0) if xi >= hi
+                        else (last, xi))
+            k += row
+            left_rows.append(k)
+            right_rows.append(k + 1)
+            us.append(1.0 - t)
+            ts.append(t)
             row += n
         products, left, right, pairs, _ = self._work
-        np.multiply(
-            self.table.take(rows + [r + 1 for r in rows], 0),
-            np.array([1.0 - t for t in weights] + weights)[:, None],
-            out=products)
+        np.multiply(self.table.take(left_rows + right_rows, 0),
+                    np.array(us + ts)[:, None], out=products)
         s = np.add.reduce(np.add(left, right, out=pairs), axis=0,
                           initial=0.0).tolist()
         y = 0.0
@@ -419,8 +405,8 @@ class KanKernel:
 
 def _brackets(grid: np.ndarray,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_bracket`` over an array: left node indices k and weights t,
-    with t = 0 or 1 at clamped ends and a NaN t for a NaN x.
+    """``KanKernel``'s bracket over an array: left node indices k and
+    weights t, with t = 0 or 1 at clamped ends and a NaN t for a NaN x.
 
     Searching the interior nodes gives ``searchsorted(grid, x,
     side="right") - 1`` already clamped to the grid's intervals.  x is
@@ -706,7 +692,7 @@ def predict_smoothed_row(kernel: KanKernel, smoothed_row) -> float:
     Raises KanError, naming the feature, on a non-finite standardized
     input (clamping would otherwise read a NaN as "impact now").
     """
-    return max(0.0, kernel.eval(kernel.standardize(smoothed_row)))
+    return max(0.0, kernel._read(smoothed_row, True))
 
 
 def predict_segment(model: KanModel, segment: FallSegment) -> np.ndarray:

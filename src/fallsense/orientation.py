@@ -440,18 +440,22 @@ def init_state(accel_mean_g: np.ndarray,
     fall back to identity attitude with inflated covariance.
     """
     config = config or FilterConfig()
-    a = np.asarray(accel_mean_g, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if not np.all(np.isfinite(a)) or not (0.5 <= norm <= 1.5):
+    # Norms, dot and cross in float arithmetic, added left to right:
+    # np.linalg.norm and ``@`` are BLAS calls whose last bits depend on
+    # the BLAS kernel.  A non-finite mean gives a non-finite norm.
+    ax, ay, az = np.asarray(accel_mean_g, dtype=float).tolist()
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    if not 0.5 <= norm <= 1.5:
         q = np.array([1.0, 0.0, 0.0, 0.0])
         P = DYNAMIC_INIT_STD_RAD ** 2 * np.eye(3)
         return FilterState(q=q, P=P, config=config)
 
-    a_hat = a / norm
+    hx, hy, hz = ax / norm, ay / norm, az / norm
+    ux, uy, uz = WORLD_UP.tolist()
     # Rotation taking the measured body-frame up onto the world up.
-    c = float(a_hat @ WORLD_UP)
-    axis = np.cross(a_hat, WORLD_UP)
-    s = float(np.linalg.norm(axis))
+    c = hx * ux + hy * uy + hz * uz
+    sx, sy, sz = hy * uz - hz * uy, hz * ux - hx * uz, hx * uy - hy * ux
+    s = math.sqrt(sx * sx + sy * sy + sz * sz)
     if s < 1e-12:
         if c > 0:
             q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -459,7 +463,7 @@ def init_state(accel_mean_g: np.ndarray,
             q = np.array([0.0, 1.0, 0.0, 0.0])  # upside down: flip about x
     else:
         angle = math.atan2(s, c)
-        q = quat_from_rotvec(axis / s * angle)
+        q = quat_from_rotvec((sx / s * angle, sy / s * angle, sz / s * angle))
     # World-frame rotation applied on the left: v_w = R(q_rot) a_hat = e_z.
     q = np.array(quat_normalize(q))
     P = INIT_ATT_STD_RAD ** 2 * np.eye(3)

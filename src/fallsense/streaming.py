@@ -26,7 +26,6 @@ full; after the warm-up, event k depends only on samples up to k.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import time
@@ -181,9 +180,10 @@ def stream_trial(
     n_static, n_fdnn = len(static), len(FDNN_FEATURES)
     fixed = detector.inputs[0, :n_static]
     dynamic = detector.inputs[0, n_static:]
+    subtract, divide = np.subtract, np.divide
     fixed[:] = static
-    np.subtract(fixed, fstats.mean[:n_static], out=fixed)
-    np.divide(fixed, fstats.std[:n_static], out=fixed)
+    subtract(fixed, fstats.mean[:n_static], fixed)
+    divide(fixed, fstats.std[:n_static], fixed)
     mean, std = fstats.mean[n_static:], fstats.std[n_static:]
     pack = struct.Struct(f"={n_fdnn - n_static}d").pack_into
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
@@ -218,8 +218,8 @@ def stream_trial(
                  theta, deriv]
 
         pack(dynamic, 0, *frame[n_static:n_fdnn])
-        np.subtract(dynamic, mean, out=dynamic)
-        np.divide(dynamic, std, out=dynamic)
+        subtract(dynamic, mean, dynamic)
+        divide(dynamic, std, dynamic)
         p_fall = detector.step()
         decision = p_fall > threshold
 
@@ -254,13 +254,11 @@ def stream_trial(
 
 
 def write_events_csv(path: Path | str, events: list[StreamEvent]) -> None:
+    """A header and one CRLF-terminated line per event, written at once:
+    the bytes ``csv.writer`` gives, with an empty ``tti_ms`` field where
+    the impact model did not run."""
+    lines = [f"{i},{p:.9f},{d:d},{'' if t is None else format(t, '.3f')},"
+             f"{lat:.1f}\r\n" for i, p, d, t, lat in events]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "p_falling", "decision", "tti_ms",
-                         "latency_us"])
-        for e in events:
-            writer.writerow([
-                e.index, f"{e.p_falling:.9f}", int(e.decision),
-                "" if e.tti_ms is None else f"{e.tti_ms:.3f}",
-                f"{e.latency_us:.1f}",
-            ])
+        fh.write("index,p_falling,decision,tti_ms,latency_us\r\n"
+                 + "".join(lines))

@@ -94,6 +94,31 @@ def overshooting_grid(x, n, seed):
     raise AssertionError(f"no overshooting grid ends just above {x}")
 
 
+def bracket(spec, x):
+    """Left node index k and interpolation weight t of x on a grid
+    (``kan._grid_spec``), one bracket per call: the scalar reference for
+    the walks that ``KanKernel`` writes inline.
+
+    k is ``searchsorted(grid, x, side="right") - 1`` clamped to the grid's
+    intervals: guessed from the mean step, then walked to the exact node.
+    Clamped ends give t = 0 or t = 1; a NaN x gives the last interval and
+    a NaN t.
+    """
+    grid, gaps, lo, hi, inv_step, last = spec
+    if x > lo:
+        if x < hi:
+            k = min(int((x - lo) * inv_step), last)
+            while grid[k] > x:
+                k -= 1
+            while grid[k + 1] <= x:
+                k += 1
+            return k, (x - grid[k]) / gaps[k]
+        return last, 1.0
+    if x <= lo:
+        return 0, 0.0
+    return last, x
+
+
 def walk_branch(spec, x):
     """The branch of ``KanKernel.eval``'s bracket walk that x takes on a
     grid: a clamp (either end or the guess), NaN, or the guess from the
@@ -114,7 +139,7 @@ def walk_branch(spec, x):
 def pwl(grid, values, x):
     """Value, node indices and node weights of the piecewise-linear
     function (grid, values) at x, through the kernel's bracket."""
-    k, t = kan._bracket(kan._grid_spec(list(grid)), x)
+    k, t = bracket(kan._grid_spec(list(grid)), x)
     value = (1.0 - t) * values[k] + t * values[k + 1]
     return value, [k, k + 1], np.array([1.0 - t, t])
 
@@ -312,14 +337,14 @@ class TestEval:
                            1e12, -1e12, BIG, -BIG, math.inf, -math.inf,
                            math.nan]
             k, t = kan._brackets(grid, probes)
-            want = [kan._bracket(spec, x) for x in probes.tolist()]
+            want = [bracket(spec, x) for x in probes.tolist()]
             assert k.tolist() == [kw for kw, _ in want]
             assert np.array_equal(t, [tw for _, tw in want], equal_nan=True)
 
     def test_records_match_per_row_brackets(self):
         # every inner node and one ulp either side of it, both clamped
         # ends, +/-inf and NaN, in each input column: the batched records
-        # (and record(), their one-row case) hold each row's _bracket
+        # (and record(), their one-row case) hold each row's bracket()
         # brackets as table rows, weights and element indices, and its
         # inner gradient weight in _pairwise_sum's order
         model, xs = training_style_model()
@@ -337,7 +362,7 @@ class TestEval:
                 row[i] = p
                 rows.append(row)
         for row, got in zip(rows, kernel.records(np.array(rows))):
-            ks, ts = zip(*(kan._bracket(kernel.inner, xi) for xi in row))
+            ks, ts = zip(*(bracket(kernel.inner, xi) for xi in row))
             us = [1.0 - t for t in ts]
             table_rows = [i * n + k for i, k in enumerate(ks)]
             table_rows += [r + 1 for r in table_rows]
@@ -706,6 +731,60 @@ class TestPredict:
         with pytest.raises(KanError, match="5 entries"):
             predict_smoothed_row(KanKernel(self._model()), np.zeros(D + 1))
 
+    def test_raw_read_equals_standardize_then_eval(self):
+        # the read standardizes each input inside its bracket walk; it
+        # equals standardizing the row first and reading that, bit for
+        # bit: at every inner node and one ulp either side of it, beyond
+        # both ends and at +/-1e300, standardized or raw, in each input
+        model = self._model()
+        kernel = KanKernel(model)
+        g = model.inner_grid
+        standardized = np.r_[g, np.nextafter(g, math.inf),
+                             np.nextafter(g, -math.inf), g[0] - 1.0,
+                             g[-1] + 1.0, 1e300, -1e300]
+        probes = np.r_[standardized[:, None] * model.stats.std
+                       + model.stats.mean, np.full((1, D), 1e300),
+                       np.full((1, D), -1e300)]
+        base = np.random.default_rng(5).normal(size=D) * model.stats.std \
+            + model.stats.mean
+
+        def outcome(read):
+            """The read's value, or its KanError's message."""
+            try:
+                return read()
+            except KanError as exc:
+                return str(exc)
+
+        reads = 0
+        for probe in probes:
+            for i in range(D):
+                row = base.tolist()
+                row[i] = probe[i]
+                want = outcome(lambda: max(0.0, kernel.eval(
+                    ref_standardize(kernel, row))))
+                got = outcome(lambda: predict_smoothed_row(kernel, row))
+                assert type(got) is type(want) and got == want, (row, got)
+                reads += isinstance(got, float)
+        assert reads >= (len(probes) - 2) * D
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_standardized_input_message(self, bad):
+        # NaN, +/-inf, and a finite input whose standardized value
+        # overflows: the message standardizing first gives
+        model = self._model()
+        model.stats = StandardizationStats(
+            model.stats.mean, np.full(D, 0.5), model.stats.names)
+        kernel = KanKernel(model)
+        for i in range(D):
+            row = [0.0] * D
+            row[i] = bad
+            with pytest.raises(KanError) as want:
+                ref_standardize(kernel, row)
+            with pytest.raises(KanError) as got:
+                predict_smoothed_row(kernel, row)
+            assert str(got.value) == str(want.value)
+            assert repr(NAMES[i]) in str(got.value)
+
 
 class TestCrossValidation:
     def _segments(self):
@@ -871,6 +950,20 @@ class TestCheckpointValidation:
     def test_rejected(self, saved, edit, match):
         with pytest.raises(CheckpointError, match=match):
             self._rewrite_and_load(saved, edit)
+
+
+def ref_standardize(kernel, row):
+    """A raw feature row standardized on its own, before any read: the
+    list of (v - m) / s, and KanError naming the first feature whose
+    value is not finite."""
+    if len(row) != len(kernel.mean):
+        raise KanError(
+            f"input must have {len(kernel.mean)} entries, got {len(row)}")
+    x = [(v - m) / s for v, m, s in zip(row, kernel.mean, kernel.std)]
+    if not all(map(math.isfinite, x)):
+        name = kernel.names[[math.isfinite(v) for v in x].index(False)]
+        raise KanError(f"non-finite standardized input {name!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1159,7 @@ class TestKernelMatchesNumpyReference:
         spec = kan._grid_spec(grid.tolist())
         for _ in range(8):
             x = grid_points(data.draw, grid)
-            k, t = kan._bracket(spec, x)
+            k, t = bracket(spec, x)
             want_k, want_t = ref_bracket(grid, x)
             assert k == want_k and same_float(t, want_t), (x, k, t)
 
@@ -1153,7 +1246,7 @@ class TestKernelMatchesNumpyReference:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the kernel as composed from ``kan._bracket`` calls, one per
+# Reference: the kernel as composed from ``bracket`` calls, one per
 # input and one per branch, before the walks were written inline.  The
 # inline read and ``step(record(x))`` must match it bit for bit.
 # ---------------------------------------------------------------------------
@@ -1163,7 +1256,7 @@ def composed_inner_sums(kernel, x):
     inner_rows, inner_t = [], []
     n = len(kernel.inner[0])
     for i, xi in enumerate(x):
-        k, t = kan._bracket(kernel.inner, xi)
+        k, t = bracket(kernel.inner, xi)
         row = i * n + k         # the kernel's table row of input i, node k
         u = 1.0 - t
         s = [sj + (u * a + t * b) for sj, a, b in zip(
@@ -1177,7 +1270,7 @@ def composed_eval(kernel, x):
     y = 0.0
     for sj, spec, ov in zip(composed_inner_sums(kernel, x)[0], kernel.outer,
                             kernel.outer_values):
-        k, t = kan._bracket(spec, sj)
+        k, t = bracket(spec, sj)
         y += (1.0 - t) * ov[k] + t * ov[k + 1]
     return y
 
@@ -1187,7 +1280,7 @@ def composed_update(kernel, x, y, mu):
     pred = 0.0
     outer_k, outer_t, slopes = [], [], []
     for sj, spec, ov in zip(s, kernel.outer, kernel.outer_values):
-        k, t = kan._bracket(spec, sj)
+        k, t = bracket(spec, sj)
         pred += (1.0 - t) * ov[k] + t * ov[k + 1]
         _, gaps, lo, hi, _, _ = spec
         if sj <= lo or sj >= hi:
@@ -1262,7 +1355,7 @@ def outer_grid_cases(q, seed):
 
 class TestInlineWalkMatchesBracketComposition:
     """``KanKernel.eval`` and ``step(record(x))`` walk their brackets
-    inline; they equal the ``_bracket`` composition bit for bit."""
+    inline; they equal the ``bracket`` composition bit for bit."""
 
     def _models(self):
         model, xs = training_style_model(seed=21)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from fallsense.orientation import (
     unit_body_up,
     update_step,
 )
+from test_synthetic import digest_in_child
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -801,3 +803,31 @@ class TestFloatState:
     def test_gated_update_returns_same_object_for_list_row(self):
         s = _state()
         assert update_step(s, [0.0, 0.0, 3.0]) is s
+
+
+# ---------------------------------------------------------------------------
+# The filter's start does not depend on the BLAS kernel
+# ---------------------------------------------------------------------------
+
+def start_digest() -> str:
+    """Digest of ``init_state``'s quaternion for 20 000 seeded resting
+    means of 0.6-1.4 g in every direction, and for means along the
+    world axes (upright, upside down, level)."""
+    rng = np.random.default_rng(13)
+    means = rng.normal(size=(20_000, 3))
+    means *= rng.uniform(0.6, 1.4, (20_000, 1)) / np.sqrt(
+        (means * means).sum(axis=1, keepdims=True))
+    axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                     [0.0, -1.0, 0.0], [1e-13, 0.0, 1.0]])
+    digest = hashlib.sha256()
+    for mean in np.concatenate([means, axes]):
+        digest.update(init_state(mean).q.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_start_bits_do_not_depend_on_the_blas_kernel(coretype):
+    # the accelerometer mean's norm, its dot with the world up and the
+    # norm of their cross product are float arithmetic, not BLAS calls
+    assert (digest_in_child("test_orientation.start_digest", coretype)
+            == start_digest())

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import time
@@ -20,6 +21,7 @@ from fallsense.checkpoint import CheckpointError
 from fallsense.streaming import (
     FdnnStream,
     StreamError,
+    StreamEvent,
     stream_trial,
     write_events_csv,
 )
@@ -395,6 +397,27 @@ class TestStreamTrial:
         lines = p.read_text().splitlines()
         assert lines[0] == "index,p_falling,decision,tti_ms,latency_us"
         assert len(lines) == len(events) + 1
+
+    def test_events_csv_bytes_equal_csv_writer(self, tmp_path):
+        # no impact time, signed zeros and a large one, probabilities 0
+        # and 1, and latencies on .1f rounding ties
+        events = [StreamEvent(k, p, p > 0.5, tti, lat) for k, (p, tti, lat)
+                  in enumerate([(0.0, None, 0.05), (1.0, 0.0, 0.15),
+                                (0.5, -0.0, 0.25), (0.25, 1e6, 2.675),
+                                (1 / 3, None, 1e-9), (0.999999999, 12.3456,
+                                                      123456.75)])]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_events_csv(got, events)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "p_falling", "decision", "tti_ms",
+                             "latency_us"])
+            for e in events:
+                writer.writerow([
+                    e.index, f"{e.p_falling:.9f}", int(e.decision),
+                    "" if e.tti_ms is None else f"{e.tti_ms:.3f}",
+                    f"{e.latency_us:.1f}"])
+        assert got.read_bytes() == want.read_bytes()
 
 
 def _subject():

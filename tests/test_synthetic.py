@@ -3,7 +3,8 @@
 Each case reruns the generator in a child process whose OpenBLAS is told
 to use another CPU kernel (``OPENBLAS_CORETYPE``, set in the child's
 environment only) and compares a digest of its trials with this
-process's."""
+process's.  ``digest_in_child`` serves the other modules' kernel tests
+too."""
 
 import hashlib
 import os
@@ -34,16 +35,23 @@ def generator_digest() -> str:
     return digest.hexdigest()
 
 
-# Haswell is the kernel OpenBLAS picks on AMD Zen and on Intel CPUs
-# without AVX-512.
-@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-def test_generator_bits_do_not_depend_on_the_blas_kernel(coretype):
+def digest_in_child(function: str, coretype: str) -> str:
+    """``function()`` of this folder's test modules (``"module.name"``),
+    run in a child process whose OpenBLAS uses the ``coretype`` kernel."""
+    module, name = function.split(".")
     paths = [str(Path(fallsense.__file__).parents[1]),
              str(Path(__file__).parent)]
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
                PYTHONPATH=os.pathsep.join(paths))
     child = subprocess.run(
-        [sys.executable, "-c",
-         "import test_synthetic; print(test_synthetic.generator_digest())"],
+        [sys.executable, "-c", f"import {module}; print({module}.{name}())"],
         env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert child.stdout.strip() == generator_digest()
+    return child.stdout.strip()
+
+
+# Haswell is the kernel OpenBLAS picks on AMD Zen and on Intel CPUs
+# without AVX-512.
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_generator_bits_do_not_depend_on_the_blas_kernel(coretype):
+    assert (digest_in_child("test_synthetic.generator_digest", coretype)
+            == generator_digest())
