@@ -34,6 +34,7 @@ from .config import ConfigError, RunConfig, dump_config, kan_grid_configs, load_
 from .evaluation import MetricTable, ReportBundle, TrajectoryTrace
 from .features import (
     FDNN_FEATURES,
+    FEATURE_NAMES,
     FeatureError,
     apply_standardizer,
     build_selection_report,
@@ -44,7 +45,6 @@ from .features import (
     save_frames,
     save_segment,
     split_sequences,
-    tti_targets,
 )
 from .sisfall import (
     IngestError,
@@ -180,14 +180,12 @@ def _load_all_segments(features_dir: Path) -> list:
 
 def _cmd_select(args, config: RunConfig, out: Path) -> int:
     features_dir = Path(args.features)
-    from .features import FEATURE_NAMES
-
     rows, targets = [], []
     for seg in _load_all_segments(features_dir):
         frames = load_frames(features_dir / "frames" / f"{seg.trial_id}.npz")
         # A copy, so that the trial's other rows are not kept.
         rows.append(frames.data[seg.start_index:seg.end_index + 1].copy())
-        targets.append(tti_targets(len(seg)))
+        targets.append(seg.tti_ms)
     if not rows:
         raise CliError("no fall segments found; run features on fall trials")
     matrix = np.vstack(rows)
@@ -281,28 +279,35 @@ def _cmd_eval_fdnn(args, config: RunConfig, out: Path) -> int:
             raise CliError(f"trial {tid} of the split is not in "
                            f"{features_dir / 'index.csv'}")
 
-    # Scored a padded scan at a time, loading only that scan's trials.
-    scores = [None] * len(ids)
+    # Scored a padded scan at a time, loading only that scan's trials;
+    # a chunk's examples and traces are dropped before the next loads.
+    counts = {}
     for chunk in fdnn_mod.scan_chunks([lengths[t] for t in ids]):
-        frames = (load_frames(features_dir / "frames" / f"{ids[k]}.npz")
-                  for k in chunk)
-        for k, score in zip(chunk, pipeline.score_trials(
-                params, fcfg, stats, frames)):
-            scores[k] = score
-    fall_scores, adl_scores = scores[:len(fall_ids)], scores[len(fall_ids):]
+        examples = [pipeline.frames_to_example(
+            load_frames(features_dir / "frames" / f"{ids[k]}.npz"), stats)
+            for k in chunk]
+        traces = fdnn_mod.predict_traces(params, fcfg, examples)
+        counts.update((k, eval_mod.confusion(t.decisions, e.labels))
+                      for k, t, e in zip(chunk, traces, examples))
+        del examples, traces
+    fall_counts = [counts[k] for k in range(len(fall_ids))]
+    adl_counts = [counts[k] for k in range(len(fall_ids), len(ids))]
 
-    fall_tpr = eval_mod.metric_table(pipeline.tpr_entries(fall_scores))
-    fall_tnr = eval_mod.metric_table(pipeline.tnr_entries(fall_scores))
-    adl_tnr = eval_mod.metric_table(pipeline.tnr_entries(adl_scores)) \
-        if adl_scores else None
+    def table(trials, trial_counts, which):
+        return eval_mod.metric_table([
+            eval_mod.TrialMetric(tid, eval_mod.rates(c)[which])
+            for tid, c in zip(trials, trial_counts)])
+
+    fall_tpr = table(fall_ids, fall_counts, 0)
+    fall_tnr = table(fall_ids, fall_counts, 1)
+    adl_tnr = table(adl_ids, adl_counts, 1) if adl_ids else None
 
     fall_tpr.to_csv(out / "fall_tpr.csv")
     fall_tnr.to_csv(out / "fall_tnr.csv")
     if adl_tnr is not None:
         adl_tnr.to_csv(out / "adl_tnr.csv")
-    fall_pooled = pipeline.pooled_rates(fall_scores)
-    adl_pooled = pipeline.pooled_rates(adl_scores) if adl_scores \
-        else (None, None)
+    fall_pooled = eval_mod.rates(sum(fall_counts, eval_mod.ConfusionCounts()))
+    adl_pooled = eval_mod.rates(sum(adl_counts, eval_mod.ConfusionCounts()))
     metrics = {
         "fall_tpr_avg": fall_tpr.average(),
         "fall_tnr_avg": fall_tnr.average(),
@@ -310,8 +315,8 @@ def _cmd_eval_fdnn(args, config: RunConfig, out: Path) -> int:
         "fall_tpr_pooled": fall_pooled[0],
         "fall_tnr_pooled": fall_pooled[1],
         "adl_tnr_pooled": adl_pooled[1],
-        "n_fall_trials": len(fall_scores),
-        "n_adl_trials": len(adl_scores),
+        "n_fall_trials": len(fall_ids),
+        "n_adl_trials": len(adl_ids),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
     print(json.dumps(metrics, indent=2))
@@ -363,8 +368,11 @@ def _cmd_eval_kan(args, config: RunConfig, out: Path) -> int:
     test_segs = plan.segments_in(segments, "test")
     if not test_segs:
         raise CliError("no test-fold segments")
-    preds = pipeline.segment_predictions(model, test_segs)
-    heatmap = eval_mod.rmse_by_group(preds)
+    heatmap = eval_mod.rmse_by_group([
+        eval_mod.SegmentPrediction(seg.trial_id,
+                                   kan_mod.predict_segment(model, seg),
+                                   seg.tti_ms)
+        for seg in test_segs])
     heatmap.table.to_csv(out / "rmse_heatmap.csv")
     metrics = {"tti_rmse_ms": heatmap.global_rmse,
                "n_segments": len(test_segs)}

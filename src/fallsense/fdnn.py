@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -103,18 +103,6 @@ class FdnnConfig:
             raise FdnnError("static_dim must be smaller than input_dim")
 
 
-PARAM_FIELDS = (
-    "fc1_w", "fc1_b",
-    "bn_gamma", "bn_beta", "bn_mean", "bn_var",
-    "lstm1_wx", "lstm1_wh", "lstm1_b",
-    "lstm2_wx", "lstm2_wh", "lstm2_b",
-    "fc2_w", "fc2_b",
-)
-# Running batch-norm moments are state, not trained parameters.
-TRAINABLE_FIELDS = tuple(
-    f for f in PARAM_FIELDS if f not in ("bn_mean", "bn_var"))
-
-
 @dataclass
 class FdnnParams:
     fc1_w: np.ndarray
@@ -138,6 +126,12 @@ class FdnnParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {f: getattr(self, f) for f in PARAM_FIELDS}
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(FdnnParams))
+# Running batch-norm moments are state, not trained parameters.
+TRAINABLE_FIELDS = tuple(
+    f for f in PARAM_FIELDS if f not in ("bn_mean", "bn_var"))
 
 
 def _uniform_fanin(rng: np.random.Generator, fan_in: int,
@@ -900,23 +894,15 @@ def _scan_pairs(snapshots: list[FdnnParams], config: FdnnConfig,
             yield s, i, row[:len(examples[i].sequence)]
 
 
-def snapshot_traces(snapshots: list[FdnnParams], config: FdnnConfig,
-                    examples: list[SequenceExample]
-                    ) -> list[list[PredictionTrace]]:
-    """``predict_trace`` of each example under each snapshot, bit for
-    bit (``[s][i]``: snapshot s, example i), from ``_scan_pairs``."""
-    traces = [[None] * len(examples) for _ in snapshots]
-    for s, i, p in _scan_pairs(snapshots, config, examples):
-        traces[s][i] = PredictionTrace(
-            p_falling=p, decisions=classify(p, config.threshold))
-    return traces
-
-
 def predict_traces(params: FdnnParams, config: FdnnConfig,
                    examples: list[SequenceExample]) -> list[PredictionTrace]:
     """``predict_trace`` of each example, bit for bit, from a few padded
-    infer scans (``snapshot_traces`` of one snapshot)."""
-    return snapshot_traces([params], config, examples)[0]
+    infer scans (``_scan_pairs`` of one parameter set)."""
+    traces = [None] * len(examples)
+    for _, i, p in _scan_pairs([params], config, examples):
+        traces[i] = PredictionTrace(
+            p_falling=p, decisions=classify(p, config.threshold))
+    return traces
 
 
 def sample_accuracies(snapshots: list[FdnnParams], config: FdnnConfig,

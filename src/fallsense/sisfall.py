@@ -499,7 +499,7 @@ def verify_corpus(root: Path | str, deep: bool = False) -> CorpusSummary:
                 (tid.subject, tid.activity), set()).add(tid.repetition)
 
     for (subject, activity), reps in sorted(seen_reps.items()):
-        gaps = sorted(set(range(1, 6)) - reps)
+        gaps = sorted(set(range(1, MAX_REPETITION + 1)) - reps)
         if gaps:
             for r in gaps:
                 summary.missing.append(f"{activity}_{subject}_R{r:02d}")

@@ -32,6 +32,7 @@ from .sisfall import (
     AnnotatedTrial,
     CalibratedTrial,
     CalibrationSpec,
+    SensorSpec,
     SubjectProfile,
     TrialId,
 )
@@ -214,10 +215,9 @@ def synthetic_profile(subject_id: str = "SA01",
     )
 
 
-def _to_counts(values: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    half = 2 ** (bits - 1)
-    counts = np.round(values / scale)
-    return np.clip(counts, -half, half - 1).astype(np.int64)
+def _to_counts(values: np.ndarray, spec: SensorSpec) -> np.ndarray:
+    return np.clip(np.round(values / spec.scale),
+                   *spec.count_range).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -304,15 +304,9 @@ def write_synthetic_corpus(
                     spec, seed=int(rng.integers(0, 2 ** 31)), trial_id=tid)
                 trial = annotated.trial
                 counts = np.hstack([
-                    _to_counts(trial.accel_adxl345,
-                               calibration.adxl345.scale,
-                               calibration.adxl345.resolution_bits),
-                    _to_counts(trial.gyro_itg3200,
-                               calibration.itg3200.scale,
-                               calibration.itg3200.resolution_bits),
-                    _to_counts(trial.accel_mma8451q,
-                               calibration.mma8451q.scale,
-                               calibration.mma8451q.resolution_bits),
+                    _to_counts(trial.accel_adxl345, calibration.adxl345),
+                    _to_counts(trial.gyro_itg3200, calibration.itg3200),
+                    _to_counts(trial.accel_mma8451q, calibration.mma8451q),
                 ])
                 lines = [",".join(str(v) for v in row) + ";"
                          for row in counts]

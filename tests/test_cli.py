@@ -15,10 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fallsense import fdnn, pipeline
+from fallsense import fdnn, kan, pipeline
 from fallsense.cli import build_parser, dispatch
 from fallsense.config import dump_config, load_config
-from fallsense.features import FeatureFrames, load_frames, save_frames
+from fallsense.evaluation import confusion
+from fallsense.features import (
+    FeatureFrames,
+    load_frames,
+    load_segment,
+    save_frames,
+)
+from fallsense.sisfall import TrialId
 
 FAST_CONFIG = {
     "fdnn": {"epochs": 6, "batch_size": 4, "dropout_rate": 0.0,
@@ -352,6 +359,81 @@ class TestTrainEvalFdnn:
         assert metrics["fall_tpr_avg"] > 0.7
         assert metrics["adl_tnr_avg"] > 0.9
         assert metrics["fall_tpr_pooled"] > 0.7
+
+
+def _cell_average(values: dict) -> float:
+    """A metric table's average: each (subject, activity) cell's mean over
+    its repetitions, then the mean over the cells, in table order."""
+    cells = {}
+    for tid in sorted(values, key=lambda t: (t.subject, t.activity)):
+        if values[tid] is not None:
+            cells.setdefault((tid.subject, tid.activity), []).append(
+                values[tid])
+    return float(np.mean([float(np.mean(v)) for v in cells.values()]))
+
+
+class TestEvalFiguresRecomputed:
+    """Every figure of eval-fdnn's and eval-kan's metrics.json, recomputed
+    trial by trial from the models' own one-trial predictions."""
+
+    def test_eval_fdnn(self, features_dir, fdnn_dir, fdnn_eval_dir):
+        params, config, stats, _ = fdnn.load_checkpoint(
+            fdnn_dir / "fdnn.ckpt")
+        split = json.loads((fdnn_dir / "split.json").read_text())
+        index = [line.split(",")[0] for line in
+                 (features_dir / "index.csv").read_text().splitlines()[1:]]
+        groups = {"fall": split["test"],
+                  "adl": [t for t in index if t.startswith("D")]}
+        counts = {}
+        for group, ids in groups.items():
+            counts[group] = {}
+            for tid in ids:
+                ex = pipeline.frames_to_example(
+                    load_frames(features_dir / "frames" / f"{tid}.npz"), stats)
+                trace = fdnn.predict_trace(params, config, ex.static,
+                                           ex.sequence)
+                counts[group][TrialId.parse(tid)] = confusion(
+                    trace.decisions, ex.labels)
+
+        def tpr(c):
+            return c.tp / (c.tp + c.fn) if c.tp + c.fn else None
+
+        def tnr(c):
+            return c.tn / (c.tn + c.fp) if c.tn + c.fp else None
+
+        fall, adl = list(counts["fall"].values()), list(counts["adl"].values())
+        want = {
+            "fall_tpr_avg": _cell_average(
+                {t: tpr(c) for t, c in counts["fall"].items()}),
+            "fall_tnr_avg": _cell_average(
+                {t: tnr(c) for t, c in counts["fall"].items()}),
+            "adl_tnr_avg": _cell_average(
+                {t: tnr(c) for t, c in counts["adl"].items()}),
+            "fall_tpr_pooled": sum(c.tp for c in fall)
+            / sum(c.tp + c.fn for c in fall),
+            "fall_tnr_pooled": sum(c.tn for c in fall)
+            / sum(c.tn + c.fp for c in fall),
+            "adl_tnr_pooled": sum(c.tn for c in adl)
+            / sum(c.tn + c.fp for c in adl),
+            "n_fall_trials": len(fall),
+            "n_adl_trials": len(adl),
+        }
+        got = json.loads((fdnn_eval_dir / "metrics.json").read_text())
+        assert got == want
+
+    def test_eval_kan(self, workspace, features_dir, kan_dir, kan_eval_dir):
+        _, config = workspace
+        model = kan.load_checkpoint(kan_dir / "kan.ckpt")
+        segments = [load_segment(p) for p in
+                    sorted((features_dir / "segments").glob("*.json"))]
+        plan = kan.build_cv_plan([s.trial_id for s in segments],
+                                 seed=load_config(config).split.seed)
+        test = plan.segments_in(segments, "test")
+        errors = np.concatenate([kan.predict_segment(model, s) - s.tti_ms
+                                 for s in test])
+        got = json.loads((kan_eval_dir / "metrics.json").read_text())
+        assert got == {"tti_rmse_ms": float(np.sqrt(np.mean(errors ** 2))),
+                       "n_segments": len(test)}
 
 
 def _unequal_features(features_dir: Path, out: Path) -> Path:

@@ -512,8 +512,7 @@ class TestSnapshotScoring:
             assert np.array_equal(row[:len(ex.sequence)], alone.p_falling)
 
     @pytest.mark.parametrize("n_snapshots", [1, 3, 8])
-    def test_snapshot_traces_cross_chunks(self, model, n_snapshots,
-                                          monkeypatch):
+    def test_scan_pairs_cross_chunks(self, model, n_snapshots, monkeypatch):
         snapshots, config, examples = self._case(model, n_snapshots)
         widths, sets = [], []
 
@@ -524,7 +523,9 @@ class TestSnapshotScoring:
             return forward(params, config, static, seq, **kwargs)
         monkeypatch.setattr(fdnn, "SCAN_ROWS", 3)
         monkeypatch.setattr(fdnn, "forward", recording_forward)
-        traces = fdnn.snapshot_traces(snapshots, config, examples)
+        probs = [[None] * len(examples) for _ in snapshots]
+        for s, i, p in fdnn._scan_pairs(snapshots, config, examples):
+            probs[s][i] = p
         accuracies = fdnn.sample_accuracies(snapshots, config, examples)
         assert max(widths) == 3
         assert sum(widths) == 2 * len(snapshots) * len(examples)
@@ -535,12 +536,13 @@ class TestSnapshotScoring:
                           for j in range(0, 2 * n, 3)]
         assert sets == want + want
         total = sum(len(ex.labels) for ex in examples)
-        for s, row, acc in zip(snapshots, traces, accuracies):
+        for s, row, acc in zip(snapshots, probs, accuracies):
             correct = 0
             for got, ex in zip(row, examples):
                 want = predict_trace(s, config, ex.static, ex.sequence)
-                assert np.array_equal(got.p_falling, want.p_falling)
-                assert np.array_equal(got.decisions, want.decisions)
+                assert np.array_equal(got, want.p_falling)
+                assert np.array_equal(fdnn.classify(got, config.threshold),
+                                      want.decisions)
                 correct += int((want.decisions == (ex.labels == 1)).sum())
             assert acc == correct / total
 
