@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -253,12 +254,14 @@ class InferStep:
     ``params`` is one parameter set for every row, or a list of one set
     per row; each distinct set is folded once.
 
-    At one row each product is ``np.dot``.  At more rows each is a stack
-    of one-row products, ``np.matmul(x[:, None, :], W)``, ``W`` the shared
-    matrix broadcast or an ``np.stack`` of each row's own (which keeps
-    each matrix's memory order), so every row gets the bits it gets
-    stepped alone: BLAS takes another kernel, which differs in the last
-    bits, for a many-row ``np.dot`` or a C-contiguous weight stack.
+    At one row each product is the operand view's bound ``ndarray.dot``:
+    ``np.dot``'s C routine without its Python-level dispatcher.  At more
+    rows each is a stack of one-row products, ``np.matmul(x[:, None, :],
+    W)``, ``W`` the shared matrix broadcast or an ``np.stack`` of each
+    row's own (which keeps each matrix's memory order), so every row gets
+    the bits it gets stepped alone: BLAS takes another kernel, which
+    differs in the last bits, for a many-row ``np.dot`` or a C-contiguous
+    weight stack.
     """
 
     def __init__(self, params: FdnnParams | list[FdnnParams],
@@ -281,28 +284,30 @@ class InferStep:
         c1, c2 = np.zeros((rows, h)), np.zeros((rows, h))
         self.inputs = buf[:, :d]
         self._logits = np.empty((rows, config.classes))
-        # Each product's operands, as one-row stacks at rows > 1.
-        self._matmul, one = ((np.dot, ()) if rows == 1
-                             else (np.matmul, np.s_[:, None]))
-        self._fc2 = (buf[:, d + h:][one], w3, self._logits[one])
+        one = () if rows == 1 else np.s_[:, None]     # one-row stacks
+
+        def product(x):
+            """The product on operand view x, as a call of (W, out)."""
+            return x.dot if rows == 1 else partial(np.matmul, x[one])
+
+        self._fc2 = (product(buf[:, d + h:]), w3, self._logits[one])
         self._cells = []
         sig_half = np.full((rows, 3 * h), 0.5)
         for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, h1),
                                     (buf[:, d:], w2, c2, h2)):
             z = np.empty((rows, 4 * h))
-            self._cells.append((inputs[one], w, z[one], (
+            self._cells.append((product(inputs), w, z[one], (
                 z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:],
                 z[:, h:], c, c, np.empty((rows, h)), h_out, sig_half)))
 
     def _advance(self) -> None:
         """One step of every row from ``inputs``; the logits land in
         ``self._logits``."""
-        matmul = self._matmul
-        for inputs, w, z, cell in self._cells:
-            matmul(inputs, w, z)
+        for product, w, z, cell in self._cells:
+            product(w, z)
             _lstm_cell(*cell)
-        fc2_in, w3, logits = self._fc2
-        matmul(fc2_in, w3, logits)
+        product, w3, logits = self._fc2
+        product(w3, logits)
 
     def __call__(self, x: np.ndarray) -> list[float]:
         """P(falling) after one step of each row."""
@@ -454,12 +459,12 @@ def _lagged_scan(a: SimpleNamespace, w_rec: np.ndarray) -> None:
     after = s[1:]
     rec = np.empty((eight_h, b))
     half = np.full((6 * hd, b), 0.5)
-    dot, add, multiply, cell = np.dot, np.add, np.multiply, _lstm_cell
+    dot, add, multiply, cell = w_rec.dot, np.add, np.multiply, _lstm_cell
     for z, gk, ik, fk, ok, sig, c_prev, ck, tanh_c, h, h1, h1d, d1k, \
             s_prev in zip(xw, g, i, f, o, xw[:, 2 * hd:], c[:-1], c[1:],
                           a.tanh_c, after[:, hd:], after[:, hd:2 * hd],
                           after[:, :hd], a.d1, s[:-1]):
-        dot(w_rec, s_prev, rec)
+        dot(s_prev, rec)
         add(z, rec, z)
         cell(z, gk, ik, fk, ok, sig, c_prev, ck, tanh_c, h, half)
         multiply(h1, d1k, h1d)
@@ -656,8 +661,7 @@ def _lagged_scan_backward(a: SimpleNamespace,
     dh = du[hd:]
     dc = np.zeros((2 * hd, b))
     tmp = np.empty((2 * hd, b))
-    w_rec_t = w_rec.T
-    add, multiply, dot = np.add, np.multiply, np.dot
+    add, multiply, dot = np.add, np.multiply, w_rec.T.dot
     for flat, gif, go, tc, fk, dk, d1k in zip(
             act[::-1], gates[::-1, :3], o[::-1], c_prev[::-1], tanh_c[::-1],
             a.d_out[::-1], a.d1[::-1]):
@@ -669,7 +673,7 @@ def _lagged_scan_backward(a: SimpleNamespace,
         multiply(gif, dc, gif)
         multiply(go, dh, go)
         multiply(dc, fk, dc)
-        dot(w_rec_t, flat, du)
+        dot(flat, du)
     return act
 
 

@@ -42,6 +42,7 @@ average and standardized; targets stay in milliseconds.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -192,9 +193,11 @@ class KanKernel:
     ``i*n + k`` is input i's node k across the branches.  ``eval`` and
     ``step`` both gather a row's 2d bracketing rows and form the inner
     sums in a few whole-block NumPy calls; ``step`` then scatters the rows
-    back updated.  Outer grids and values are nested lists, read and
-    written in Python by both.  ``store`` writes the node values back to
-    the model's arrays.
+    back updated.  A read packs its rows and weights into an intp (2d,)
+    and a float (2d, 1) buffer with prebuilt ``struct`` packers, and all
+    calls take positional arguments: no list is converted, no keyword
+    parsed.  Outer grids and values are nested lists, read and written in
+    Python by both.  ``store`` writes the node values back to the model.
 
     Reads and ``step`` walk their grid brackets inline, with no call per
     bracket: at these sizes the calls cost more than the arithmetic.  A
@@ -206,7 +209,7 @@ class KanKernel:
     """
 
     __slots__ = ("names", "mean", "std", "_unit", "damping", "inner",
-                 "table", "outer", "outer_values", "_work")
+                 "table", "outer", "outer_values", "_work", "_packed")
 
     def __init__(self, model: KanModel):
         self.names = model.feature_names
@@ -225,6 +228,10 @@ class KanKernel:
         products = np.empty((2 * d, b))
         self._work = (products, products[:d], products[d:],
                       np.empty((d, b)), np.empty(b))
+        # A read's 2d bracketing rows and their weights, packed in place.
+        rows, weights = np.empty(2 * d, np.intp), np.empty((2 * d, 1))
+        self._packed = (rows, weights, struct.Struct(f"{2 * d}n").pack_into,
+                        struct.Struct(f"{2 * d}d").pack_into)
 
     def store(self, model: KanModel) -> None:
         d, b, n = model.inner_values.shape
@@ -276,10 +283,12 @@ class KanKernel:
             ts.append(t)
             row += n
         products, left, right, pairs, _ = self._work
-        np.multiply(self.table.take(left_rows + right_rows, 0),
-                    np.array(us + ts)[:, None], out=products)
-        s = np.add.reduce(np.add(left, right, out=pairs), axis=0,
-                          initial=0.0).tolist()
+        rows, weights, pack_rows, pack_weights = self._packed
+        pack_rows(rows, 0, *left_rows, *right_rows)
+        pack_weights(weights, 0, *us, *ts)
+        np.multiply(self.table.take(rows, 0), weights, products)
+        s = np.add.reduce(np.add(left, right, pairs), 0, None, None, False,
+                          0.0).tolist()
         y = 0.0
         for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
                 s, self.outer, self.outer_values):
@@ -339,9 +348,9 @@ class KanKernel:
         rows, weights, elements, inner_weight = record
         products, left, right, pairs, scaled = self._work
         nodes = self.table.take(rows, 0)
-        np.multiply(nodes, weights, out=products)
-        s = np.add.reduce(np.add(left, right, out=pairs), axis=0,
-                          initial=0.0).tolist()
+        np.multiply(nodes, weights, products)
+        s = np.add.reduce(np.add(left, right, pairs), 0, None, None, False,
+                          0.0).tolist()
         pred = 0.0
         outer, grams, slopes = [], [], []
         for sj, (grid, gaps, lo, hi, inv_step, last), ov in zip(
@@ -393,7 +402,7 @@ class KanKernel:
             ov[k + 1] += step * t
         scaled[:] = slopes
         scaled *= step
-        np.multiply(weights, scaled, out=products)
+        np.multiply(weights, scaled, products)
         nodes += products
         self.table.put(elements, nodes)
         return UpdateInfo(r, gram, False)

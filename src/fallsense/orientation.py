@@ -59,12 +59,6 @@ class OrientationError(ValueError):
 # other callers.
 
 
-def _floats(values):
-    """An array's entries as (nested lists of) Python floats; any other
-    sequence as it is."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
-
-
 def quat_normalize(q) -> tuple[float, float, float, float]:
     """Unit norm and canonical sign (scalar component >= 0)."""
     w, x, y, z = q
@@ -126,7 +120,8 @@ def unit_body_up(body_up) -> UnitAxis:
     if isinstance(body_up, UnitAxis):
         return body_up
     try:
-        ux, uy, uz = map(float, _floats(body_up))
+        ux, uy, uz = map(float, body_up.tolist()
+                         if isinstance(body_up, np.ndarray) else body_up)
     except (TypeError, ValueError):
         ux = uy = uz = math.nan
     norm = math.hypot(ux, uy, uz)
@@ -166,8 +161,12 @@ def tilt_angles(quats, body_up: np.ndarray | None = None) -> np.ndarray:
     """``tilt`` per row of an (N, 4) quaternion series (an array or a
     sequence of 4-sequences), with ``body_up`` scaled to unit length
     once per call, or not at all if it is a ``UnitAxis``."""
-    up = None if body_up is None else unit_body_up(body_up)
-    return np.array([tilt(q, up) for q in _floats(quats)], dtype=float)
+    # Tested inline, so the stream's one-row call runs no helper.
+    up = (body_up if body_up is None or isinstance(body_up, UnitAxis)
+          else unit_body_up(body_up))
+    if isinstance(quats, np.ndarray):
+        quats = quats.tolist()
+    return np.array([tilt(q, up) for q in quats], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,48 @@ class TestRowCountIndependence:
             assert np.array_equal(row[:len(ex.sequence)], alone)
 
 
+def _np_dot_advance(weights, config, buf, c1, c2):
+    """One ``InferStep._advance`` at one row written with ``np.dot``, on
+    the folded ``weights``, the ``[x | h1 | 1 | h2]`` row ``buf`` and the
+    cell states, all updated in place; returns the logits."""
+    d, h = config.input_dim, config.inner_dim
+    w1, w2, w3 = weights
+    for inputs, w, c, h_out in ((buf[:, :d + h + 1], w1, c1, buf[:, d:d + h]),
+                                (buf[:, d:], w2, c2, buf[:, d + h + 1:])):
+        z = np.dot(inputs, w)
+        fdnn._lstm_cell(z, z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h],
+                        z[:, 3 * h:], z[:, h:], c, c, np.empty((1, h)),
+                        h_out)
+    return np.dot(buf[:, d + h:], w3)
+
+
+class TestBoundDot:
+    """The one-row step takes its products as the operand's bound
+    ``ndarray.dot``, which runs the C routine that ``np.dot`` wraps.  The
+    stream's bits rest on the two being equal, so this pins it on
+    whatever NumPy is installed."""
+
+    @pytest.mark.parametrize("model", ["detector", "seeded"])
+    def test_one_row_steps_equal_np_dot(self, model):
+        if model == "detector":
+            params, config, _, _ = load_checkpoint(DETECTOR)
+        else:
+            config = FdnnConfig()
+            params = init_params(config, seed=21)
+        step = fdnn.InferStep(params, config)
+        weights = fdnn._folded_weights(params, config)
+        d, h = config.input_dim, config.inner_dim
+        buf = np.zeros((1, d + 2 * h + 1))
+        buf[:, d + h] = 1.0
+        c1, c2 = np.zeros((1, h)), np.zeros((1, h))
+        for x in np.random.default_rng(8).normal(0.0, 2.0, (300, d)):
+            step.inputs[0] = buf[0, :d] = x
+            p = step.step()
+            want = _np_dot_advance(weights, config, buf, c1, c2)
+            assert (step._logits == want).all()
+            assert p == fdnn.falling_probability(want[0].tolist())
+
+
 def _perturbed(params, rng, scale=0.05):
     """A copy of ``params`` with every array nudged, batch-norm moments
     included (the variance stays positive)."""

@@ -1245,6 +1245,77 @@ class TestKernelMatchesNumpyReference:
         assert [g[:3] for g in got_log] == [w[:3] for w in want_log]
 
 
+def model_of_width(d, seed):
+    """A model of d inputs with ``random_grid_model``'s uneven grids and
+    random node values, a standardizer that is not the identity, and the
+    400 standardized rows its outer grids span."""
+    rng = np.random.default_rng(seed)
+    stats = StandardizationStats(mean=rng.normal(0.0, 3.0, d),
+                                 std=rng.uniform(0.5, 2.0, d))
+    xs = rng.normal(0.0, 1.0, (400, d))
+    model = kan._init_model(KanConfig(), tuple(f"x{i}" for i in range(d)),
+                            stats, d, rng, 400.0)
+    return random_grid_model(model, xs, seed), xs
+
+
+class TestOtherInputCounts:
+    """The kernel at input counts other than D: its packed read buffers
+    and their ``struct`` formats are sized by d, and ``_pairwise_sum``
+    changes order at 8 entries (the gradient weight sums d of them)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_reads_agree(self, d):
+        # eval, the raw read under predict_smoothed_row and kan_eval_batch,
+        # bit for bit: on random rows, and with each input in turn at
+        # every inner node, beyond both ends, at +/-1e12 and NaN
+        model, xs = model_of_width(d, seed=d)
+        kernel = KanKernel(model)
+        g = model.inner_grid
+        probes = np.r_[g, g[0] - 1.0, g[-1] + 1.0, 1e12, -1e12, math.nan]
+        rows = [xs[:50]]
+        for i in range(d):
+            at = np.repeat(xs[50:51], probes.size, axis=0)
+            at[:, i] = probes
+            rows.append(at)
+        rows = np.concatenate(rows)
+        for x, want in zip(rows.tolist(), kan_eval_batch(model, rows)):
+            assert same_float(kernel.eval(x), want), x
+        raws = rows * model.stats.std + model.stats.mean
+        zs = (raws - model.stats.mean) / model.stats.std
+        reads = 0
+        for raw, z, want in zip(raws.tolist(), zs.tolist(),
+                                kan_eval_batch(model, zs).tolist()):
+            if not all(map(math.isfinite, z)):
+                with pytest.raises(KanError, match="non-finite"):
+                    predict_smoothed_row(kernel, raw)
+                continue
+            assert kernel._read(raw, True) == want == kernel.eval(z), raw
+            assert predict_smoothed_row(kernel, raw) == max(0.0, want)
+            reads += 1
+        assert reads == rows.shape[0] - d
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_kaczmarz_sequence(self, d):
+        # steps on rows inside, at and beyond the inner grid equal
+        # ref_update_inplace, update by update and in the final nodes
+        model, _ = model_of_width(d, seed=d)
+        ref = model.copy()
+        rng = np.random.default_rng(100 + d)
+        xs = rng.normal(0.0, 1.6, (600, d))
+        xs[::7, rng.integers(d)] = rng.choice(model.inner_grid, 86)
+        xs[3::50, 0] = 1e12
+        xs[4::50, -1] = -1e12
+        ys = rng.uniform(-300.0, 300.0, 600)
+        kernel = KanKernel(model)
+        mu = model.config.mu
+        for x, y in zip(xs, ys):
+            got = kernel.update(x.tolist(), float(y), mu)
+            assert got == ref_update_inplace(ref, x, y, mu)
+        kernel.store(model)
+        assert np.array_equal(model.inner_values, ref.inner_values)
+        assert np.array_equal(model.outer_values, ref.outer_values)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the kernel as composed from ``bracket`` calls, one per
 # input and one per branch, before the walks were written inline.  The
