@@ -6,8 +6,12 @@ falling) one impact-time evaluation.  Real-time mode paces samples at the
 200 Hz period; fast mode runs unpaced.  Event values are identical in
 both modes.
 
+The models are parsed once per checkpoint content: each call reads both
+files, and bytes equal to the last pair parsed give its models (the
+folded detector, the impact kernel's tables) as they are; a call builds
+only what it mutates, the detector's state and the kernel's read buffers.
 What does not change within a trial is done once per trial, before the
-first tick: the checkpoints are read, the body-up axis is scaled to unit
+first tick: the sensor arrays are checked, the body-up axis is scaled to unit
 length (a ``UnitAxis``, which each tick's tilt takes as it is), and the 4
 static detector inputs are written and standardized in the detector's
 own input row (``InferStep.inputs``).  A tick then runs the filter
@@ -103,6 +107,55 @@ class LatencyReport:
 FdnnStream = fdnn_mod.InferStep
 
 
+class _Models(NamedTuple):
+    """What one checkpoint pair gives every stream: the bytes it was
+    parsed from, the folded detector (each call steps its own ``fresh``
+    copy), its threshold and input standardizer, and the impact model's
+    kernel (each call reads through its own ``reader``), frame columns
+    and smoothing window."""
+
+    key: tuple[bytes, bytes]
+    detector: fdnn_mod.InferStep
+    threshold: float
+    mean: np.ndarray
+    std: np.ndarray
+    kernel: kan_mod.KanKernel
+    kan_idx: list[int]
+    window: int
+
+
+_memo: _Models | None = None        # the last pair parsed; one entry
+
+
+def _models(fdnn_checkpoint: Path | str,
+            kan_checkpoint: Path | str) -> _Models:
+    """Both checkpoints' models, parsed once per content: files that hold
+    the bytes of the last pair parsed give its models as they are.  A
+    pair that fails to load or check is not kept."""
+    global _memo
+    key = (Path(fdnn_checkpoint).read_bytes(),
+           Path(kan_checkpoint).read_bytes())
+    models = _memo
+    if models is not None and models.key == key:
+        return models
+    params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(
+        fdnn_checkpoint, data=key[0])
+    kan_model = kan_mod.load_checkpoint(kan_checkpoint, data=key[1])
+    if tuple(fnames) != FDNN_FEATURES:
+        raise StreamError(
+            "detector checkpoint feature list does not match the 18-entry "
+            "frame view")
+    unknown = [n for n in kan_model.feature_names if n not in FEATURE_NAMES]
+    if unknown:
+        raise StreamError(f"impact-model features not in the frame: {unknown}")
+    _memo = models = _Models(
+        key, fdnn_mod.InferStep(params, fcfg), fcfg.threshold, fstats.mean,
+        fstats.std, kan_mod.KanKernel(kan_model),
+        feature_indices(kan_model.feature_names).tolist(),
+        kan_model.config.window_samples)
+    return models
+
+
 def stream_trial(
     fdnn_checkpoint: Path | str,
     kan_checkpoint: Path | str,
@@ -124,8 +177,9 @@ def stream_trial(
     sample instead.  Settings that ``StreamSettings`` refuses, a
     ``body_up`` or ``deriv_order`` that gives no tilt, a trial too short
     for the tilt derivative (under ``deriv_order + 1`` samples, which the
-    batch path refuses too) or one with a non-finite sample raise
-    StreamError before the checkpoints are read.
+    batch path refuses too), sensor arrays that are not all (n, 3) with
+    one n, or a non-finite sample raise StreamError before the
+    checkpoints are read.  Each sensor's rows are read as float64.
     """
     StreamSettings(deadline_us, kan_gating)     # the config path's checks
     if mode not in ("realtime", "fast"):
@@ -137,56 +191,49 @@ def stream_trial(
             body_up = unit_body_up(body_up)     # once, not every tick
         except OrientationError as exc:
             raise StreamError(str(exc)) from None
-    n = len(trial)
+    sensors = [np.ascontiguousarray(values, dtype=np.float64) for values in
+               (trial.accel_adxl345, trial.gyro_itg3200,
+                trial.accel_mma8451q)]
+    n = len(sensors[0])
+    for name, values in zip(("ADXL345", "ITG3200", "MMA8451Q"), sensors):
+        if values.shape != (n, 3):
+            raise StreamError(f"{name}: samples must be ({n}, 3), "
+                              f"got {values.shape}")
+        if not np.isfinite(values).all():
+            bad = ~np.isfinite(values).all(axis=1)
+            raise StreamError(f"{name}: non-finite sample at index "
+                              f"{int(bad.argmax())}")
     if n < deriv_order + 1:
         # The batch path refuses it too (orientation.angular_derivative).
         raise StreamError(f"order-{deriv_order} derivative needs >= "
                           f"{deriv_order + 1} samples, got {n}")
-    for sensor, values in (("ADXL345", trial.accel_adxl345),
-                           ("ITG3200", trial.gyro_itg3200),
-                           ("MMA8451Q", trial.accel_mma8451q)):
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            raise StreamError(f"{sensor}: non-finite sample at index "
-                              f"{int(bad.argmax())}")
-    params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(fdnn_checkpoint)
-    kan_model = kan_mod.load_checkpoint(kan_checkpoint)
-
-    if tuple(fnames) != FDNN_FEATURES:
-        raise StreamError(
-            "detector checkpoint feature list does not match the 18-entry "
-            "frame view")
-    unknown = [n for n in kan_model.feature_names if n not in FEATURE_NAMES]
-    if unknown:
-        raise StreamError(f"impact-model features not in the frame: {unknown}")
-
-    detector = fdnn_mod.InferStep(params, fcfg)
-    threshold = fcfg.threshold
+    models = _models(fdnn_checkpoint, kan_checkpoint)
+    detector = models.detector.fresh()
+    kernel = models.kernel.reader()
+    kan_idx = models.kan_idx
+    threshold = models.threshold
     dt = SAMPLE_PERIOD_S
-    state, window = filter_start(trial.accel_adxl345, filter_config, dt)
-    kernel = kan_mod.KanKernel(kan_model)
-    kan_idx = feature_indices(kan_model.feature_names).tolist()
+    state, window = filter_start(sensors[0], filter_config, dt)
     recent: deque[list[float]] = deque(       # trailing frames, oldest first
-        maxlen=kan_model.config.window_samples)
+        maxlen=models.window)
 
     # Each sample's 19-entry frame is one list of Python floats, built from
-    # these rows and the filter's quaternion; its first 18 entries are the
-    # detector's own input row, standardized there.  The 4 static entries
-    # are written and standardized once; a tick packs the 14 dynamic ones
-    # and standardizes those alone, with the same two ufuncs.
+    # the three sensors' rows, unpacked as the loop reaches them, and the
+    # filter's quaternion; its first 18 entries are the detector's own
+    # input row, standardized there.  The 4 static entries are written and
+    # standardized once; a tick packs the 14 dynamic ones and standardizes
+    # those alone, with the same two ufuncs.
     static = subject.static_vector().tolist()
-    accel = trial.accel_adxl345.tolist()
-    accel2 = trial.accel_mma8451q.tolist()
-    gyro = trial.gyro_itg3200.tolist()
     n_static, n_fdnn = len(static), len(FDNN_FEATURES)
     fixed = detector.inputs[0, :n_static]
     dynamic = detector.inputs[0, n_static:]
     subtract, divide = np.subtract, np.divide
     fixed[:] = static
-    subtract(fixed, fstats.mean[:n_static], fixed)
-    divide(fixed, fstats.std[:n_static], fixed)
-    mean, std = fstats.mean[n_static:], fstats.std[n_static:]
+    subtract(fixed, models.mean[:n_static], fixed)
+    divide(fixed, models.std[:n_static], fixed)
+    mean, std = models.mean[n_static:], models.std[n_static:]
     pack = struct.Struct(f"={n_fdnn - n_static}d").pack_into
+    accel, gyro, accel2 = (struct.iter_unpack("3d", v) for v in sensors)
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     ticks: list[tuple] = []     # each event's fields, one tuple per sample
     latencies: list[float] = []
@@ -202,21 +249,20 @@ def stream_trial(
         wait = start + window * dt - time.perf_counter()
         if wait > 0:
             time.sleep(wait)
-    for k in range(n):
+    for k, (a, g, a2) in enumerate(zip(accel, gyro, accel2)):
         if realtime and k >= window:
             wait = start + (k + 1) * dt - time.perf_counter()
             if wait > 0:
                 time.sleep(wait)
         t0 = clock()
         if k:
-            state = predict_step(state, gyro[k], dt)
-        state = update_step(state, accel[k])
+            state = predict_step(state, g, dt)
+        state = update_step(state, a)
         theta = float(tilt_angles((state.quat,), body_up)[0])
         deriv = (backward_difference(theta, prev, prev2, dt, deriv_order)
                  if k >= deriv_order else 0.0)
         prev, prev2 = theta, prev
-        frame = [*static, *accel[k], *accel2[k], *gyro[k], *state.quat,
-                 theta, deriv]
+        frame = [*static, *a, *a2, *g, *state.quat, theta, deriv]
 
         pack(dynamic, 0, *frame[n_static:n_fdnn])
         subtract(dynamic, mean, dynamic)

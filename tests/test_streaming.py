@@ -1,13 +1,18 @@
 import csv
 import dataclasses
 import math
+import os
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fallsense import fdnn as fdnn_mod
 from fallsense import kan as kan_mod
+from fallsense import streaming
 from fallsense.features import apply_standardizer, feature_indices
 from fallsense.kan import KanConfig
 from fallsense.pipeline import (
@@ -26,6 +31,8 @@ from fallsense.streaming import (
     write_events_csv,
 )
 from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
+
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +394,51 @@ class TestStreamTrial:
                          kan_gating=kan_gating)
         assert steps == []
 
+    @pytest.mark.parametrize("attr, sensor, cut", [
+        ("gyro_itg3200", "ITG3200", np.s_[:-5]),
+        ("accel_mma8451q", "MMA8451Q", np.s_[:-5]),
+        ("accel_adxl345", "ITG3200", np.s_[:-5]),   # the others are longer
+        ("gyro_itg3200", "ITG3200", np.s_[:, :2]),
+        ("gyro_itg3200", "ITG3200", None),          # 5 rows longer
+    ], ids=["short_gyro", "short_mma", "short_adxl", "two_column_gyro",
+            "long_gyro"])
+    def test_misshapen_sensors_refused_up_front(self, subject, tmp_path,
+                                                monkeypatch, attr, sensor,
+                                                cut):
+        # all three sensors must be (n, 3) with one n; refused before the
+        # checkpoints are read, so before any tick
+        trial = generate_synthetic_trial(
+            SyntheticSpec(kind="walk", duration_s=1.0), seed=6)[0].trial
+        values = getattr(trial, attr)
+        values = (np.vstack([values, values[:5]]) if cut is None
+                  else values[cut])
+        bad = dataclasses.replace(trial, **{attr: values})
+        steps = []
+        monkeypatch.setattr(FdnnStream, "step",
+                            lambda self: steps.append(self))
+        with pytest.raises(StreamError, match=f"{sensor}: samples must be"):
+            stream_trial(tmp_path / "missing.ckpt", tmp_path / "missing.kan",
+                         bad, subject)
+        assert steps == []
+
+    @pytest.mark.parametrize("kan_gating", [True, False],
+                             ids=["gated", "ungated"])
+    def test_float32_sensors_stream_as_their_float64_copy(
+            self, trained, subject, kan_gating):
+        fdnn_path, kan_path, pairs, *_ = trained
+        trial = pairs[0][0].trial
+        attrs = ("accel_adxl345", "gyro_itg3200", "accel_mma8451q")
+        single = dataclasses.replace(trial, **{
+            a: getattr(trial, a).astype(np.float32) for a in attrs})
+        double = dataclasses.replace(trial, **{
+            a: getattr(single, a).astype(np.float64) for a in attrs})
+        assert not np.array_equal(double.gyro_itg3200, trial.gyro_itg3200)
+        got, want = (
+            _fields(stream_trial(fdnn_path, kan_path, t, subject,
+                                 kan_gating=kan_gating)[0])
+            for t in (single, double))
+        assert got == want
+
     def test_events_csv(self, trained, subject, tmp_path):
         fdnn_path, kan_path, pairs, *_ = trained
         annotated, _ = pairs[0]
@@ -418,6 +470,106 @@ class TestStreamTrial:
                     "" if e.tti_ms is None else f"{e.tti_ms:.3f}",
                     f"{e.latency_us:.1f}"])
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestModelMemo:
+    """``stream_trial`` parses a checkpoint pair once per content and
+    keeps the last pair; none of this may change an event."""
+
+    def test_repeated_and_interleaved_calls_bitexact(self, trained,
+                                                     subject, monkeypatch):
+        fdnn_path, kan_path, pairs, *_ = trained
+        trial = pairs[0][0].trial
+        model_pairs = [(fdnn_path, kan_path),
+                       (STORED / "detector.ckpt", STORED / "impact.ckpt")]
+
+        def fields(i):
+            return _fields(stream_trial(*model_pairs[i], trial, subject,
+                                        kan_gating=False)[0])
+
+        first = []
+        for i in range(2):
+            monkeypatch.setattr(streaming, "_memo", None)   # a fresh parse
+            first.append(fields(i))
+        assert first[0] != first[1]
+        for i in (1, 1, 0, 0, 1, 0, 1):
+            assert fields(i) == first[i]
+
+    def test_rewrite_with_same_size_and_mtime_streams_new_model(
+            self, trained, subject, tmp_path, monkeypatch):
+        fdnn_path, kan_path, pairs, params, cfg, stats = trained
+        trial = pairs[0][0].trial
+        path = tmp_path / "detector.ckpt"
+        path.write_bytes(fdnn_path.read_bytes())
+        old = _fields(stream_trial(path, kan_path, trial, subject)[0])
+        before = path.stat()
+        changed = params.copy()
+        changed.fc2_b = changed.fc2_b + np.array([0.0, 0.5])
+        fdnn_mod.save_checkpoint(path, changed, cfg, stats)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert ((after.st_size, after.st_mtime_ns)
+                == (before.st_size, before.st_mtime_ns))
+        new = _fields(stream_trial(path, kan_path, trial, subject)[0])
+        assert new != old
+        elsewhere = tmp_path / "changed.ckpt"
+        fdnn_mod.save_checkpoint(elsewhere, changed, cfg, stats)
+        monkeypatch.setattr(streaming, "_memo", None)
+        assert new == _fields(stream_trial(elsewhere, kan_path, trial,
+                                           subject)[0])
+
+    def test_corrupt_checkpoint_caches_nothing(self, trained, subject,
+                                               tmp_path):
+        fdnn_path, kan_path, pairs, *_ = trained
+        trial = pairs[0][0].trial
+        path = tmp_path / "detector.ckpt"
+        blob = fdnn_path.read_bytes()
+        path.write_bytes(blob)
+        good = _fields(stream_trial(path, kan_path, trial, subject)[0])
+        memo = streaming._memo
+        path.write_bytes(blob[:-8])                 # a truncated payload
+        with pytest.raises(CheckpointError, match="truncated payload"):
+            stream_trial(path, kan_path, trial, subject)
+        assert streaming._memo is memo
+        path.write_bytes(blob)
+        assert _fields(stream_trial(path, kan_path, trial, subject)[0]) == good
+
+    def test_threads_get_their_solo_events(self, trained, subject,
+                                           monkeypatch):
+        # two threads on the same checkpoints, a fall and a walk, from an
+        # empty memo (both may parse), each stream three times
+        fdnn_path, kan_path, pairs, *_ = trained
+        trials = [pairs[0][0].trial, pairs[-1][0].trial]
+        solo = [_fields(stream_trial(fdnn_path, kan_path, t, subject,
+                                     kan_gating=False)[0]) for t in trials]
+        monkeypatch.setattr(streaming, "_memo", None)
+        barrier = threading.Barrier(len(trials))
+        got = [[] for _ in trials]
+
+        def run(i):
+            barrier.wait()
+            for _ in range(3):
+                events, _ = stream_trial(fdnn_path, kan_path, trials[i],
+                                         subject, kan_gating=False)
+                got[i].append(_fields(events))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)         # switch often, mid-tick
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(trials))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[s] * 3 for s in solo]
+
+
+def _fields(events):
+    """Each event's outputs: all but its latency."""
+    return [(e.index, e.p_falling, e.decision, e.tti_ms) for e in events]
 
 
 def _subject():
