@@ -39,13 +39,10 @@ def write_container(path: Path | str, kind: str, header: dict,
         fh.write(payload)
 
 
-def read_container(path: Path | str, kind: str, data: bytes | None = None
-                   ) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and arrays of the container at ``path``, parsed from
-    ``data`` if given (the file's bytes, already read) and read from the
-    file otherwise.  The path names the file in error messages."""
+def read_container(path: Path | str,
+                   kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
-    blob = path.read_bytes() if data is None else data
+    blob = path.read_bytes()
     if len(blob) < len(MAGIC) + 8 or blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path.name}: not a model container")
     version, header_len = struct.unpack_from("<II", blob, len(MAGIC))

@@ -266,31 +266,18 @@ class InferStep:
 
     def __init__(self, params: FdnnParams | list[FdnnParams],
                  config: FdnnConfig, rows: int = 1):
+        d, h = config.input_dim, config.inner_dim
         per_row = params if isinstance(params, list) else [params] * rows
         if len(per_row) != rows:
             raise FdnnError(f"{len(per_row)} parameter sets for {rows} rows")
         distinct = {id(p): p for p in per_row}
         folded = {k: _folded_weights(p, config) for k, p in distinct.items()}
         if len(folded) == 1:
-            weights = folded[id(per_row[0])]
+            w1, w2, w3 = folded[id(per_row[0])]
         else:
-            weights = tuple(np.stack([folded[id(p)][k] for p in per_row])
-                            for k in range(3))
-        self._build(weights, config, rows)
+            w1, w2, w3 = (np.stack([folded[id(p)][k] for p in per_row])
+                          for k in range(3))
 
-    def fresh(self) -> InferStep:
-        """A step over the same folded weights from zero state, with its
-        own buffers: fold a model once, then stream it any number of
-        times, in any number of threads."""
-        step = object.__new__(type(self))
-        step._build(*self._model)
-        return step
-
-    def _build(self, weights, config: FdnnConfig, rows: int) -> None:
-        """The buffers and zero state of a step over folded ``weights``."""
-        self._model = (weights, config, rows)
-        d, h = config.input_dim, config.inner_dim
-        w1, w2, w3 = weights
         buf = np.zeros((rows, d + 2 * h + 1))
         buf[:, d + h] = 1.0
         h1, h2 = buf[:, d:d + h], buf[:, d + h + 1:]
@@ -1085,11 +1072,9 @@ def _check_loaded(name: str, params: FdnnParams, config: FdnnConfig,
         fail(f"{len(feature_names)} feature names for input_dim={d}")
 
 
-def load_checkpoint(path: Path | str, data: bytes | None = None) -> tuple[
+def load_checkpoint(path: Path | str) -> tuple[
         FdnnParams, FdnnConfig, StandardizationStats, tuple[str, ...]]:
-    """The detector saved at ``path``, parsed from ``data`` if given (the
-    file's bytes, already read)."""
-    header, arrays = checkpoint.read_container(path, "fdnn", data)
+    header, arrays = checkpoint.read_container(path, "fdnn")
     name = Path(path).name
     try:
         config = FdnnConfig(**header["config"])

@@ -223,22 +223,6 @@ class KanKernel:
             d * n, b)
         self.outer = [_grid_spec(g) for g in model.outer_grids.tolist()]
         self.outer_values = model.outer_values.tolist()
-        self._buffers()
-
-    def reader(self) -> KanKernel:
-        """A kernel on this one's standardizer, grids and node values (the
-        same objects, not copies) with buffers of its own: one for each
-        concurrent reader of a model that no fit moves.  ``step`` on
-        either would change both."""
-        kernel = object.__new__(KanKernel)
-        for name in ("names", "mean", "std", "_unit", "damping", "inner",
-                     "table", "outer", "outer_values"):
-            setattr(kernel, name, getattr(self, name))
-        kernel._buffers()
-        return kernel
-
-    def _buffers(self) -> None:
-        d, b = len(self.mean), len(self.outer)
         # eval's and step's buffers: products (2d, b), its two halves,
         # their sums (d, b), and step's scaled slopes (b,)
         products = np.empty((2 * d, b))
@@ -887,10 +871,8 @@ def _check_loaded(name: str, d: int, model: KanModel) -> None:
         fail(f"{len(model.feature_names)} feature names for d={d}")
 
 
-def load_checkpoint(path: Path | str, data: bytes | None = None) -> KanModel:
-    """The impact model saved at ``path``, parsed from ``data`` if given
-    (the file's bytes, already read)."""
-    header, arrays = checkpoint.read_container(path, "kan", data)
+def load_checkpoint(path: Path | str) -> KanModel:
+    header, arrays = checkpoint.read_container(path, "kan")
     name = Path(path).name
     try:
         names = tuple(header["feature_names"])

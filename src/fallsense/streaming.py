@@ -6,20 +6,17 @@ falling) one impact-time evaluation.  Real-time mode paces samples at the
 200 Hz period; fast mode runs unpaced.  Event values are identical in
 both modes.
 
-The models are parsed once per checkpoint content: each call reads both
-files, and bytes equal to the last pair parsed give its models (the
-folded detector, the impact kernel's tables) as they are; a call builds
-only what it mutates, the detector's state and the kernel's read buffers.
 What does not change within a trial is done once per trial, before the
-first tick: the sensor arrays are checked, the body-up axis is scaled to unit
-length (a ``UnitAxis``, which each tick's tilt takes as it is), and the 4
-static detector inputs are written and standardized in the detector's
-own input row (``InferStep.inputs``).  A tick then runs the filter
-steps, the tilt and its derivative, builds the frame, packs the frame's
-14 dynamic detector entries into that row and standardizes them there
-(so ``step`` copies nothing), steps the detector and, if the impact model
-runs, reads it.  Each tick keeps its event as a plain tuple; the
-``StreamEvent`` list is built once after the last sample.
+first tick: the sensor arrays are checked, the checkpoints are read, the
+body-up axis is scaled to unit length (a ``UnitAxis``, which each tick's
+tilt takes as it is), and the 4 static detector inputs are written and
+standardized in the detector's own input row (``InferStep.inputs``).  A
+tick then runs the filter steps, the tilt and its derivative, builds the
+frame from the sample's rows (unpacked as the loop reaches them), packs
+the frame's 14 dynamic detector entries into that row and standardizes
+them there (so ``step`` copies nothing), steps the detector and, if the
+impact model runs, reads it.  Each tick keeps its event as a plain tuple;
+the ``StreamEvent`` list is built once after the last sample.
 
 The orientation filter starts like the batch estimator
 (``orientation.filter_start``: the accelerometer mean over the first half
@@ -107,55 +104,6 @@ class LatencyReport:
 FdnnStream = fdnn_mod.InferStep
 
 
-class _Models(NamedTuple):
-    """What one checkpoint pair gives every stream: the bytes it was
-    parsed from, the folded detector (each call steps its own ``fresh``
-    copy), its threshold and input standardizer, and the impact model's
-    kernel (each call reads through its own ``reader``), frame columns
-    and smoothing window."""
-
-    key: tuple[bytes, bytes]
-    detector: fdnn_mod.InferStep
-    threshold: float
-    mean: np.ndarray
-    std: np.ndarray
-    kernel: kan_mod.KanKernel
-    kan_idx: list[int]
-    window: int
-
-
-_memo: _Models | None = None        # the last pair parsed; one entry
-
-
-def _models(fdnn_checkpoint: Path | str,
-            kan_checkpoint: Path | str) -> _Models:
-    """Both checkpoints' models, parsed once per content: files that hold
-    the bytes of the last pair parsed give its models as they are.  A
-    pair that fails to load or check is not kept."""
-    global _memo
-    key = (Path(fdnn_checkpoint).read_bytes(),
-           Path(kan_checkpoint).read_bytes())
-    models = _memo
-    if models is not None and models.key == key:
-        return models
-    params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(
-        fdnn_checkpoint, data=key[0])
-    kan_model = kan_mod.load_checkpoint(kan_checkpoint, data=key[1])
-    if tuple(fnames) != FDNN_FEATURES:
-        raise StreamError(
-            "detector checkpoint feature list does not match the 18-entry "
-            "frame view")
-    unknown = [n for n in kan_model.feature_names if n not in FEATURE_NAMES]
-    if unknown:
-        raise StreamError(f"impact-model features not in the frame: {unknown}")
-    _memo = models = _Models(
-        key, fdnn_mod.InferStep(params, fcfg), fcfg.threshold, fstats.mean,
-        fstats.std, kan_mod.KanKernel(kan_model),
-        feature_indices(kan_model.feature_names).tolist(),
-        kan_model.config.window_samples)
-    return models
-
-
 def stream_trial(
     fdnn_checkpoint: Path | str,
     kan_checkpoint: Path | str,
@@ -191,31 +139,43 @@ def stream_trial(
             body_up = unit_body_up(body_up)     # once, not every tick
         except OrientationError as exc:
             raise StreamError(str(exc)) from None
-    sensors = [np.ascontiguousarray(values, dtype=np.float64) for values in
-               (trial.accel_adxl345, trial.gyro_itg3200,
-                trial.accel_mma8451q)]
-    n = len(sensors[0])
-    for name, values in zip(("ADXL345", "ITG3200", "MMA8451Q"), sensors):
+    n = len(trial)
+    sensors = []                # float64 (n, 3) rows: ADXL345, gyro, MMA
+    for sensor, values in (("ADXL345", trial.accel_adxl345),
+                           ("ITG3200", trial.gyro_itg3200),
+                           ("MMA8451Q", trial.accel_mma8451q)):
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != (n, 3):
-            raise StreamError(f"{name}: samples must be ({n}, 3), "
+            raise StreamError(f"{sensor}: samples must be ({n}, 3), "
                               f"got {values.shape}")
         if not np.isfinite(values).all():
             bad = ~np.isfinite(values).all(axis=1)
-            raise StreamError(f"{name}: non-finite sample at index "
+            raise StreamError(f"{sensor}: non-finite sample at index "
                               f"{int(bad.argmax())}")
+        sensors.append(values)
     if n < deriv_order + 1:
         # The batch path refuses it too (orientation.angular_derivative).
         raise StreamError(f"order-{deriv_order} derivative needs >= "
                           f"{deriv_order + 1} samples, got {n}")
-    models = _models(fdnn_checkpoint, kan_checkpoint)
-    detector = models.detector.fresh()
-    kernel = models.kernel.reader()
-    kan_idx = models.kan_idx
-    threshold = models.threshold
+    params, fcfg, fstats, fnames = fdnn_mod.load_checkpoint(fdnn_checkpoint)
+    kan_model = kan_mod.load_checkpoint(kan_checkpoint)
+
+    if tuple(fnames) != FDNN_FEATURES:
+        raise StreamError(
+            "detector checkpoint feature list does not match the 18-entry "
+            "frame view")
+    unknown = [n for n in kan_model.feature_names if n not in FEATURE_NAMES]
+    if unknown:
+        raise StreamError(f"impact-model features not in the frame: {unknown}")
+
+    detector = fdnn_mod.InferStep(params, fcfg)
+    threshold = fcfg.threshold
     dt = SAMPLE_PERIOD_S
     state, window = filter_start(sensors[0], filter_config, dt)
+    kernel = kan_mod.KanKernel(kan_model)
+    kan_idx = feature_indices(kan_model.feature_names).tolist()
     recent: deque[list[float]] = deque(       # trailing frames, oldest first
-        maxlen=models.window)
+        maxlen=kan_model.config.window_samples)
 
     # Each sample's 19-entry frame is one list of Python floats, built from
     # the three sensors' rows, unpacked as the loop reaches them, and the
@@ -229,11 +189,11 @@ def stream_trial(
     dynamic = detector.inputs[0, n_static:]
     subtract, divide = np.subtract, np.divide
     fixed[:] = static
-    subtract(fixed, models.mean[:n_static], fixed)
-    divide(fixed, models.std[:n_static], fixed)
-    mean, std = models.mean[n_static:], models.std[n_static:]
+    subtract(fixed, fstats.mean[:n_static], fixed)
+    divide(fixed, fstats.std[:n_static], fixed)
+    mean, std = fstats.mean[n_static:], fstats.std[n_static:]
     pack = struct.Struct(f"={n_fdnn - n_static}d").pack_into
-    accel, gyro, accel2 = (struct.iter_unpack("3d", v) for v in sensors)
+    accel, gyro, accel2 = map(struct.Struct("3d").iter_unpack, sensors)
     prev = prev2 = 0.0          # tilt at samples k-1 and k-2
     ticks: list[tuple] = []     # each event's fields, one tuple per sample
     latencies: list[float] = []

@@ -310,53 +310,35 @@ def test_a10_benchmark_trace_targets_resolve():
 
 
 @pytest.mark.tier_a
-def test_a13_stream_trace_targets_are_called(tmp_path):
+def test_a13_stream_trace_targets_are_called():
     """Every stream-side span of the benchmark's tracer records exactly
     its per-sample calls on a short ungated stream (200 samples: one
     predict step fewer, one one-row tilt, detector step and impact read
-    each), so a refactor cannot leave a trace target that resolves but
-    that the stream no longer calls, or calls from somewhere else.  The
-    checkpoints load once per content: once each on a call whose bytes
-    differ from the last pair loaded, not at all on a repeat call, and
-    once each again after the bytes change."""
+    each, one load per checkpoint), so a refactor cannot leave a trace
+    target that resolves but that the stream no longer calls, or calls
+    from somewhere else."""
     spans = _load_perfbench("spans")
     models = Path(__file__).resolve().parents[1] / "perfbench" / "models"
-    stored = (models / "detector.ckpt", models / "impact.ckpt")
-    params, cfg, stats, _ = fdnn_mod.load_checkpoint(stored[0])
-    params.fc2_b = params.fc2_b + 1.0           # other bytes, same shapes
-    other = (tmp_path / "detector.ckpt", stored[1])
-    fdnn_mod.save_checkpoint(other[0], params, cfg, stats)
     annotated, _ = generate_synthetic_trial(
         SyntheticSpec(duration_s=1.0, fall_onset_s=0.6, impact_s=0.9),
         seed=5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        stream_trial(models / "detector.ckpt", models / "impact.ckpt",
+                     annotated.trial, SUBJECT, kan_gating=False)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
     n = len(annotated.trial)
     assert n == 200
-
-    per_sample = {"orientation.predict_step": n - 1,
-                  "orientation.update_step": n, "orientation.tilt": n,
-                  "fdnn.stream_step": n, "kan.eval": n}
-    want = {**per_sample, "checkpoint.load_detector": 1,
-            "checkpoint.load_impact": 1}
-
-    def traced_calls(pair):
-        tracer = spans.Tracer()
-        tracer.install()
-        try:
-            stream_trial(*pair, annotated.trial, SUBJECT, kan_gating=False)
-        finally:
-            tracer.uninstall()
-        summary = tracer.summary()
-        assert summary["orientation.tilt"]["work"] == n  # one row a call
-        return {name: summary.get(name, {"calls": 0})["calls"]
-                for name in want}
-
-    stream_trial(*other, annotated.trial, SUBJECT)     # a miss for stored
-    assert traced_calls(stored) == want
-    assert traced_calls(stored) == {**want, "checkpoint.load_detector": 0,
-                                    "checkpoint.load_impact": 0}
-    assert traced_calls(other) == want
-    _ok("A13", f"({len(per_sample)} stream spans called once per sample, "
-               f"checkpoints loaded once per content)")
+    want = {"orientation.predict_step": n - 1, "orientation.update_step": n,
+            "orientation.tilt": n, "fdnn.stream_step": n, "kan.eval": n,
+            "checkpoint.load_detector": 1, "checkpoint.load_impact": 1}
+    calls = {name: summary.get(name, {"calls": 0})["calls"] for name in want}
+    assert calls == want
+    assert summary["orientation.tilt"]["work"] == n      # one row a call
+    _ok("A13", f"({len(want)} stream spans called once per sample)")
 
 
 @pytest.mark.tier_a

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import math
-import os
 import sys
 import threading
 import time
@@ -12,7 +11,6 @@ import pytest
 
 from fallsense import fdnn as fdnn_mod
 from fallsense import kan as kan_mod
-from fallsense import streaming
 from fallsense.features import apply_standardizer, feature_indices
 from fallsense.kan import KanConfig
 from fallsense.pipeline import (
@@ -472,12 +470,13 @@ class TestStreamTrial:
         assert got.read_bytes() == want.read_bytes()
 
 
-class TestModelMemo:
-    """``stream_trial`` parses a checkpoint pair once per content and
-    keeps the last pair; none of this may change an event."""
+class TestCallsShareNoState:
+    """No ``stream_trial`` call changes another's events: not an earlier
+    call on the same or other models, not one running in another
+    thread."""
 
     def test_repeated_and_interleaved_calls_bitexact(self, trained,
-                                                     subject, monkeypatch):
+                                                     subject):
         fdnn_path, kan_path, pairs, *_ = trained
         trial = pairs[0][0].trial
         model_pairs = [(fdnn_path, kan_path),
@@ -487,62 +486,18 @@ class TestModelMemo:
             return _fields(stream_trial(*model_pairs[i], trial, subject,
                                         kan_gating=False)[0])
 
-        first = []
-        for i in range(2):
-            monkeypatch.setattr(streaming, "_memo", None)   # a fresh parse
-            first.append(fields(i))
+        first = [fields(0), fields(1)]
         assert first[0] != first[1]
         for i in (1, 1, 0, 0, 1, 0, 1):
             assert fields(i) == first[i]
 
-    def test_rewrite_with_same_size_and_mtime_streams_new_model(
-            self, trained, subject, tmp_path, monkeypatch):
-        fdnn_path, kan_path, pairs, params, cfg, stats = trained
-        trial = pairs[0][0].trial
-        path = tmp_path / "detector.ckpt"
-        path.write_bytes(fdnn_path.read_bytes())
-        old = _fields(stream_trial(path, kan_path, trial, subject)[0])
-        before = path.stat()
-        changed = params.copy()
-        changed.fc2_b = changed.fc2_b + np.array([0.0, 0.5])
-        fdnn_mod.save_checkpoint(path, changed, cfg, stats)
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        after = path.stat()
-        assert ((after.st_size, after.st_mtime_ns)
-                == (before.st_size, before.st_mtime_ns))
-        new = _fields(stream_trial(path, kan_path, trial, subject)[0])
-        assert new != old
-        elsewhere = tmp_path / "changed.ckpt"
-        fdnn_mod.save_checkpoint(elsewhere, changed, cfg, stats)
-        monkeypatch.setattr(streaming, "_memo", None)
-        assert new == _fields(stream_trial(elsewhere, kan_path, trial,
-                                           subject)[0])
-
-    def test_corrupt_checkpoint_caches_nothing(self, trained, subject,
-                                               tmp_path):
-        fdnn_path, kan_path, pairs, *_ = trained
-        trial = pairs[0][0].trial
-        path = tmp_path / "detector.ckpt"
-        blob = fdnn_path.read_bytes()
-        path.write_bytes(blob)
-        good = _fields(stream_trial(path, kan_path, trial, subject)[0])
-        memo = streaming._memo
-        path.write_bytes(blob[:-8])                 # a truncated payload
-        with pytest.raises(CheckpointError, match="truncated payload"):
-            stream_trial(path, kan_path, trial, subject)
-        assert streaming._memo is memo
-        path.write_bytes(blob)
-        assert _fields(stream_trial(path, kan_path, trial, subject)[0]) == good
-
-    def test_threads_get_their_solo_events(self, trained, subject,
-                                           monkeypatch):
-        # two threads on the same checkpoints, a fall and a walk, from an
-        # empty memo (both may parse), each stream three times
+    def test_threads_get_their_solo_events(self, trained, subject):
+        # two threads on the same checkpoints, a fall and a walk, each
+        # stream three times
         fdnn_path, kan_path, pairs, *_ = trained
         trials = [pairs[0][0].trial, pairs[-1][0].trial]
         solo = [_fields(stream_trial(fdnn_path, kan_path, t, subject,
                                      kan_gating=False)[0]) for t in trials]
-        monkeypatch.setattr(streaming, "_memo", None)
         barrier = threading.Barrier(len(trials))
         got = [[] for _ in trials]
 

@@ -15,8 +15,7 @@ the opcodes and the Python-level calls per sample of each layer:
 - ``loop``: ``stream_trial``'s own body, its per-trial lines included
   (a fixed amount, spread over the trial's samples);
 - ``other``: everything else that ``stream_trial`` calls (the checkpoint
-  reads, the fresh detector and kernel buffers, the filter start, the
-  latency report; the checkpoints are parsed on the first call only).
+  loads, the filter start, the latency report).
 
 A layer is the code object its frame runs, or the layer of the frame that
 called it.  Opcodes are counted in the ``fallsense`` package's code only,
@@ -64,8 +63,8 @@ RECORDED = {
     "tilt": (90.84, 3.99),
     "detector": (231.0, 5.0),
     "kan": (1212.69, 2.0),
-    "loop": (692.97, 0.005),
-    "other": (6.0, 0.185),
+    "loop": (693.365, 0.005),
+    "other": (56.735, 0.89),
 }
 MARGIN = 1.02
 
