@@ -14,7 +14,6 @@ from fallsense.kan import (
     KanConfig,
     KanKernel,
     _init_model,
-    _respan_outer,
     fit,
     fit_records,
 )
@@ -28,9 +27,8 @@ d = 5
 # --- 1. one record, repeated updates -------------------------------------
 cfg = KanConfig()
 stats = StandardizationStats(mean=np.zeros(d), std=np.ones(d))
-model = _init_model(cfg, tuple("abcde"), stats, d,
+model = _init_model(cfg, tuple("abcde"), stats, rng.normal(size=(200, d)),
                     np.random.default_rng(0), 400.0)
-_respan_outer(model, rng.normal(size=(200, d)), 400.0)
 
 x, y = rng.normal(size=d).tolist(), 250.0
 kernel = KanKernel(model)

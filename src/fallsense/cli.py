@@ -29,13 +29,10 @@ from . import evaluation as eval_mod
 from . import fdnn as fdnn_mod
 from . import kan as kan_mod
 from . import pipeline
-from .checkpoint import CheckpointError
-from .config import ConfigError, RunConfig, dump_config, kan_grid_configs, load_config
+from .config import RunConfig, dump_config, kan_grid_configs, load_config
 from .evaluation import MetricTable, ReportBundle, TrajectoryTrace
 from .features import (
-    FDNN_FEATURES,
     FEATURE_NAMES,
-    FeatureError,
     apply_standardizer,
     build_selection_report,
     extract_fall_segment,
@@ -47,7 +44,6 @@ from .features import (
     split_sequences,
 )
 from .sisfall import (
-    IngestError,
     TrialId,
     annotate_trial,
     load_subjects,
@@ -56,7 +52,7 @@ from .sisfall import (
     require_profile,
     verify_corpus,
 )
-from .streaming import StreamError, stream_trial, write_events_csv
+from .streaming import stream_trial, write_events_csv
 from .synthetic import write_synthetic_corpus
 
 class CliError(ValueError):
@@ -69,6 +65,9 @@ def _trial_files(root: Path) -> list[Path]:
     files = sorted(root.glob("S[AE]*/[FD]*_S*_R*.txt"))
     if not files:
         raise CliError(f"no trial files under {root}")
+    for path in files:
+        if TrialId.parse(path.name).subject != path.parent.name:
+            raise CliError(f"{path} is outside its subject's folder")
     return files
 
 
@@ -228,7 +227,7 @@ def _cmd_train_fdnn(args, config: RunConfig, out: Path) -> int:
     # them trial by trial, and each is then standardized in place.
     train = _detector_inputs(features_dir, split.train)
     val = _detector_inputs(features_dir, split.validation)
-    stats = fit_standardizer([x for x, _ in train], FDNN_FEATURES)
+    stats = fit_standardizer([x for x, _ in train])
     train_set = [pipeline.detector_example(x, y, stats) for x, y in train]
     val_set = [pipeline.detector_example(x, y, stats) for x, y in val]
     del train, val
@@ -592,9 +591,8 @@ def dispatch(argv: list[str]) -> int:
         if rc == 0:
             dump_config(config, out / "resolved_config.json")
         return rc
-    except (CliError, ConfigError, IngestError, FeatureError,
-            fdnn_mod.FdnnError, kan_mod.KanError, StreamError,
-            CheckpointError, eval_mod.EvaluationError, ValueError) as exc:
+    # Every error class of the package subclasses ValueError.
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

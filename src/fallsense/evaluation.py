@@ -41,31 +41,20 @@ class ConfusionCounts:
     tn: int = 0
     fn: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
                                self.tn + other.tn, self.fn + other.fn)
 
 
-def confusion(decisions: np.ndarray, labels: np.ndarray,
-              mask: np.ndarray | None = None) -> ConfusionCounts:
+def confusion(decisions: np.ndarray, labels: np.ndarray) -> ConfusionCounts:
     """Sample-level confusion counts; FALL (label 1) is positive."""
     decisions = np.asarray(decisions).astype(bool)
     labels = np.asarray(labels)
     if decisions.shape != labels.shape:
         raise EvaluationError(
             f"decisions {decisions.shape} vs labels {labels.shape}")
-    if mask is None:
-        mask = np.ones(decisions.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != decisions.shape:
-            raise EvaluationError("mask shape mismatch")
-    pos = (labels == FALL) & mask
-    neg = (labels != FALL) & mask
+    pos = labels == FALL
+    neg = ~pos
     return ConfusionCounts(
         tp=int((decisions & pos).sum()),
         fp=int((decisions & neg).sum()),
@@ -96,11 +85,6 @@ class MetricTable:
     subjects: tuple[str, ...]
     activities: tuple[str, ...]
     values: np.ndarray  # (S, A), NaN = blank
-
-    def cell(self, subject: str, activity: str) -> float | None:
-        v = self.values[self.subjects.index(subject),
-                        self.activities.index(activity)]
-        return None if math.isnan(v) else float(v)
 
     def average(self) -> float | None:
         """Mean over non-blank cells."""

@@ -15,12 +15,12 @@ Inference runs one folded step (``InferStep``): with frozen batch-norm
 moments and dropout off, fc1 -> batch norm -> LSTM1 input projection is
 one affine map, folded into LSTM1's weights once per model.  The stream
 steps it one row at a time and infer-mode ``forward`` scans it over time
-with one row per sequence, filling one step's input rows at a time; each
-row's logits become P(falling) through ``falling_probability``.  At more
-than one row each product is a stack of one-row products, so every row of
-a scan gets exactly the bits the stream gives that sequence, at any row
-count, and each row may step on its own parameter set (a per-row stack of
-weight matrices).  ``_scan_pairs`` scans many (parameter set, sequence)
+with one row per sequence, writing each step's sequence columns into
+``InferStep.inputs``; each row's logits become P(falling) through
+``falling_probability``.  At more than one row each product is a stack of
+one-row products, so every row of a scan gets exactly the bits the stream
+gives that sequence, at any row count, and each row may step on its own
+parameter set (a per-row stack of weight matrices).  ``_scan_pairs`` scans many (parameter set, sequence)
 pairs on that promise, pooling across sets only the rows that would not
 fill a scan of their own: eval-fdnn scores one model's sequences
 (``predict_traces``), and ``train`` scores every epoch's snapshot in one
@@ -141,9 +141,9 @@ def _uniform_fanin(rng: np.random.Generator, fan_in: int,
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(config: FdnnConfig, seed: int | None = None) -> FdnnParams:
+def init_params(config: FdnnConfig) -> FdnnParams:
     """Fan-in scaled uniform weights, zero biases, forget-gate bias 1."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     d, f, h, c = (config.input_dim, config.fc1_units, config.inner_dim,
                   config.classes)
     lstm1_b = np.zeros(4 * h)
@@ -309,9 +309,9 @@ class InferStep:
         product, w3, logits = self._fc2
         product(w3, logits)
 
-    def __call__(self, x: np.ndarray) -> list[float]:
-        """P(falling) after one step of each row."""
-        self.inputs[...] = x
+    def __call__(self) -> list[float]:
+        """P(falling) after one step of each row from ``inputs``, which
+        the caller has written."""
         self._advance()
         return [falling_probability(z) for z in self._logits.tolist()]
 
@@ -339,12 +339,9 @@ def classify(p_falling: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 def _checked_inputs(config: FdnnConfig, static: np.ndarray,
                     sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, static_dim) and (B, T, input_dim - static_dim) float arrays,
-    a lone sequence given one row."""
+    """(B, static_dim) and (B, T, input_dim - static_dim) float arrays."""
     static = np.atleast_2d(np.asarray(static, dtype=float))
     sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim == 2:
-        sequence = sequence[None, :, :]
     b, _, dd = sequence.shape
     if static.shape != (b, config.static_dim):
         raise FdnnError(
@@ -478,16 +475,15 @@ def forward(
     mode: str = "infer",
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    want_cache: bool = False,
     *,
     workspace: _Workspace | None = None,
 ):
     """Per-step probabilities for a batch of sequences.
 
     static: (B, static_dim); sequence: (B, T, input_dim - static_dim).
-    Train mode returns (B, T, classes) class probabilities (and the
-    backward cache when requested); it uses batch statistics over unmasked
-    steps and applies dropout.  Its lagged scan runs in ``workspace``'s
+    Train mode returns (B, T, classes) class probabilities and the
+    backward cache; it uses batch statistics over unmasked steps and
+    applies dropout.  Its lagged scan runs in ``workspace``'s
     memory (fresh memory by default), so the cache it returns is valid
     only until that workspace's next call; only ``loss_and_gradients``
     reads it.  Infer mode returns (B, T) P(falling): it scans
@@ -506,17 +502,16 @@ def forward(
             raise FdnnError(f"mask shape {mask.shape} != {(b, t)}")
 
     if mode == "infer":
-        if want_cache:
-            raise FdnnError("the backward cache exists in train mode only")
         step_fn = InferStep(params, config, rows=b)
-        # One step's input rows: the static columns set once, then each
-        # step's sequence columns, so no (T, B, input_dim) copy is made.
-        x = np.empty((b, config.input_dim))
-        x[:, :config.static_dim] = static
+        # The static columns are written into the step's inputs once, then
+        # each step's sequence columns in place, as the stream writes its
+        # row, so no (T, B, input_dim) copy is made.
+        step_fn.inputs[:, :config.static_dim] = static
+        dynamic = step_fn.inputs[:, config.static_dim:]
         p_fall = np.empty((b, t))
         for step in range(t):
-            x[:, config.static_dim:] = sequence[:, step]
-            p_fall[:, step] = step_fn(x)
+            dynamic[...] = sequence[:, step]
+            p_fall[:, step] = step_fn()
         if not np.all(np.isfinite(p_fall)):
             raise FdnnError("non-finite activations in forward pass")
         return p_fall
@@ -587,8 +582,6 @@ def forward(
                          + params.fc2_b)
     if not np.all(np.isfinite(probs)):
         raise FdnnError("non-finite activations in forward pass")
-    if not want_cache:
-        return probs.transpose(1, 0, 2)
     cache = {"x": x, "mask": mask, "xhat": xhat, "inv": inv, "drop": drop,
              "z1": z, "lstm": (arrays, w_in, w_rec), "z2": z2,
              "probs": probs}
@@ -729,11 +722,8 @@ def loss_and_gradients(
     norm's backward pass.
     """
     labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = labels[None, :]
     probs, cache = forward(params, config, static, sequence, mode="train",
-                           mask=mask, rng=rng, want_cache=True,
-                           workspace=workspace)
+                           mask=mask, rng=rng, workspace=workspace)
     mask = cache["mask"]
     b, t, _ = probs.shape
     if labels.shape != (b, t):
@@ -1022,8 +1012,7 @@ def write_training_log(path: Path | str, log: list[EpochLog]) -> None:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: Path | str, params: FdnnParams, config: FdnnConfig,
-                    stats: StandardizationStats,
-                    feature_names: tuple[str, ...] = FDNN_FEATURES) -> None:
+                    stats: StandardizationStats) -> None:
     """Self-contained checkpoint: parameters plus the input standardizer."""
     header = {
         "config": asdict(config),
@@ -1031,7 +1020,7 @@ def save_checkpoint(path: Path | str, params: FdnnParams, config: FdnnConfig,
             "mean": stats.mean.tolist(),
             "std": stats.std.tolist(),
         },
-        "feature_names": list(feature_names),
+        "feature_names": list(FDNN_FEATURES),
     }
     checkpoint.write_container(path, "fdnn", header, params.arrays())
 
@@ -1083,9 +1072,7 @@ def load_checkpoint(path: Path | str) -> tuple[
         names = tuple(header.get("feature_names", []))
         stats = StandardizationStats(
             mean=np.asarray(std["mean"], dtype=float),
-            std=np.asarray(std["std"], dtype=float),
-            names=names,
-        )
+            std=np.asarray(std["std"], dtype=float))
     except KeyError as exc:
         raise checkpoint.CheckpointError(
             f"{name}: checkpoint lacks {exc}") from None

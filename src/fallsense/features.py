@@ -91,7 +91,6 @@ def build_feature_frames(
     quats: np.ndarray,
     body_up: np.ndarray | None = None,
     deriv_order: int = 2,
-    dt: float = SAMPLE_PERIOD_S,
 ) -> FeatureFrames:
     """Assemble the (N, 19) signal matrix for one trial.
 
@@ -106,7 +105,8 @@ def build_feature_frames(
             f"orientation length {quats.shape} does not match {n} samples")
 
     theta = tilt_angles(quats, body_up)
-    theta_deriv = angular_derivative(theta, dt, order=deriv_order)
+    theta_deriv = angular_derivative(theta, SAMPLE_PERIOD_S,
+                                     order=deriv_order)
 
     data = np.empty((n, len(FEATURE_NAMES)))
     data[:, 0:4] = subject.static_vector()
@@ -130,13 +130,19 @@ def save_frames(path: Path | str, frames: FeatureFrames) -> None:
 
 
 def load_frames(path: Path | str) -> FeatureFrames:
+    """FeatureError, naming the file, on a missing array or on data and
+    labels that are not (N, 19) and (N,)."""
     with np.load(path, allow_pickle=False) as z:
-        names = tuple(str(x) for x in z["names"])
-        if names != FEATURE_NAMES:
+        missing = {"trial_id", "data", "labels", "names"} - set(z.files)
+        if missing:
+            raise FeatureError(f"{path}: frames lack {sorted(missing)}")
+        if tuple(str(x) for x in z["names"]) != FEATURE_NAMES:
             raise FeatureError(f"{path}: unexpected feature columns")
-        return FeatureFrames(
-            trial_id=TrialId.parse(str(z["trial_id"])),
-            data=z["data"], labels=z["labels"])
+        trial_id, data, labels = str(z["trial_id"]), z["data"], z["labels"]
+    if labels.ndim != 1 or data.shape != (len(labels), len(FEATURE_NAMES)):
+        raise FeatureError(f"{path}: data {data.shape} and labels "
+                           f"{labels.shape} are not (N, 19) and (N,)")
+    return FeatureFrames(TrialId.parse(trial_id), data, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +153,10 @@ def load_frames(path: Path | str) -> FeatureFrames:
 class StandardizationStats:
     mean: np.ndarray
     std: np.ndarray   # population std, clamped at STD_FLOOR
-    names: tuple[str, ...] | None = None
 
 
-def fit_standardizer(matrix: np.ndarray | list[np.ndarray],
-                     names: tuple[str, ...] | None = None) -> StandardizationStats:
+def fit_standardizer(
+        matrix: np.ndarray | list[np.ndarray]) -> StandardizationStats:
     """Column means and population stds of ``matrix``, or of the rows of
     a list of matrices (one per trial, say) without stacking them.  Each
     matrix's column sums, added in list order, give the mean; each one's
@@ -169,8 +174,7 @@ def fit_standardizer(matrix: np.ndarray | list[np.ndarray],
     sq = functools.reduce(
         np.add, [np.square(m - mean).sum(axis=0) for m in parts])
     return StandardizationStats(mean=mean,
-                                std=np.maximum(np.sqrt(sq / n), STD_FLOOR),
-                                names=names)
+                                std=np.maximum(np.sqrt(sq / n), STD_FLOOR))
 
 
 def apply_standardizer(stats: StandardizationStats,
@@ -274,10 +278,6 @@ class MrmrStep:
     name: str
     relevance: float
     redundancy: float
-
-    @property
-    def score(self) -> float:
-        return self.relevance - self.redundancy
 
 
 def mrmr_select(
@@ -402,8 +402,8 @@ class FallSegment:
     start_index: int
     end_index: int          # impact sample, inclusive
     feature_names: tuple[str, ...]
-    rows: np.ndarray | None     # (L, d) raw selected-feature rows
-    tti_ms: np.ndarray          # (L,) targets
+    rows: np.ndarray        # (L, d) raw selected-feature rows
+    tti_ms: np.ndarray      # (L,) targets
     stillness_flagged: bool = False
     # Raw rows just before the onset (at most MAX_SMOOTHING_SAMPLES - 1),
     # so a trailing window smooths across the onset as the stream does.
@@ -458,7 +458,7 @@ class SegmentConfig:
 
 def extract_fall_segment(
     annotated: AnnotatedTrial,
-    frames: FeatureFrames | None = None,
+    frames: FeatureFrames,
     segment: SegmentConfig = SegmentConfig(),
     feature_names: tuple[str, ...] = KAN_DEFAULT_FEATURES,
 ) -> FallSegment:
@@ -488,14 +488,11 @@ def extract_fall_segment(
         end = span[1]
         flagged = True
 
-    rows = None
-    context = np.empty((0, 0))
-    if frames is not None:
-        if len(frames) != len(annotated):
-            raise SegmentError("frames and trial have different lengths")
-        lo = max(0, start - MAX_SMOOTHING_SAMPLES + 1)
-        selected = frames.data[lo:end + 1, feature_indices(feature_names)]
-        context, rows = selected[:start - lo], selected[start - lo:]
+    if len(frames) != len(annotated):
+        raise SegmentError("frames and trial have different lengths")
+    lo = max(0, start - MAX_SMOOTHING_SAMPLES + 1)
+    selected = frames.data[lo:end + 1, feature_indices(feature_names)]
+    context, rows = selected[:start - lo], selected[start - lo:]
     return FallSegment(
         trial_id=annotated.trial_id,
         start_index=start,
@@ -514,7 +511,7 @@ def save_segment(path: Path | str, segment: FallSegment) -> None:
         "start_index": segment.start_index,
         "end_index": segment.end_index,
         "feature_names": list(segment.feature_names),
-        "rows": None if segment.rows is None else segment.rows.tolist(),
+        "rows": segment.rows.tolist(),
         "tti_ms": segment.tti_ms.tolist(),
         "stillness_flagged": segment.stillness_flagged,
         "context": segment.context.tolist(),
@@ -523,18 +520,30 @@ def save_segment(path: Path | str, segment: FallSegment) -> None:
 
 
 def load_segment(path: Path | str) -> FallSegment:
+    """FeatureError, naming the file, on a missing field, on rows and
+    targets that are not (L, len(feature_names)) and (L,), or on context
+    rows of another width."""
     payload = json.loads(Path(path).read_text())
-    rows = payload["rows"]
-    return FallSegment(
-        trial_id=TrialId.parse(payload["trial_id"]),
-        start_index=int(payload["start_index"]),
-        end_index=int(payload["end_index"]),
-        feature_names=tuple(payload["feature_names"]),
-        rows=None if rows is None else np.asarray(rows, dtype=float),
-        tti_ms=np.asarray(payload["tti_ms"], dtype=float),
-        stillness_flagged=bool(payload["stillness_flagged"]),
-        context=np.asarray(payload.get("context", []), dtype=float),
-    )
+    try:
+        segment = FallSegment(
+            trial_id=TrialId.parse(payload["trial_id"]),
+            start_index=int(payload["start_index"]),
+            end_index=int(payload["end_index"]),
+            feature_names=tuple(payload["feature_names"]),
+            rows=np.asarray(payload["rows"], dtype=float),
+            tti_ms=np.asarray(payload["tti_ms"], dtype=float),
+            stillness_flagged=bool(payload["stillness_flagged"]),
+            context=np.asarray(payload.get("context", []), dtype=float),
+        )
+    except KeyError as exc:
+        raise FeatureError(f"{path}: segment lacks {exc}") from None
+    rows, tti, context = segment.rows, segment.tti_ms, segment.context
+    shape = (len(segment), len(segment.feature_names))
+    if rows.shape != shape or tti.shape != shape[:1] or (
+            context.size and context.shape[1:] != shape[1:]):
+        raise FeatureError(f"{path}: rows {rows.shape}, tti_ms {tti.shape} "
+                           f"and context {context.shape} do not fit {shape}")
+    return segment
 
 
 # ---------------------------------------------------------------------------

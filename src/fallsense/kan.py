@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -480,8 +480,6 @@ def smooth_rows(rows: np.ndarray, window: int) -> np.ndarray:
 def _smoothed_segment_rows(seg: FallSegment, window: int) -> np.ndarray:
     """The segment's rows smoothed by a trailing window that reaches back
     across the onset into its context rows, as the stream's window does."""
-    if seg.rows is None:
-        raise KanError(f"{seg.trial_id}: segment carries no feature rows")
     context = seg.context.reshape(-1, seg.rows.shape[1])
     return smooth_rows(np.vstack([context, seg.rows]), window)[len(context):]
 
@@ -508,24 +506,24 @@ def _target_ramp_scale(y: np.ndarray) -> float:
 
 
 def _init_model(config: KanConfig, feature_names: tuple[str, ...],
-                stats: StandardizationStats, d: int,
+                stats: StandardizationStats, xs: np.ndarray,
                 rng: np.random.Generator, ramp_scale: float) -> KanModel:
+    """Random inner values, and outer grids spanned over the inner sums of
+    the standardized training rows ``xs`` with ramp values."""
+    d = xs.shape[1]
     branches = 2 * d + 1
-    inner_grid = np.linspace(-config.inner_span, config.inner_span,
-                             config.n_inner_nodes)
     inner_values = rng.uniform(
         -config.init_scale, config.init_scale,
         size=(d, branches, config.n_inner_nodes))
-    # Placeholder outer grids; re-spanned from the observed inner sums.
-    outer_grids = np.tile(np.linspace(-1.0, 1.0, config.q_outer_nodes),
-                          (branches, 1))
-    outer_values = np.tile(
-        np.linspace(0.0, ramp_scale / branches, config.q_outer_nodes),
-        (branches, 1))
-    return KanModel(
+    model = KanModel(
         feature_names=feature_names, stats=stats, config=config,
-        inner_grid=inner_grid, inner_values=inner_values,
-        outer_grids=outer_grids, outer_values=outer_values)
+        inner_grid=np.linspace(-config.inner_span, config.inner_span,
+                               config.n_inner_nodes),
+        inner_values=inner_values,
+        outer_grids=np.empty((branches, config.q_outer_nodes)),
+        outer_values=np.empty((branches, config.q_outer_nodes)))
+    _respan_outer(model, xs, ramp_scale)
+    return model
 
 
 def _respan_outer(model: KanModel, xs: np.ndarray,
@@ -593,7 +591,7 @@ def fit_records(
     if len(feature_names) != d:
         raise KanError("feature_names length must match input dimension")
 
-    stats = fit_standardizer(train_x, tuple(feature_names))
+    stats = fit_standardizer(train_x)
     xs = apply_standardizer(stats, train_x)
     xv = apply_standardizer(stats, val_x) if len(val_x) else xs[:0]
     yv = np.asarray(val_y, dtype=float)
@@ -617,8 +615,7 @@ def fit_records(
 
     rng = np.random.default_rng(config.seed)
     ramp = _target_ramp_scale(ys)
-    model = _init_model(config, tuple(feature_names), stats, d, rng, ramp)
-    _respan_outer(model, xs, ramp)
+    model = _init_model(config, tuple(feature_names), stats, xs, rng, ramp)
     # The sweeps move node values and re-span the outer grids, never the
     # inner grid, so each record's inner brackets are computed once.
     records = KanKernel(model).records(xs)
@@ -725,7 +722,6 @@ class CvPlan:
     """Per-(subject, activity) assignment of repetitions to roles."""
 
     assignments: dict[tuple[str, str], dict[str, list[int]]]
-    notes: list[str] = field(default_factory=list)
 
     def role_of(self, trial_id: TrialId) -> str | None:
         entry = self.assignments.get((trial_id.subject, trial_id.activity))
@@ -746,7 +742,7 @@ def build_cv_plan(trial_ids: list[TrialId], seed: int = 0) -> CvPlan:
     """3 train / 1 validation / 1 test repetitions per subject-activity.
 
     Groups with fewer than 5 repetitions contribute what they have
-    (test first, then validation, remainder train) and are noted.
+    (test first, then validation, remainder train).
     """
     rng = np.random.default_rng(seed)
     groups: dict[tuple[str, str], list[int]] = {}
@@ -754,7 +750,6 @@ def build_cv_plan(trial_ids: list[TrialId], seed: int = 0) -> CvPlan:
         groups.setdefault((tid.subject, tid.activity), []).append(
             tid.repetition)
     assignments = {}
-    notes = []
     for key in sorted(groups):
         reps = sorted(set(groups[key]))
         order = list(rng.permutation(len(reps)))
@@ -765,11 +760,8 @@ def build_cv_plan(trial_ids: list[TrialId], seed: int = 0) -> CvPlan:
         if len(shuffled) >= 2:
             entry["validation"] = [shuffled.pop()]
         entry["train"] = sorted(shuffled)
-        if len(reps) < 5:
-            notes.append(
-                f"{key[0]} {key[1]}: only {len(reps)} repetitions")
         assignments[key] = entry
-    return CvPlan(assignments=assignments, notes=notes)
+    return CvPlan(assignments=assignments)
 
 
 @dataclass
@@ -875,15 +867,12 @@ def load_checkpoint(path: Path | str) -> KanModel:
     header, arrays = checkpoint.read_container(path, "kan")
     name = Path(path).name
     try:
-        names = tuple(header["feature_names"])
         std = header["standardizer"]
         model = KanModel(
-            feature_names=names,
+            feature_names=tuple(header["feature_names"]),
             stats=StandardizationStats(
                 mean=np.asarray(std["mean"], dtype=float),
-                std=np.asarray(std["std"], dtype=float),
-                names=names,
-            ),
+                std=np.asarray(std["std"], dtype=float)),
             config=KanConfig(**header["config"]),
             inner_grid=np.asarray(header["inner_grid"], dtype=float),
             inner_values=arrays["inner_values"],

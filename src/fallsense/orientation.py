@@ -479,16 +479,13 @@ def filter_start(accel_g: np.ndarray, config: FilterConfig | None = None,
 
 
 def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
-                         config: FilterConfig | None = None,
-                         dt: float = SAMPLE_PERIOD_S) -> np.ndarray:
+                         config: FilterConfig | None = None) -> np.ndarray:
     """Quaternion per sample for one trial.
 
     Starts with ``filter_start``, then runs predict (gyro) + update
     (accelerometer) for every sample: the start and the two steps the
     stream takes, on the same float rows.  Returns an (N, 4) array.
     """
-    if not 0.0 < dt < math.inf:                 # NaN is rejected too
-        raise OrientationError(f"dt must be positive and finite, got {dt}")
     accel = np.atleast_2d(np.asarray(accel_g, dtype=float))
     gyro = np.atleast_2d(np.asarray(gyro_dps, dtype=float))
     n = accel.shape[0]
@@ -497,12 +494,12 @@ def estimate_orientation(accel_g: np.ndarray, gyro_dps: np.ndarray,
     if gyro.shape[0] != n:
         raise OrientationError("accelerometer/gyro length mismatch")
 
-    state, _ = filter_start(accel, config, dt)
+    state, _ = filter_start(accel, config)
     accel_rows, gyro_rows = accel.tolist(), gyro.tolist()
     state = update_step(state, accel_rows[0])
     quats = [state.quat]
     for k in range(1, n):
-        state = predict_step(state, gyro_rows[k], dt)
+        state = predict_step(state, gyro_rows[k], SAMPLE_PERIOD_S)
         state = update_step(state, accel_rows[k])
         quats.append(state.quat)
     return np.array(quats)

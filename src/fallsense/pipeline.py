@@ -11,7 +11,6 @@ import numpy as np
 
 from . import fdnn as fdnn_mod
 from .features import (
-    FDNN_FEATURES,
     FallSegment,
     FeatureFrames,
     StandardizationStats,
@@ -48,7 +47,7 @@ def orient_and_frame(
 def fit_frame_standardizer(frames: list[FeatureFrames]) -> StandardizationStats:
     """Standardizer over the 18 detector inputs, training frames only:
     each trial's sums added in list order, with no stacked copy."""
-    return fit_standardizer([f.fdnn_matrix() for f in frames], FDNN_FEATURES)
+    return fit_standardizer([f.fdnn_matrix() for f in frames])
 
 
 def detector_example(inputs: np.ndarray, labels: np.ndarray,

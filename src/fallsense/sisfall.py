@@ -177,7 +177,6 @@ class CalibratedTrial:
     accel_adxl345: np.ndarray   # (N, 3) g
     gyro_itg3200: np.ndarray    # (N, 3) deg/s
     accel_mma8451q: np.ndarray  # (N, 3) g
-    t: np.ndarray               # (N,) seconds
 
     def __len__(self) -> int:
         return self.accel_adxl345.shape[0]
@@ -203,13 +202,11 @@ def calibrate_trial(records: np.ndarray, spec: CalibrationSpec | None = None,
     _check_counts(records[:, 0:3], spec.adxl345, "ADXL345")
     _check_counts(records[:, 3:6], spec.itg3200, "ITG3200")
     _check_counts(records[:, 6:9], spec.mma8451q, "MMA8451Q")
-    n = records.shape[0]
     return CalibratedTrial(
         trial_id=trial_id,
         accel_adxl345=records[:, 0:3] * spec.adxl345.scale,
         gyro_itg3200=records[:, 3:6] * spec.itg3200.scale,
         accel_mma8451q=records[:, 6:9] * spec.mma8451q.scale,
-        t=np.arange(n) * SAMPLE_PERIOD_S,
     )
 
 

@@ -189,7 +189,6 @@ def generate_synthetic_trial(
         accel_adxl345=accel_adxl,
         gyro_itg3200=gyro,
         accel_mma8451q=accel_mma,
-        t=np.arange(n) / SAMPLE_RATE_HZ,
     )
     labels = np.zeros(n, dtype=np.uint8)
     span = None

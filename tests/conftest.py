@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fallsense.features import FEATURE_NAMES, FeatureFrames
 from fallsense.sisfall import CalibrationSpec, SubjectProfile, TrialId
 from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
 
@@ -34,3 +35,11 @@ def walk_trial():
 
 def make_trial_text(records: np.ndarray) -> str:
     return "\n".join(",".join(str(int(v)) for v in row) for row in records)
+
+
+def blank_frames(annotated) -> FeatureFrames:
+    """All-zero frames of a trial's length: a fall segment's bounds read
+    the trial's accelerometer, not its frames."""
+    return FeatureFrames(annotated.trial_id,
+                         np.zeros((len(annotated), len(FEATURE_NAMES))),
+                         annotated.labels)

@@ -293,6 +293,72 @@ class TestFeatures:
             assert abs(seg.end_index - entry["impact_index"]) <= 1
 
 
+class TestMisplacedTrialFile:
+    def test_trial_outside_its_subject_folder_is_refused(
+            self, workspace, synth_dir, tmp_path, capsys):
+        """A copy of one subject's trial in another's folder would be
+        read with the other subject's profile and written twice."""
+        _, config = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir / "corpus", corpus)
+        first, second = sorted(p for p in corpus.iterdir() if p.is_dir())[:2]
+        stray = first / sorted(second.glob("*.txt"))[0].name
+        shutil.copy(second / stray.name, stray)
+        rc = dispatch([
+            "features", "--config", str(config), "--root", str(corpus),
+            "--subjects", str(synth_dir / "subjects.csv"),
+            "--annotations", str(synth_dir / "annotations.csv"),
+            "--jobs", "1", "--out", str(tmp_path / "features")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(stray) in err
+        assert not (tmp_path / "features" / "index.csv").exists()
+
+
+class TestCorruptFeatureFiles:
+    """A feature file that lacks a field stops the stages that read it
+    with ``error:`` naming the file, not a traceback."""
+
+    def _copy(self, features_dir, tmp_path):
+        features = tmp_path / "features"
+        shutil.copytree(features_dir, features)
+        return features
+
+    def test_segment_without_targets(self, workspace, features_dir,
+                                     tmp_path, capsys):
+        _, config = workspace
+        features = self._copy(features_dir, tmp_path)
+        segment = sorted((features / "segments").glob("*.json"))[0]
+        payload = json.loads(segment.read_text())
+        del payload["tti_ms"]
+        segment.write_text(json.dumps(payload))
+        for command in ("select", "train-kan"):
+            rc = dispatch([command, "--config", str(config),
+                           "--features", str(features),
+                           "--out", str(tmp_path / command)])
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(segment) in err
+            assert "tti_ms" in err
+
+    def test_frames_without_labels(self, workspace, features_dir, fdnn_dir,
+                                   tmp_path, capsys):
+        _, config = workspace
+        features = self._copy(features_dir, tmp_path)
+        frames = sorted((features / "frames").glob("*.npz"))[0]
+        with np.load(frames) as z:
+            kept = {k: z[k] for k in z.files if k != "labels"}
+        np.savez(frames, **kept)
+        rc = dispatch(["eval-fdnn", "--config", str(config),
+                       "--features", str(features),
+                       "--checkpoint", str(fdnn_dir / "fdnn.ckpt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(frames) in err
+        assert "labels" in err
+
+
 class TestParallelIngestion:
     def test_parallel_matches_sequential_bytes(self, workspace, synth_dir):
         root, config = workspace

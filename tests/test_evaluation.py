@@ -23,6 +23,7 @@ from fallsense.kan import KanConfig, fit
 from fallsense.sisfall import TrialId
 from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
 
+from conftest import blank_frames
 from test_kan import make_segment
 
 
@@ -37,16 +38,17 @@ class TestConfusion:
         assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
 
     def test_empty_mask(self):
-        c = confusion(np.array([1, 0]), np.array([1, 0]),
-                      mask=np.zeros(2, dtype=bool))
-        assert c.total == 0
+        m = np.zeros(2, dtype=bool)
+        c = confusion(np.array([1, 0])[m], np.array([1, 0])[m])
+        assert c == ConfusionCounts()
 
     def test_total_equals_unmasked(self):
         rng = np.random.default_rng(0)
         d = rng.integers(0, 2, 500)
         l = rng.integers(0, 2, 500)
         m = rng.random(500) < 0.7
-        assert confusion(d, l, m).total == int(m.sum())
+        c = confusion(d[m], l[m])
+        assert c.tp + c.fp + c.tn + c.fn == int(m.sum())
 
     def test_length_mismatch(self):
         with pytest.raises(EvaluationError):
@@ -59,7 +61,7 @@ class TestConfusion:
         d = rng.integers(0, 2, n).astype(bool)
         l = rng.integers(0, 2, n)
         m = rng.random(n) < 0.8
-        c = confusion(d, l, m)
+        c = confusion(d[m], l[m])
         tp = fp = tn = fn = 0
         for i in range(n):
             if not m[i]:
@@ -96,13 +98,15 @@ class TestRates:
 class TestMetricTable:
     def test_single_trial_cell(self):
         t = metric_table([TrialMetric(TrialId("F01", "SA01", 1), 0.8)])
-        assert t.cell("SA01", "F01") == pytest.approx(0.8)
+        assert (t.subjects, t.activities) == (("SA01",), ("F01",))
+        assert t.values[0, 0] == pytest.approx(0.8)
 
     def test_mean_over_repetitions(self):
         entries = [TrialMetric(TrialId("F01", "SA01", r), v)
                    for r, v in [(1, 0.5), (2, 1.0)]]
         t = metric_table(entries)
-        assert t.cell("SA01", "F01") == pytest.approx(0.75)
+        assert t.values.shape == (1, 1)
+        assert t.values[0, 0] == pytest.approx(0.75)
 
     def test_blank_cells_and_average(self):
         entries = [
@@ -111,8 +115,10 @@ class TestMetricTable:
             TrialMetric(TrialId("F02", "SA01", 1), None),  # undefined rate
         ]
         t = metric_table(entries)
-        assert t.cell("SA01", "F02") is None
-        assert t.cell("SA02", "F01") is None
+        assert (t.subjects, t.activities) == (("SA01", "SA02"),
+                                              ("F01", "F02"))
+        assert np.isnan(t.values[0, 1])                 # SA01 F02
+        assert np.isnan(t.values[1, 0])                 # SA02 F01
         assert t.average() == pytest.approx(0.75)  # mean over non-blank
 
     def test_csv_round_trip(self, tmp_path):
@@ -135,19 +141,19 @@ class TestRmseByGroup:
 
     def test_exact_predictions(self):
         h = rmse_by_group([self._entry("SA01", "F01", 1, [1, 2], [1, 2])])
-        assert h.table.cell("SA01", "F01") == 0.0
+        assert h.table.values.tolist() == [[0.0]]
         assert h.global_rmse == 0.0
 
     def test_constant_offset(self):
         h = rmse_by_group(
             [self._entry("SA01", "F01", 1, [10, 20, 30], [0, 10, 20])])
-        assert h.table.cell("SA01", "F01") == pytest.approx(10.0)
+        assert h.table.values[0, 0] == pytest.approx(10.0)
 
     def test_alternating_offset(self):
         targets = np.zeros(10)
         preds = np.where(np.arange(10) % 2 == 0, 10.0, -10.0)
         h = rmse_by_group([self._entry("SA01", "F01", 1, preds, targets)])
-        assert h.table.cell("SA01", "F01") == pytest.approx(10.0)
+        assert h.table.values[0, 0] == pytest.approx(10.0)
 
     def test_global_pools_all_samples(self):
         rng = np.random.default_rng(1)
@@ -202,7 +208,7 @@ class TestSyntheticGenerator:
         from fallsense.features import extract_fall_segment
         spec = SyntheticSpec(noise_g=0.0)
         annotated, truth = generate_synthetic_trial(spec, seed=1)
-        seg = extract_fall_segment(annotated)
+        seg = extract_fall_segment(annotated, blank_frames(annotated))
         assert seg.end_index == truth.impact_index
 
     def test_walk_has_no_labels(self):

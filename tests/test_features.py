@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import zipfile
 from bisect import bisect_right
@@ -31,6 +32,8 @@ from fallsense.features import (
 from fallsense.orientation import estimate_orientation
 from fallsense.sisfall import TrialId
 from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
+
+from conftest import blank_frames
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,22 @@ class TestFeatureFrames:
         assert loaded.trial_id == frames.trial_id
         assert loaded.data.tobytes() == frames.data.tobytes()
         assert np.array_equal(loaded.labels, frames.labels)
+
+    @pytest.mark.parametrize("cut", ["short_labels", "narrow_data",
+                                     "2d_labels"])
+    def test_misshapen_frames_refused(self, frames, tmp_path, cut):
+        data, labels = frames.data, frames.labels
+        if cut == "short_labels":
+            labels = labels[:-1]
+        elif cut == "narrow_data":
+            data = data[:, :18]
+        else:
+            labels = labels[:, None]
+        p = tmp_path / "frames.npz"
+        np.savez(p, trial_id=str(frames.trial_id), data=data, labels=labels,
+                 names=np.array(FEATURE_NAMES))
+        with pytest.raises(FeatureError, match="frames.npz: data"):
+            feat.load_frames(p)
 
 
 class TestFeatureIndices:
@@ -423,10 +442,11 @@ class TestRollingStdForward:
         # std by up to 2.2e-11 on these trials (the new form by < 1e-15).
         finite = np.isfinite(want)
         assert np.abs(got[finite] - want[finite]).max() <= 1e-10
-        seg = extract_fall_segment(annotated)
+        blank = blank_frames(annotated)
+        seg = extract_fall_segment(annotated, blank)
         monkeypatch.setattr(feat, "rolling_std_forward",
                             ref_rolling_std_forward)
-        old = extract_fall_segment(annotated)
+        old = extract_fall_segment(annotated, blank)
         assert (seg.start_index, seg.end_index, seg.stillness_flagged) == \
             (old.start_index, old.end_index, old.stillness_flagged)
 
@@ -449,16 +469,16 @@ class TestRollingStdForward:
 
 
 class TestExtractFallSegment:
-    def test_recovers_synthetic_impact(self, fall_trial):
+    def test_recovers_synthetic_impact(self, fall_trial, frames):
         annotated, truth = fall_trial
-        seg = extract_fall_segment(annotated)
+        seg = extract_fall_segment(annotated, frames)
         assert seg.start_index == truth.onset_index
         assert abs(seg.end_index - truth.impact_index) <= 1
         assert not seg.stillness_flagged
 
-    def test_duration_of_default_fall(self, fall_trial):
+    def test_duration_of_default_fall(self, fall_trial, frames):
         annotated, _ = fall_trial
-        seg = extract_fall_segment(annotated)
+        seg = extract_fall_segment(annotated, frames)
         # 700 ms fall: 141 samples, 140 intervals of 5 ms
         assert len(seg) == 141
         assert seg.tti_ms[0] == 700.0
@@ -466,7 +486,7 @@ class TestExtractFallSegment:
     def test_adl_trial_rejected(self, walk_trial):
         annotated, _ = walk_trial
         with pytest.raises(SegmentError):
-            extract_fall_segment(annotated)
+            extract_fall_segment(annotated, blank_frames(annotated))
 
     def test_never_still_flagged(self):
         spec = SyntheticSpec(duration_s=6.0, fall_onset_s=5.0, impact_s=5.9)
@@ -475,9 +495,8 @@ class TestExtractFallSegment:
         annotated.trial.accel_adxl345 = annotated.trial.accel_adxl345[:1181]
         annotated.trial.gyro_itg3200 = annotated.trial.gyro_itg3200[:1181]
         annotated.trial.accel_mma8451q = annotated.trial.accel_mma8451q[:1181]
-        annotated.trial.t = annotated.trial.t[:1181]
         annotated.labels = annotated.labels[:1181]
-        seg = extract_fall_segment(annotated)
+        seg = extract_fall_segment(annotated, blank_frames(annotated))
         assert seg.stillness_flagged
         assert seg.end_index == annotated.fall_span()[1]
 
@@ -487,7 +506,6 @@ class TestExtractFallSegment:
             annotated.trial.accel_adxl345, annotated.trial.gyro_itg3200)
         frames = build_feature_frames(annotated, subject, quats)
         seg = extract_fall_segment(annotated, frames)
-        assert seg.rows is not None
         assert seg.rows.shape == (len(seg), len(KAN_DEFAULT_FEATURES))
         assert len(seg.tti_ms) == len(seg)
         p = tmp_path / "seg.json"
@@ -521,6 +539,23 @@ class TestExtractFallSegment:
                      '"rows": [[1.0], [2.0]], "tti_ms": [5.0, 0.0], '
                      '"stillness_flagged": false}')
         assert load_segment(p).context.size == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("rows", [[1.0], [2.0], [3.0]]), ("rows", [[1.0, 2.0], [3.0, 4.0]]),
+        ("rows", None), ("tti_ms", [0.0]), ("tti_ms", [[5.0], [0.0]]),
+        ("context", [[1.0, 2.0], [3.0, 4.0]]), ("context", [1.0, 2.0])],
+        ids=["long_rows", "wide_rows", "null_rows", "short_tti",
+             "2d_tti", "wide_context", "flat_context"])
+    def test_misshapen_segment_refused(self, tmp_path, field, value):
+        payload = {"trial_id": "F01_SA01_R01", "start_index": 5,
+                   "end_index": 6, "feature_names": ["a"],
+                   "rows": [[1.0], [2.0]], "tti_ms": [5.0, 0.0],
+                   "stillness_flagged": False}
+        payload[field] = value
+        p = tmp_path / "seg.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(FeatureError, match="seg.json: rows"):
+            load_segment(p)
 
 
 class TestSplitSequences:

@@ -52,9 +52,8 @@ def training_style_model(y_scale=400.0, seed=0, config=None):
     cfg = config or KanConfig()
     rng = np.random.default_rng(seed)
     xs = rng.normal(0.0, 1.0, (400, D))
-    model = kan._init_model(cfg, NAMES, unit_stats(), D,
+    model = kan._init_model(cfg, NAMES, unit_stats(), xs,
                             np.random.default_rng(cfg.seed), y_scale)
-    kan._respan_outer(model, xs, y_scale)
     return model, xs
 
 
@@ -773,7 +772,7 @@ class TestPredict:
         # overflows: the message standardizing first gives
         model = self._model()
         model.stats = StandardizationStats(
-            model.stats.mean, np.full(D, 0.5), model.stats.names)
+            model.stats.mean, np.full(D, 0.5))
         kernel = KanKernel(model)
         for i in range(D):
             row = [0.0] * D
@@ -809,7 +808,6 @@ class TestCrossValidation:
     def test_short_groups_noted(self):
         ids = [TrialId("F01", "SA01", r) for r in (1, 2, 3)]
         plan = build_cv_plan(ids, seed=0)
-        assert plan.notes
         entry = plan.assignments[("SA01", "F01")]
         assert len(entry["test"]) == 1
         assert len(entry["validation"]) == 1
@@ -1047,7 +1045,7 @@ def ref_update_inplace(model, x, y, mu):
 
 def ref_fit_records(config, train_x, train_y, val_x, val_y, names):
     """fit_records as written on the NumPy update, record by record."""
-    stats = fit_standardizer(train_x, names)
+    stats = fit_standardizer(train_x)
     xs = apply_standardizer(stats, train_x)
     xv = apply_standardizer(stats, val_x)
     y_shift, y_scale, ys = 0.0, 1.0, train_y
@@ -1065,8 +1063,7 @@ def ref_fit_records(config, train_x, train_y, val_x, val_y, names):
 
     rng = np.random.default_rng(config.seed)
     ramp = kan._target_ramp_scale(ys)
-    model = kan._init_model(config, names, stats, xs.shape[1], rng, ramp)
-    kan._respan_outer(model, xs, ramp)
+    model = kan._init_model(config, names, stats, xs, rng, ramp)
     if config.warmup == "epoch":
         for idx in rng.permutation(xs.shape[0]):
             ref_update_inplace(model, xs[idx], ys[idx], config.mu)
@@ -1254,7 +1251,7 @@ def model_of_width(d, seed):
                                  std=rng.uniform(0.5, 2.0, d))
     xs = rng.normal(0.0, 1.0, (400, d))
     model = kan._init_model(KanConfig(), tuple(f"x{i}" for i in range(d)),
-                            stats, d, rng, 400.0)
+                            stats, xs, rng, 400.0)
     return random_grid_model(model, xs, seed), xs
 
 

@@ -579,12 +579,6 @@ class TestEstimateOrientation:
         with pytest.raises(OrientationError):
             estimate_orientation(np.empty((0, 3)), np.empty((0, 3)))
 
-    @pytest.mark.parametrize("dt", [0.0, -0.005, math.nan, math.inf])
-    def test_bad_dt_rejected_up_front(self, dt):
-        accel = np.tile([0.0, 0.0, 1.0], (10, 1))
-        with pytest.raises(OrientationError, match="dt must be"):
-            estimate_orientation(accel, np.zeros((10, 3)), dt=dt)
-
     def test_is_the_two_steps_scanned_over_array_rows(self):
         rng = np.random.default_rng(7)
         n = 300
@@ -598,7 +592,7 @@ class TestEstimateOrientation:
             state = predict_step(state, gyro[k], 0.005)
             state = update_step(state, accel[k])
             want.append(state.q)
-        got = estimate_orientation(accel, gyro, config, dt=0.005)
+        got = estimate_orientation(accel, gyro, config)
         assert np.array_equal(got, np.array(want))
 
 
@@ -825,6 +819,7 @@ def start_digest() -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
 def test_start_bits_do_not_depend_on_the_blas_kernel(coretype):
     # the accelerometer mean's norm, its dot with the world up and the

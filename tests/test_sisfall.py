@@ -270,10 +270,6 @@ class TestCalibrate:
         s = calibrate_trial(np.array([[0, 0, 0, 16384, 0, 0, 0, 0, 0]]))
         assert s.gyro_itg3200[0, 0] == pytest.approx(1000.0)
 
-    def test_time_from_index(self):
-        s = calibrate_trial(np.zeros((8, 9), dtype=int))
-        assert s.t[7] == pytest.approx(7 / 200.0)
-
     def test_linear_in_counts(self):
         r = np.array([[100, -50, 3, 1000, -200, 7, 40, -40, 11]])
         a = calibrate_trial(r)
@@ -302,7 +298,6 @@ class TestCalibrate:
         records = parse_trial_file(make_trial_text(rows))
         trial = calibrate_trial(records, trial_id=TrialId("D01", "SA01", 1))
         assert len(trial) == records.shape[0]
-        assert trial.t[1] - trial.t[0] == pytest.approx(0.005)
 
 
 class TestSubjects:

@@ -86,6 +86,7 @@ class TestStreamTrial:
     @pytest.mark.parametrize(
         "body_up", [None, (0.0, -1.0, 0.0), (0.3, -0.9, 0.1)],
         ids=["None", "minus_y", "oblique"])
+    @pytest.mark.bitexact
     def test_stream_matches_batch_forward_bitexact(self, trained, subject,
                                                    body_up):
         fdnn_path, kan_path, pairs, params, cfg, stats = trained
@@ -102,6 +103,7 @@ class TestStreamTrial:
     @pytest.mark.parametrize(
         "body_up", [None, (0.0, -1.0, 0.0), (0.3, -0.9, 0.1)],
         ids=["None", "minus_y", "oblique"])
+    @pytest.mark.bitexact
     def test_streamed_detector_inputs_equal_batch_rows(
             self, trained, subject, monkeypatch, body_up):
         # not only the outputs: every standardized row the stream feeds
@@ -200,8 +202,7 @@ class TestStreamTrial:
             trial,
             accel_adxl345=trial.accel_adxl345[:cut],
             gyro_itg3200=trial.gyro_itg3200[:cut],
-            accel_mma8451q=trial.accel_mma8451q[:cut],
-            t=trial.t[:cut])
+            accel_mma8451q=trial.accel_mma8451q[:cut])
         prefix, _ = stream_trial(fdnn_path, kan_path, prefix_trial, subject)
         assert [(e.p_falling, e.decision, e.tti_ms) for e in prefix] == \
             [(e.p_falling, e.decision, e.tti_ms) for e in full[:cut]]
@@ -475,6 +476,7 @@ class TestCallsShareNoState:
     call on the same or other models, not one running in another
     thread."""
 
+    @pytest.mark.bitexact
     def test_repeated_and_interleaved_calls_bitexact(self, trained,
                                                      subject):
         fdnn_path, kan_path, pairs, *_ = trained
@@ -539,6 +541,6 @@ def _prefix(annotated, n):
     cut = dataclasses.replace(
         trial, accel_adxl345=trial.accel_adxl345[:n],
         gyro_itg3200=trial.gyro_itg3200[:n],
-        accel_mma8451q=trial.accel_mma8451q[:n], t=trial.t[:n])
+        accel_mma8451q=trial.accel_mma8451q[:n])
     return dataclasses.replace(annotated, trial=cut,
                                labels=annotated.labels[:n])

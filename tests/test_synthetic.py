@@ -18,6 +18,8 @@ import pytest
 import fallsense
 from fallsense.synthetic import SyntheticSpec, generate_synthetic_trial
 
+pytestmark = pytest.mark.bitexact
+
 SPECS = (SyntheticSpec(duration_s=6.0),
          SyntheticSpec(kind="walk", duration_s=4.0),
          SyntheticSpec(kind="sit", duration_s=4.0),
